@@ -1073,27 +1073,100 @@ mod tests {
 
     #[test]
     fn thread_count_does_not_change_the_report() {
+        // Twelve identical chains fire together, so every 100 Hz tick is
+        // a batch of two dozen same-timestamp Fire events, and the
+        // chains' Done events share timestamps too (a's 10 ms service is
+        // the source period). Per-chain loss draws make them diverge.
+        //   src --queue(2, 20% loss)--> a (10 ms)
+        //       --queue(1, Block)--> b (25 ms, 75 ms deadline) --wire--> out (80 ms deadline)
+        //   imu (200 Hz) --sampled--> b
         let build = |par: ParConfig| {
             let mut g = GraphBuilder::new("det");
-            let cam = g
-                .source::<Frame>("cam", SourceSpec::new(Hertz::new(97.0), Bytes::new(5000.0)))
-                .unwrap();
-            let srv = g
-                .server::<Frame, Cmd>(
-                    "srv",
-                    ServerSpec::new(Service::fixed(Seconds::from_millis(7.0))),
-                )
-                .unwrap();
-            let out = g.sink::<Cmd>("out", SinkSpec::new()).unwrap();
-            g.connect(cam, srv, EdgeSpec::queue(3).loss(LossModel::constant(0.1))).unwrap();
-            g.connect(srv, out, EdgeSpec::wire()).unwrap();
+            for c in 0..12 {
+                let src = g
+                    .source::<Frame>(
+                        format!("src{c}"),
+                        SourceSpec::new(Hertz::new(100.0), Bytes::new(5000.0)),
+                    )
+                    .unwrap();
+                let imu = g
+                    .source::<Frame>(
+                        format!("imu{c}"),
+                        SourceSpec::new(Hertz::new(200.0), Bytes::new(24.0)),
+                    )
+                    .unwrap();
+                let a = g
+                    .server::<Frame, Frame>(
+                        format!("a{c}"),
+                        ServerSpec::new(Service::fixed(Seconds::from_millis(10.0))),
+                    )
+                    .unwrap();
+                let b = g
+                    .server::<Frame, Cmd>(
+                        format!("b{c}"),
+                        ServerSpec::new(Service::fixed(Seconds::from_millis(25.0)))
+                            .deadline(Seconds::from_millis(75.0)),
+                    )
+                    .unwrap();
+                let out = g
+                    .sink::<Cmd>(
+                        format!("out{c}"),
+                        SinkSpec::new().deadline(Seconds::from_millis(80.0)),
+                    )
+                    .unwrap();
+                g.connect(src, a, EdgeSpec::queue(2).loss(LossModel::constant(0.2))).unwrap();
+                g.connect(a, b, EdgeSpec::queue(1).policy(QueuePolicy::Block)).unwrap();
+                g.connect(imu, b, EdgeSpec::sampled()).unwrap();
+                g.connect(b, out, EdgeSpec::wire()).unwrap();
+            }
             g.seal(par).unwrap()
         };
-        let serial = build(ParConfig::serial()).run_seeded(Seconds::new(3.0), 42).unwrap();
-        let wide = build(ParConfig::with_threads(8)).run_seeded(Seconds::new(3.0), 42).unwrap();
-        assert_eq!(serial.node("out").unwrap().latencies, wide.node("out").unwrap().latencies);
-        assert_eq!(serial.edge("cam", "srv").unwrap().lost, wide.edge("cam", "srv").unwrap().lost);
-        assert_eq!(serial.node("srv").unwrap().processed, wide.node("srv").unwrap().processed);
+        // One line per chain: `node fired/processed/received/misses`,
+        // then `edge delivered/dropped/lost/blocked/max_depth`.
+        let pinned = |r: &GraphReport| -> Vec<String> {
+            r.nodes
+                .chunks(5)
+                .zip(r.edges.chunks(4))
+                .map(|(nodes, edges)| {
+                    let n = nodes.iter().map(|n| {
+                        format!(
+                            "{} {}/{}/{}/{}",
+                            n.name, n.fired, n.processed, n.received, n.deadline_misses
+                        )
+                    });
+                    let e = edges.iter().map(|e| {
+                        format!(
+                            "{}-{} {}/{}/{}/{}/{}",
+                            e.from, e.to, e.delivered, e.dropped, e.lost, e.blocked, e.max_depth
+                        )
+                    });
+                    n.chain(e).collect::<Vec<_>>().join(" ")
+                })
+                .collect()
+        };
+        let serial = build(ParConfig::serial()).run_seeded(Seconds::new(2.0), 42).unwrap();
+        let wide = build(ParConfig::with_threads(8)).run_seeded(Seconds::new(2.0), 42).unwrap();
+        for (s, w) in serial.nodes.iter().zip(&wide.nodes) {
+            assert_eq!(s.latencies, w.latencies, "{}", s.name);
+        }
+        assert_eq!(pinned(&serial), pinned(&wide));
+        // Pinned: the handling order of same-timestamp events must not
+        // change any count.
+        let want = [
+            "src0 200/0/0/0 imu0 401/0/0/0 a0 0/82/82/0 b0 0/79/160/76 out0 0/0/79/76 src0-a0 84/71/45/0/2 a0-b0 81/0/0/80/1 imu0-b0 401/0/0/0/0 b0-out0 79/0/0/0/0",
+            "src1 200/0/0/0 imu1 401/0/0/0 a1 0/82/82/0 b1 0/79/160/72 out1 0/0/79/71 src1-a1 83/75/42/0/2 a1-b1 81/0/0/77/1 imu1-b1 401/0/0/0/0 b1-out1 79/0/0/0/0",
+            "src2 200/0/0/0 imu2 401/0/0/0 a2 0/82/82/0 b2 0/79/160/76 out2 0/0/79/76 src2-a2 84/78/38/0/2 a2-b2 81/0/0/80/1 imu2-b2 401/0/0/0/0 b2-out2 79/0/0/0/0",
+            "src3 200/0/0/0 imu3 401/0/0/0 a3 0/82/82/0 b3 0/79/160/75 out3 0/0/79/75 src3-a3 84/71/45/0/2 a3-b3 81/0/0/79/1 imu3-b3 401/0/0/0/0 b3-out3 79/0/0/0/0",
+            "src4 200/0/0/0 imu4 401/0/0/0 a4 0/82/82/0 b4 0/79/160/76 out4 0/0/79/76 src4-a4 84/76/40/0/2 a4-b4 81/0/0/80/1 imu4-b4 401/0/0/0/0 b4-out4 79/0/0/0/0",
+            "src5 200/0/0/0 imu5 401/0/0/0 a5 0/82/82/0 b5 0/79/160/75 out5 0/0/79/74 src5-a5 84/79/37/0/2 a5-b5 81/0/0/78/1 imu5-b5 401/0/0/0/0 b5-out5 79/0/0/0/0",
+            "src6 200/0/0/0 imu6 401/0/0/0 a6 0/82/82/0 b6 0/79/160/76 out6 0/0/79/76 src6-a6 83/74/43/0/2 a6-b6 81/0/0/80/1 imu6-b6 401/0/0/0/0 b6-out6 79/0/0/0/0",
+            "src7 200/0/0/0 imu7 401/0/0/0 a7 0/82/82/0 b7 0/79/160/76 out7 0/0/79/76 src7-a7 84/68/48/0/2 a7-b7 81/0/0/80/1 imu7-b7 401/0/0/0/0 b7-out7 79/0/0/0/0",
+            "src8 200/0/0/0 imu8 401/0/0/0 a8 0/82/82/0 b8 0/79/160/75 out8 0/0/79/73 src8-a8 83/71/46/0/2 a8-b8 81/0/0/79/1 imu8-b8 401/0/0/0/0 b8-out8 79/0/0/0/0",
+            "src9 200/0/0/0 imu9 401/0/0/0 a9 0/82/82/0 b9 0/79/160/74 out9 0/0/79/73 src9-a9 84/75/41/0/2 a9-b9 81/0/0/78/1 imu9-b9 401/0/0/0/0 b9-out9 79/0/0/0/0",
+            "src10 200/0/0/0 imu10 401/0/0/0 a10 0/82/82/0 b10 0/79/160/75 out10 0/0/79/73 src10-a10 84/80/36/0/2 a10-b10 81/0/0/80/1 imu10-b10 401/0/0/0/0 b10-out10 79/0/0/0/0",
+            "src11 200/0/0/0 imu11 401/0/0/0 a11 0/81/81/0 b11 0/78/158/72 out11 0/0/78/72 src11-a11 83/83/34/0/2 a11-b11 80/0/0/76/1 imu11-b11 401/0/0/0/0 b11-out11 78/0/0/0/0",
+        ];
+        assert_eq!(pinned(&serial), want);
     }
 
     #[test]
