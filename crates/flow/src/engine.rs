@@ -4,10 +4,9 @@
 //! topology, costs every placement (in parallel on the `m7-par` pool),
 //! applies shared-site contention, and freezes the result into a
 //! [`Graph`]. [`Graph::run_seeded`] then executes the graph on a
-//! deterministic virtual clock: events sharing a timestamp are
-//! *prepared* out of order (an `m7-par` fan-out with index-slotted
-//! results) and *committed* in sequence order, so the report is
-//! bit-identical at any thread count.
+//! deterministic virtual clock, one event at a time in (time, FIFO)
+//! order. The pool is used only to cost placements at seal time, so
+//! the report is bit-identical at any thread count.
 
 use crate::graph::{
     EdgeDecl, EdgeKind, FlowError, GraphBuilder, LossModel, LossSeed, Role, Service,
@@ -22,10 +21,6 @@ use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, VecDeque};
-
-/// Below this many same-timestamp events the prepare fan-out runs
-/// inline; `par_map` is index-slotted, so both paths are bit-identical.
-const PAR_BATCH_MIN: usize = 8;
 
 /// The role a node plays, as reported.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +81,6 @@ struct SealedEdge {
 /// the crate-level example.
 pub struct Graph {
     name: String,
-    par: ParConfig,
     nodes: Vec<SealedNode>,
     edges: Vec<SealedEdge>,
 }
@@ -103,12 +97,6 @@ struct Msg {
 enum Ev {
     Fire(usize),
     Done(usize),
-}
-
-#[derive(Debug, Clone, Copy)]
-enum Prep {
-    Fire,
-    Done { out_born: f64, miss: bool },
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -259,9 +247,9 @@ impl Graph {
     /// Runs the graph for `duration` of virtual time.
     ///
     /// `seed` feeds every [`LossSeed::Derived`] edge RNG (edges with
-    /// [`LossSeed::Fixed`] ignore it). The report is bit-identical for
-    /// a given `(graph, duration, seed)` regardless of `m7-par` thread
-    /// count.
+    /// [`LossSeed::Fixed`] ignore it). The run is serial, so the report
+    /// is bit-identical for a given `(graph, duration, seed)` whatever
+    /// `m7-par` thread count sealed the graph.
     ///
     /// # Errors
     ///
@@ -332,58 +320,16 @@ impl<'g> Run<'g> {
                 q.schedule(Seconds::ZERO, Ev::Fire(i));
             }
         }
-        let mut batch: Vec<Ev> = Vec::new();
-        while let Some(t0) = q.peek_time() {
-            // The first event strictly past the horizon ends the run;
-            // events at exactly `duration` are still processed.
-            if t0 > duration {
+        // The first event strictly past the horizon ends the run;
+        // events at exactly `duration` are still processed.
+        while let Some((t, ev)) = q.pop() {
+            if t > duration {
                 break;
             }
-            batch.clear();
-            while q.peek_time() == Some(t0) {
-                let (_, ev) = q.pop().expect("peeked event exists");
-                batch.push(ev);
+            match ev {
+                Ev::Fire(i) => self.commit_fire(i, t.value(), &mut q),
+                Ev::Done(i) => self.commit_done(i, t.value(), &mut q),
             }
-            let t = t0.value();
-            // Prepare out of order: pure per-event data, reading only
-            // state frozen while the events were pending. par_map is
-            // index-slotted, so the result vector is independent of
-            // thread count.
-            let preps: Vec<Prep> = if batch.len() >= PAR_BATCH_MIN {
-                let shared = &*self;
-                self.g.par.par_map(&batch, |ev| shared.prepare(*ev, t))
-            } else {
-                batch.iter().map(|ev| self.prepare(*ev, t)).collect()
-            };
-            // Commit in sequence order: counters, RNG draws, queue
-            // mutation, new events.
-            for (ev, prep) in batch.iter().copied().zip(preps) {
-                self.commit(ev, prep, t, &mut q);
-            }
-        }
-    }
-
-    fn prepare(&self, ev: Ev, t: f64) -> Prep {
-        match ev {
-            Ev::Fire(_) => Prep::Fire,
-            Ev::Done(i) => {
-                let m = self.ns[i].current.expect("a Done event implies a message in service");
-                let miss = match &self.g.nodes[i].role {
-                    SealedRole::Server { deadline: Some(d), .. } => t - m.born > *d,
-                    _ => false,
-                };
-                Prep::Done { out_born: m.born, miss }
-            }
-        }
-    }
-
-    fn commit(&mut self, ev: Ev, prep: Prep, t: f64, q: &mut EventQueue<Ev>) {
-        match (ev, prep) {
-            (Ev::Fire(i), Prep::Fire) => self.commit_fire(i, t, q),
-            (Ev::Done(i), Prep::Done { out_born, miss }) => {
-                self.commit_done(i, out_born, miss, t, q)
-            }
-            _ => unreachable!("prep matches its event"),
         }
     }
 
@@ -401,15 +347,17 @@ impl<'g> Run<'g> {
         q.schedule(Seconds::new(t + period), Ev::Fire(i));
     }
 
-    fn commit_done(&mut self, i: usize, out_born: f64, miss: bool, t: f64, q: &mut EventQueue<Ev>) {
-        self.ns[i].processed += 1;
-        if miss {
-            self.ns[i].deadline_misses += 1;
-        }
-        self.ns[i].current = None;
-        let out = Msg { born: out_born, arrival: t };
-        let mut parked = 0usize;
+    fn commit_done(&mut self, i: usize, t: f64, q: &mut EventQueue<Ev>) {
         let g = self.g;
+        let m = self.ns[i].current.take().expect("a Done event implies a message in service");
+        self.ns[i].processed += 1;
+        if let SealedRole::Server { deadline: Some(d), .. } = &g.nodes[i].role {
+            if t - m.born > *d {
+                self.ns[i].deadline_misses += 1;
+            }
+        }
+        let out = Msg { born: m.born, arrival: t };
+        let mut parked = 0usize;
         for &e in &g.nodes[i].out_edges {
             if matches!(self.transmit(e, out, t, q), Outcome::Parked) {
                 parked += 1;
@@ -814,7 +762,7 @@ pub(crate) fn seal(builder: GraphBuilder, par: ParConfig) -> Result<Graph, FlowE
         })
         .collect();
 
-    Ok(Graph { name, par, nodes, edges })
+    Ok(Graph { name, nodes, edges })
 }
 
 /// Kahn topological order over the non-sampled edges; `None` on a

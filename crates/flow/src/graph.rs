@@ -708,7 +708,7 @@ impl GraphBuilder {
 
     /// Validates the topology, costs every placement (in parallel on
     /// `par`), applies shared-site contention, and returns a runnable
-    /// [`Graph`].
+    /// [`Graph`]. `par` is used only for this costing; runs are serial.
     ///
     /// # Errors
     ///

@@ -20,10 +20,10 @@
 //!   times reflect the silicon the node runs on, including contention
 //!   between co-located nodes.
 //! - **Execution** is a deterministic virtual-time event simulation:
-//!   events are ordered by timestamp with FIFO tie-breaking
-//!   ([`vtime::EventQueue`]), same-timestamp batches are evaluated
-//!   out-of-order on the `m7-par` pool and committed in sequence
-//!   order, so reports are **bit-identical at any thread count**.
+//!   events run one at a time in timestamp order with FIFO
+//!   tie-breaking ([`vtime::EventQueue`]). The `m7-par` pool only
+//!   costs placements at [`GraphBuilder::seal`], so reports are
+//!   **bit-identical at any thread count**.
 //!
 //! # Example
 //!

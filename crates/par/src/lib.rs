@@ -64,8 +64,6 @@ static BATCH_SPAN: SpanSite = SpanSite::new("par.batch", MetricClass::Determinis
 static WORKER_SPAN: SpanSite = SpanSite::new("sched.par.worker", MetricClass::Diagnostic);
 static BATCHES: TraceCounter = TraceCounter::new("par.batches", MetricClass::Deterministic);
 static ITEMS: TraceCounter = TraceCounter::new("par.items", MetricClass::Deterministic);
-static JOINS: TraceCounter = TraceCounter::new("par.joins", MetricClass::Deterministic);
-static JOIN_TASKS: TraceCounter = TraceCounter::new("par.join_tasks", MetricClass::Deterministic);
 static CLAIMS: TraceCounter = TraceCounter::new("sched.par.claims", MetricClass::Diagnostic);
 static STEALS: TraceCounter = TraceCounter::new("sched.par.steals", MetricClass::Diagnostic);
 static QUEUE_DEPTH: TraceHistogram =
@@ -176,41 +174,6 @@ impl ParConfig {
         });
 
         results.into_iter().map(|slot| slot.expect("every index claimed exactly once")).collect()
-    }
-
-    /// Runs independent closures concurrently, returning their outputs
-    /// in argument order.
-    ///
-    /// The closures run at most once each; ordering of *execution* is
-    /// unspecified, ordering of *results* is fixed.
-    pub fn join_all<U, F>(&self, tasks: Vec<F>) -> Vec<U>
-    where
-        U: Send,
-        F: FnOnce() -> U + Send,
-    {
-        JOINS.incr();
-        JOIN_TASKS.add(tasks.len() as u64);
-        if self.threads == 1 || tasks.len() <= 1 {
-            return tasks.into_iter().map(|task| task()).collect();
-        }
-        let mut slots: Vec<(Option<F>, Option<U>)> =
-            tasks.into_iter().map(|task| (Some(task), None)).collect();
-        std::thread::scope(|scope| {
-            let mut remaining: &mut [(Option<F>, Option<U>)] = &mut slots;
-            let mut spawned = Vec::new();
-            while let Some((slot, rest)) = remaining.split_first_mut() {
-                remaining = rest;
-                spawned.push(scope.spawn(move || {
-                    let task = slot.0.take().expect("task present");
-                    slot.1 = Some(task());
-                }));
-                if spawned.len() >= self.threads {
-                    // Keep at most `threads` tasks in flight.
-                    spawned.remove(0).join().expect("worker panicked");
-                }
-            }
-        });
-        slots.into_iter().map(|(_, out)| out.expect("task ran")).collect()
     }
 }
 
@@ -400,15 +363,6 @@ mod tests {
             })
             .collect();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn join_all_preserves_order() {
-        let tasks: Vec<Box<dyn FnOnce() -> usize + Send>> = (0..20usize)
-            .map(|i| Box::new(move || i * 3) as Box<dyn FnOnce() -> usize + Send>)
-            .collect();
-        let got = ParConfig::with_threads(4).join_all(tasks);
-        assert_eq!(got, (0..20).map(|i| i * 3).collect::<Vec<_>>());
     }
 
     #[test]

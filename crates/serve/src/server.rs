@@ -418,6 +418,11 @@ struct Conn {
     saw_eof: bool,
     /// Requests parsed but not yet answered (keeps the conn alive).
     in_flight: usize,
+    /// A request answered at parse time (control request or busy shed)
+    /// that arrived behind evals still queued for this connection. It
+    /// waits here, counted in `in_flight`, until they are answered, so
+    /// responses keep request order; parsing pauses meanwhile.
+    deferred: Option<Request>,
 }
 
 impl Conn {
@@ -431,6 +436,7 @@ impl Conn {
             close_after_flush: false,
             saw_eof: false,
             in_flight: 0,
+            deferred: None,
         }
     }
 
@@ -480,6 +486,10 @@ fn event_loop(listener: &TcpListener, shared: &Shared) {
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // A response may leave in two writes (the halves of
+                    // a wrapped buffer); with Nagle the second can wait
+                    // on a delayed ACK.
+                    let _ = stream.set_nodelay(true);
                     conns.push((next_id, Conn::new(stream)));
                     next_id += 1;
                 }
@@ -654,58 +664,28 @@ fn pump_read(conn: &mut Conn) -> usize {
 /// Parses whatever complete messages the connection holds, answering
 /// control requests inline and queueing evals (with admission control).
 fn parse_conn(id: u64, conn: &mut Conn, shared: &Shared, pending: &mut VecDeque<PendingReq>) {
-    loop {
-        let request = match &mut conn.proto {
-            Proto::Unknown => {
-                if conn.saw_eof {
-                    conn.close_after_flush = true;
-                }
+    while !conn.close_after_flush {
+        let request = if let Some(request) = conn.deferred.take() {
+            if conn.in_flight > 1 {
+                conn.deferred = Some(request); // earlier evals still queued
                 return;
             }
-            Proto::Binary(decoder) => match decoder.next_request() {
-                Ok(Some(req)) => Some(req),
-                Ok(None) => {
-                    if conn.saw_eof {
-                        if decoder.pending_bytes() > 0 {
-                            conn.queue_response(&Response::Error(
-                                "connection closed mid-frame".into(),
-                            ));
-                        }
-                        conn.close_after_flush = true;
-                    }
-                    None
-                }
-                Err(err) => {
-                    conn.queue_response(&Response::Error(err.to_string()));
-                    conn.close_after_flush = true;
-                    None
-                }
-            },
-            Proto::Legacy => {
-                // A legacy message ends at the first blank line, or at
-                // EOF (clients that close their write side).
-                let end = conn.in_buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
-                match end {
-                    Some(end) => {
-                        let msg: Vec<u8> = conn.in_buf.drain(..end).collect();
-                        Some(parse_legacy(conn, &msg))
-                    }
-                    None if conn.saw_eof && !conn.in_buf.is_empty() => {
-                        let msg = std::mem::take(&mut conn.in_buf);
-                        Some(parse_legacy(conn, &msg))
-                    }
-                    None => {
-                        if conn.saw_eof {
-                            conn.close_after_flush = true;
-                        }
-                        None
-                    }
-                }
-                .flatten()
+            conn.in_flight -= 1; // counted again below
+            request
+        } else {
+            match next_request(conn) {
+                Some(request) => request,
+                None => return,
             }
         };
-        let Some(request) = request else { return };
         conn.in_flight += 1;
+        let inline =
+            !matches!(request, Request::Eval(_)) || pending.len() >= shared.config.max_pending;
+        if inline && conn.in_flight > 1 {
+            // Answering now would overtake this connection's queued evals.
+            conn.deferred = Some(request);
+            return;
+        }
         match request {
             Request::Eval(eval) => {
                 if pending.len() >= shared.config.max_pending {
@@ -738,8 +718,57 @@ fn parse_conn(id: u64, conn: &mut Conn, shared: &Shared, pending: &mut VecDeque<
                 shared.stop.store(true, Ordering::SeqCst);
             }
         }
-        if conn.close_after_flush {
-            return;
+    }
+}
+
+/// The next complete request the connection holds, if any. Marks the
+/// connection to close on EOF or a protocol error.
+fn next_request(conn: &mut Conn) -> Option<Request> {
+    match &mut conn.proto {
+        Proto::Unknown => {
+            if conn.saw_eof {
+                conn.close_after_flush = true;
+            }
+            None
+        }
+        Proto::Binary(decoder) => match decoder.next_request() {
+            Ok(Some(req)) => Some(req),
+            Ok(None) => {
+                if conn.saw_eof {
+                    if decoder.pending_bytes() > 0 {
+                        conn.queue_response(&Response::Error("connection closed mid-frame".into()));
+                    }
+                    conn.close_after_flush = true;
+                }
+                None
+            }
+            Err(err) => {
+                conn.queue_response(&Response::Error(err.to_string()));
+                conn.close_after_flush = true;
+                None
+            }
+        },
+        Proto::Legacy => {
+            // A legacy message ends at the first blank line, or at
+            // EOF (clients that close their write side).
+            let end = conn.in_buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
+            match end {
+                Some(end) => {
+                    let msg: Vec<u8> = conn.in_buf.drain(..end).collect();
+                    Some(parse_legacy(conn, &msg))
+                }
+                None if conn.saw_eof && !conn.in_buf.is_empty() => {
+                    let msg = std::mem::take(&mut conn.in_buf);
+                    Some(parse_legacy(conn, &msg))
+                }
+                None => {
+                    if conn.saw_eof {
+                        conn.close_after_flush = true;
+                    }
+                    None
+                }
+            }
+            .flatten()
         }
     }
 }
@@ -1223,6 +1252,38 @@ mod tests {
         let resp = client.eval(&EvalRequest::new("mission", vec![1.0], 0)).unwrap();
         assert_eq!(resp, Response::Busy);
         assert!(server.shed_count() >= 1);
+        server.shutdown();
+    }
+
+    #[test]
+    fn framed_control_request_waits_for_earlier_evals() {
+        // Both frames arrive in one read; the stats answer must not
+        // overtake the queued eval's, since frames carry no request id.
+        let server = EvalServer::spawn(
+            ServeConfig { max_pending: 1, par: ParConfig::serial(), ..ServeConfig::default() },
+            Arc::new(quadratic),
+        )
+        .unwrap();
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let eval = Request::Eval(EvalRequest::new("mission", vec![3.0], 1));
+        let mut bytes = crate::frame::encode_request(&eval);
+        bytes.extend(crate::frame::encode_request(&Request::Stats));
+        stream.write_all(&bytes).unwrap();
+        let mut decoder = FrameDecoder::new();
+        let mut chunk = [0u8; 256];
+        let mut responses = Vec::new();
+        while responses.len() < 2 {
+            if let Some(resp) = decoder.next_response().unwrap() {
+                responses.push(resp);
+                continue;
+            }
+            let n = stream.read(&mut chunk).unwrap();
+            assert!(n > 0, "server closed after {responses:?}");
+            decoder.feed(&chunk[..n]);
+        }
+        assert_eq!(responses[0], Response::Cost { cost: 10.0, cached: false });
+        assert!(matches!(responses[1], Response::Stats(_)), "{:?}", responses[1]);
         server.shutdown();
     }
 

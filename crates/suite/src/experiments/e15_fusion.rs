@@ -302,9 +302,9 @@ impl FusionResult {
 
 /// Runs E15: the three deployments of the canonical fusion graph.
 ///
-/// `seed` drives the camera-link loss draws; `par` sizes the batch pool
-/// the graph seals and runs on. The result is bit-identical for a given
-/// seed at any thread count.
+/// `seed` drives the camera-link loss draws; `par` sizes the pool that
+/// costs placements when the graph seals (runs are serial). The result
+/// is bit-identical for a given seed at any thread count.
 #[must_use]
 pub fn run(seed: u64, par: ParConfig) -> FusionResult {
     let duration = Seconds::new(DURATION_S);
