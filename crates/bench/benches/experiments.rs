@@ -4,99 +4,19 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use m7_bench::BENCH_SEED;
-use m7_suite::experiments::{
-    e10_contention, e12_scenarios, e1_growth, e2_bridges, e3_metrics, e4_widgetism, e5_brakes,
-    e6_platforms, e7_endtoend, e8_global, e9_dse,
-};
+use m7_suite::experiments::{ExperimentId, Timing};
 use std::hint::black_box;
 
-fn bench_e1_growth(c: &mut Criterion) {
-    c.bench_function("e1_growth/fig1_series", |b| {
-        b.iter(|| black_box(e1_growth::run(black_box(BENCH_SEED))))
-    });
-}
-
-fn bench_e2_bridges(c: &mut Criterion) {
-    c.bench_function("e2_bridges/stale_benchmark_acceleration", |b| {
-        b.iter(|| black_box(e2_bridges::run()))
-    });
-}
-
-fn bench_e3_metrics(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e3_metrics");
+fn bench_experiments(c: &mut Criterion) {
+    let mut group = c.benchmark_group("experiments");
     group.sample_size(10);
-    group.bench_function("precision_sweep_time_to_accuracy", |b| {
-        b.iter(|| black_box(e3_metrics::run(black_box(BENCH_SEED))))
-    });
+    for id in ExperimentId::ALL {
+        group.bench_function(id.slug(), |b| {
+            b.iter(|| black_box(id.run_with(black_box(BENCH_SEED), Timing::Modeled)))
+        });
+    }
     group.finish();
 }
 
-fn bench_e4_widgetism(c: &mut Criterion) {
-    c.bench_function("e4_widgetism/task_suite", |b| b.iter(|| black_box(e4_widgetism::run())));
-}
-
-fn bench_e5_brakes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e5_brakes");
-    group.sample_size(10);
-    group.bench_function("uav_tier_sweep", |b| {
-        b.iter(|| black_box(e5_brakes::run(black_box(BENCH_SEED))))
-    });
-    group.finish();
-}
-
-fn bench_e6_platforms(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e6_platforms");
-    group.sample_size(10);
-    group.bench_function("prm_scalar_vs_batched", |b| {
-        b.iter(|| black_box(e6_platforms::run(black_box(BENCH_SEED))))
-    });
-    group.finish();
-}
-
-fn bench_e7_endtoend(c: &mut Criterion) {
-    c.bench_function("e7_endtoend/amdahl_sweep", |b| b.iter(|| black_box(e7_endtoend::run())));
-}
-
-fn bench_e8_global(c: &mut Criterion) {
-    c.bench_function("e8_global/carbon_models", |b| b.iter(|| black_box(e8_global::run())));
-}
-
-fn bench_e9_dse(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e9_dse");
-    group.sample_size(10);
-    group.bench_function("strategy_comparison", |b| {
-        b.iter(|| black_box(e9_dse::run(black_box(BENCH_SEED))))
-    });
-    group.finish();
-}
-
-fn bench_e10_contention(c: &mut Criterion) {
-    c.bench_function("e10_contention/bus_and_balance", |b| {
-        b.iter(|| black_box(e10_contention::run()))
-    });
-}
-
-fn bench_e12_scenarios(c: &mut Criterion) {
-    let mut group = c.benchmark_group("e12_scenarios");
-    group.sample_size(10);
-    group.bench_function("generators_and_falsification", |b| {
-        b.iter(|| black_box(e12_scenarios::run(black_box(BENCH_SEED))))
-    });
-    group.finish();
-}
-
-criterion_group!(
-    experiments,
-    bench_e1_growth,
-    bench_e2_bridges,
-    bench_e3_metrics,
-    bench_e4_widgetism,
-    bench_e5_brakes,
-    bench_e6_platforms,
-    bench_e7_endtoend,
-    bench_e8_global,
-    bench_e9_dse,
-    bench_e10_contention,
-    bench_e12_scenarios,
-);
+criterion_group!(experiments, bench_experiments);
 criterion_main!(experiments);

@@ -17,7 +17,7 @@ use m7_kernels::grid::OccupancyGrid;
 use m7_kernels::planning::CollisionWorld;
 use m7_kernels::slam::{synthetic_room_scan, ParticleFilter, ParticleFilterConfig};
 use m7_par::ParConfig;
-use m7_suite::experiments::{run_all_parallel, run_all_serial, Timing};
+use m7_suite::experiments::{run, ExperimentId, Timing};
 use rand::{Rng, SeedableRng};
 
 /// Thread counts exercised by every scaling target.
@@ -135,17 +135,16 @@ fn bench_par_particle(c: &mut Criterion) {
     group.finish();
 }
 
-/// The whole suite: serial loop vs concurrent runner (modeled E6 timing
-/// so both sides run the identical deterministic workload).
+/// The whole suite through the runner at each thread count (modeled
+/// timing, so every thread count runs the identical deterministic
+/// workload; one thread runs the experiments inline, one at a time).
 fn bench_run_all(c: &mut Criterion) {
     let mut group = c.benchmark_group("run_all_experiments");
     group.sample_size(10);
-    group
-        .bench_function("serial", |b| b.iter(|| run_all_serial(BENCH_SEED, Timing::Modeled).len()));
     for threads in THREADS {
-        group.bench_with_input(BenchmarkId::new("parallel", threads), &threads, |b, &threads| {
+        group.bench_with_input(BenchmarkId::from_parameter(threads), &threads, |b, &threads| {
             let par = ParConfig::with_threads(threads);
-            b.iter(|| run_all_parallel(BENCH_SEED, Timing::Modeled, par).len())
+            b.iter(|| run(&ExperimentId::ALL, BENCH_SEED, Timing::Modeled, par).map(|r| r.len()))
         });
     }
     group.finish();

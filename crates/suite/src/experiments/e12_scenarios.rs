@@ -17,7 +17,7 @@ use m7_scen::{
     evaluate_rover, evaluate_uav, falsify_memo, generate, Falsification, FalsifyConfig, Family,
     ScenOutcome,
 };
-use m7_serve::cache::EvalCache;
+use m7_serve::tier::ResultStore;
 use m7_sim::uav::ComputeTier;
 use serde::{Deserialize, Serialize};
 
@@ -196,40 +196,18 @@ impl ScenariosResult {
 /// Runs E12, deterministic in `seed` and invariant to `M7_THREADS`.
 #[must_use]
 pub fn run(seed: u64) -> ScenariosResult {
-    run_inner(seed, &falsify_cache()).0
+    run_in(seed, &super::fresh_store()).0
 }
 
-/// [`run`] with the two falsification searches sharing one
-/// content-addressed cache. The result is **bit-identical** to [`run`]
-/// — both paths memoize; only the savings figure is surfaced — so the
-/// E12 report stays byte-stable whether or not the shared cache is on.
+/// Runs E12 with the two falsification searches memoized through one
+/// shared `store`, returning the result plus the number of evaluations
+/// the store answered. The [`ScenariosResult`] is the same for any store
+/// contents; with a disk-backed [`m7_serve::tier::TieredCache`] the
+/// falsification scores persist across process restarts.
 #[must_use]
-pub fn run_cached(seed: u64) -> (ScenariosResult, u64) {
-    run_inner(seed, &falsify_cache())
-}
-
-/// [`run_cached`] over a caller-supplied store — the tiered-cache entry
-/// point: with a disk-backed [`m7_serve::tier::TieredCache`], the
-/// falsification scores persist across process restarts and a warm
-/// re-run answers them all from the store. The [`ScenariosResult`] stays
-/// bit-identical regardless of the store's contents.
-#[must_use]
-pub fn run_cached_with<S: m7_serve::tier::ResultStore<f64>>(
-    seed: u64,
-    cache: &S,
-) -> (ScenariosResult, u64) {
-    run_inner(seed, cache)
-}
-
-/// A cache big enough for both tiers' namespaces: savings are exact,
-/// never eviction-dependent.
-fn falsify_cache() -> EvalCache<f64> {
-    EvalCache::new(2 * FalsifyConfig::default().space().cardinality())
-}
-
-fn run_inner<S: m7_serve::tier::ResultStore<f64>>(seed: u64, cache: &S) -> (ScenariosResult, u64) {
+pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (ScenariosResult, u64) {
     let par = ParConfig::default();
-    let hits_before = cache.hits();
+    let hits_before = store.hits();
 
     // Per-generator UAV sweep: the scenario seed depends only on the
     // (family, level, variant) cell, so both tiers fly identical worlds.
@@ -291,23 +269,24 @@ fn run_inner<S: m7_serve::tier::ResultStore<f64>>(seed: u64, cache: &S) -> (Scen
         RoverRow { family, tier, outcome: evaluate_rover(&s, tier, scen_seed) }
     });
 
-    // Adversarial search, one falsification per tier, sharing `cache`
+    // Adversarial search, one falsification per tier, sharing `store`
     // (distinct namespaces, so tiers never alias each other's scores).
     let cfg = FalsifyConfig::default();
     let falsifications = TIERS
         .iter()
         .enumerate()
         .map(|(ti, &tier)| {
-            falsify_memo(tier, &cfg, derive_seed(seed, 0xF000 | ti as u64), par, cache)
+            falsify_memo(tier, &cfg, derive_seed(seed, 0xF000 | ti as u64), par, store)
         })
         .collect();
 
-    (ScenariosResult { families, rover, falsifications }, cache.hits() - hits_before)
+    (ScenariosResult { families, rover, falsifications }, store.hits() - hits_before)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m7_serve::tier::TieredCache;
 
     #[test]
     fn deterministic() {
@@ -315,11 +294,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_is_bit_identical_and_saves_evaluations() {
-        let plain = run(3);
-        let (cached, saved) = run_cached(3);
-        assert_eq!(plain, cached, "the shared cache must not change the result");
-        assert_eq!(plain.report().to_string(), cached.report().to_string());
+    fn memory_tier_run_is_bit_identical_and_saves_evaluations() {
+        let (tiered, saved) = run_in(3, &TieredCache::memory_only(1 << 12));
+        assert_eq!(run(3), tiered, "the store must not change the result");
         assert!(saved > 0, "the genetic searches revisit scenario points");
     }
 

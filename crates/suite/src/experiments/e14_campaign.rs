@@ -14,6 +14,7 @@ use crate::report::{fmt_f64, Report, Table};
 use m7_camp::{run_campaign, CampaignOutcome, CampaignPlan};
 use m7_par::{derive_seed, ParConfig};
 use m7_serve::cache::EvalCache;
+use m7_serve::tier::ResultStore;
 use m7_sim::uav::ComputeTier;
 use serde::{Deserialize, Serialize};
 
@@ -168,46 +169,28 @@ pub fn plan(tier: ComputeTier) -> CampaignPlan {
 /// Runs E14, deterministic in `seed` and invariant to `M7_THREADS`.
 #[must_use]
 pub fn run(seed: u64) -> CampaignResult {
-    run_inner(seed, &falsify_cache(), ParConfig::default()).0
+    run_in(seed, &super::fresh_store()).0
 }
 
 /// [`run`] on an explicit pool — the hook the thread-count invariance
 /// test uses to compare 1 vs 8 workers inside one process.
 #[must_use]
 pub fn run_with_par(seed: u64, par: ParConfig) -> CampaignResult {
-    run_inner(seed, &falsify_cache(), par).0
+    run_on(seed, &super::fresh_store(), par).0
 }
 
-/// [`run`] surfacing how many falsification-probe evaluations the
-/// shared store answered. The result is bit-identical to [`run`].
+/// Runs E14 with the campaigns' anchoring falsification probes memoized
+/// through one shared `store`, returning the result plus the number of
+/// probe evaluations the store answered. The [`CampaignResult`] is the
+/// same for any store contents; with a disk-backed
+/// [`m7_serve::tier::TieredCache`] the probes survive process restarts.
 #[must_use]
-pub fn run_cached(seed: u64) -> (CampaignResult, u64) {
-    run_inner(seed, &falsify_cache(), ParConfig::default())
+pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (CampaignResult, u64) {
+    run_on(seed, store, ParConfig::default())
 }
 
-/// [`run_cached`] over a caller-supplied store — with a disk-backed
-/// [`m7_serve::tier::TieredCache`], the anchoring probes survive
-/// process restarts. The [`CampaignResult`] stays bit-identical
-/// regardless of the store's contents.
-#[must_use]
-pub fn run_cached_with<S: m7_serve::tier::ResultStore<f64>>(
-    seed: u64,
-    cache: &S,
-) -> (CampaignResult, u64) {
-    run_inner(seed, cache, ParConfig::default())
-}
-
-/// A store sized for both tiers' probe namespaces.
-fn falsify_cache() -> EvalCache<f64> {
-    EvalCache::new(1024)
-}
-
-fn run_inner<S: m7_serve::tier::ResultStore<f64>>(
-    seed: u64,
-    cache: &S,
-    par: ParConfig,
-) -> (CampaignResult, u64) {
-    let hits_before = cache.hits();
+fn run_on<S: ResultStore<f64>>(seed: u64, store: &S, par: ParConfig) -> (CampaignResult, u64) {
+    let hits_before = store.hits();
     let outcomes = TIERS
         .iter()
         .enumerate()
@@ -215,15 +198,16 @@ fn run_inner<S: m7_serve::tier::ResultStore<f64>>(
             // Memory-only unit store: E14 itself is a one-shot run; the
             // campaign example wires the disk-backed store for resume.
             let units = EvalCache::new(4096);
-            run_campaign(&plan(tier), derive_seed(seed, 0xC000 | ti as u64), par, &units, cache)
+            run_campaign(&plan(tier), derive_seed(seed, 0xC000 | ti as u64), par, &units, store)
         })
         .collect();
-    (CampaignResult { outcomes }, cache.hits() - hits_before)
+    (CampaignResult { outcomes }, store.hits() - hits_before)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m7_serve::tier::TieredCache;
 
     #[test]
     fn deterministic() {
@@ -263,9 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_is_bit_identical() {
-        let plain = run(3);
-        let (cached, _saved) = run_cached(3);
-        assert_eq!(plain, cached, "the shared store must not change the result");
+    fn memory_tier_run_is_bit_identical_and_saves_evaluations() {
+        let (tiered, saved) = run_in(3, &TieredCache::memory_only(1 << 12));
+        assert_eq!(run(3), tiered, "the store must not change the result");
+        assert!(saved > 0, "the two tiers' probes revisit scenario points");
     }
 }

@@ -12,8 +12,8 @@ use m7_dse::explorer::{Explorer, SearchBudget};
 use m7_dse::memo::EvalMemo;
 use m7_dse::space::{DesignSpace, Dimension};
 use m7_par::ParConfig;
-use m7_serve::cache::EvalCache;
 use m7_serve::key::namespace;
+use m7_serve::tier::ResultStore;
 use m7_sim::mission::MissionSpec;
 use m7_sim::uav::{ComputeTier, Uav, UavConfig};
 use m7_units::{Joules, Meters, MetersPerSecond};
@@ -104,61 +104,26 @@ impl DseResult {
 /// within-10% statistic.
 #[must_use]
 pub fn run(seed: u64) -> DseResult {
-    let space = uav_design_space();
-    let objective = move |values: &[f64]| mission_cost(values, seed);
-    let budget = SearchBudget::new(40);
-
-    let exhaustive =
-        Explorer::Exhaustive.run(&space, &objective, SearchBudget::new(space.cardinality()), seed);
-    let optimum = exhaustive.best_cost;
-    let threshold = optimum * 1.10;
-
-    let strategies =
-        [Explorer::Random, Explorer::annealing(), Explorer::genetic(), Explorer::surrogate()];
-    let rows = strategies
-        .iter()
-        .map(|strategy| {
-            let result = strategy.run(&space, &objective, budget, seed);
-            let within = result.trace.iter().position(|&c| c <= threshold).map(|i| i + 1);
-            (strategy.name().to_string(), result.best_cost, within)
-        })
-        .collect();
-    DseResult { optimum, optimum_values: exhaustive.best_values, rows }
+    run_in(seed, &super::fresh_store()).0
 }
 
-/// [`run`] with objective evaluations memoized through one shared
-/// content-addressed cache, so the four budgeted strategies reuse the
-/// exhaustive pass's scores (and each other's).
+/// Runs E9 with every objective evaluation memoized through `store`, so
+/// the four budgeted strategies reuse the exhaustive pass's scores (and
+/// each other's).
 ///
-/// Returns the result — **bit-identical** to [`run`] for the same seed,
-/// because the mission objective is a pure function of its design values
-/// and the seed — plus the number of objective evaluations the cache
-/// saved. The savings figure is reported out-of-band so the E9 report
-/// itself stays byte-stable whether or not memoization is on.
+/// Returns the result plus the number of evaluations `store` answered.
+/// The [`DseResult`] is the same for any store contents, because the
+/// mission objective is a pure function of its design values and the
+/// seed; with a disk-backed [`m7_serve::tier::TieredCache`] a re-run (even
+/// in a new process) answers every evaluation from the store.
 #[must_use]
-pub fn run_cached(seed: u64) -> (DseResult, u64) {
-    // Big enough to hold the whole space: savings are then exact, not
-    // eviction-dependent.
-    let cache = EvalCache::new(uav_design_space().cardinality().max(64));
-    run_cached_with(seed, &cache)
-}
-
-/// [`run_cached`] over a caller-supplied store — the tiered-cache entry
-/// point. With a [`m7_serve::tier::TieredCache`] the exhaustive pass's
-/// scores persist on disk, so a re-run (even in a new process) answers
-/// every evaluation from the store and the savings figure grows
-/// accordingly; the [`DseResult`] itself stays bit-identical regardless.
-#[must_use]
-pub fn run_cached_with<S: m7_serve::tier::ResultStore<f64>>(
-    seed: u64,
-    cache: &S,
-) -> (DseResult, u64) {
+pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (DseResult, u64) {
     let space = uav_design_space();
     let objective = move |values: &[f64]| mission_cost(values, seed);
     let budget = SearchBudget::new(40);
     let par = ParConfig::default();
-    let hits_before = cache.hits();
-    let memo = EvalMemo::new(cache, namespace("e9-mission", seed));
+    let hits_before = store.hits();
+    let memo = EvalMemo::new(store, namespace("e9-mission", seed));
 
     let exhaustive = Explorer::Exhaustive.run_memoized(
         &space,
@@ -181,13 +146,14 @@ pub fn run_cached_with<S: m7_serve::tier::ResultStore<f64>>(
             (strategy.name().to_string(), result.best_cost, within)
         })
         .collect();
-    let saved = cache.hits() - hits_before;
+    let saved = store.hits() - hits_before;
     (DseResult { optimum, optimum_values: exhaustive.best_values, rows }, saved)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use m7_serve::tier::TieredCache;
 
     #[test]
     fn optimum_picks_a_sane_design() {
@@ -224,11 +190,9 @@ mod tests {
     }
 
     #[test]
-    fn cached_run_is_bit_identical_and_saves_evaluations() {
-        let plain = run(3);
-        let (cached, saved) = run_cached(3);
-        assert_eq!(plain, cached, "memoization must not change the result");
-        assert_eq!(plain.report().to_string(), cached.report().to_string());
+    fn memory_tier_run_is_bit_identical_and_saves_evaluations() {
+        let (tiered, saved) = run_in(3, &TieredCache::memory_only(1 << 12));
+        assert_eq!(run(3), tiered, "the store must not change the result");
         assert!(saved > 0, "the budgeted strategies revisit exhaustively-scored designs");
     }
 

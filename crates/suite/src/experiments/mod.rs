@@ -36,6 +36,8 @@ pub mod e9_dse;
 
 use crate::report::Report;
 use m7_par::{derive_seed, ParConfig};
+use m7_serve::cache::EvalCache;
+use m7_serve::tier::ResultStore;
 use m7_trace::{MetricClass, TraceCounter};
 use serde::{Deserialize, Serialize};
 
@@ -178,281 +180,148 @@ impl ExperimentId {
     /// [`Timing::Modeled`] every report is a pure function of `seed`.
     #[must_use]
     pub fn run_with(self, seed: u64, timing: Timing) -> Report {
-        EXPERIMENTS.incr();
-        let _span = m7_trace::span_dyn(self.slug());
-        match self {
-            Self::E1Growth => e1_growth::run(seed).report(),
-            Self::E2Bridges => e2_bridges::run().report(),
-            Self::E3Metrics => e3_metrics::run(seed).report(),
-            Self::E4Widgetism => e4_widgetism::run().report(),
-            Self::E5Brakes => e5_brakes::run(seed).report(),
-            Self::E6Platforms => {
-                e6_platforms::run_with(seed, timing, m7_par::ParConfig::default()).report()
-            }
-            Self::E7EndToEnd => e7_endtoend::run().report(),
-            Self::E8Global => e8_global::run().report(),
-            Self::E9Dse => e9_dse::run(seed).report(),
-            Self::E10Contention => e10_contention::run().report(),
-            Self::E11Robustness => e11_robustness::run(seed).report(),
-            Self::E12Scenarios => e12_scenarios::run(seed).report(),
-            Self::E13Roofline => e13_roofline::run_with(seed, timing).report(),
-            Self::E14Campaign => e14_campaign::run(seed).report(),
-            Self::E15Fusion => e15_fusion::run(seed, m7_par::ParConfig::default()).report(),
-        }
+        self.run_in(seed, timing, &fresh_store()).0
     }
 
-    /// [`ExperimentId::run_with`], routing experiments with a memoized
-    /// evaluation path (today: E9 and E12) through their content-addressed
-    /// caches.
+    /// Runs the experiment with its memoized objective evaluations (E9,
+    /// E12, and E14) routed through `store`.
     ///
-    /// Returns the report — byte-identical to [`ExperimentId::run_with`]
-    /// for the same arguments, because memoization only skips re-scoring
-    /// pure objectives — plus the number of objective evaluations the
-    /// cache saved (`0` for experiments without a cached path).
+    /// Returns the report plus the number of evaluations `store` answered
+    /// during this run (`0` for experiments that memoize nothing). The
+    /// report is byte-identical for any store contents — memoization only
+    /// skips re-scoring pure objectives. With a disk-backed
+    /// [`TieredCache`](m7_serve::tier::TieredCache) the scores survive
+    /// process restarts, so a warm re-run reports larger savings.
     #[must_use]
-    pub fn run_with_cached(self, seed: u64, timing: Timing) -> (Report, u64) {
-        match self {
-            Self::E9Dse => {
-                EXPERIMENTS.incr();
-                let _span = m7_trace::span_dyn(self.slug());
-                let (result, saved) = e9_dse::run_cached(seed);
-                (result.report(), saved)
-            }
-            Self::E12Scenarios => {
-                EXPERIMENTS.incr();
-                let _span = m7_trace::span_dyn(self.slug());
-                let (result, saved) = e12_scenarios::run_cached(seed);
-                (result.report(), saved)
-            }
-            Self::E14Campaign => {
-                EXPERIMENTS.incr();
-                let _span = m7_trace::span_dyn(self.slug());
-                let (result, saved) = e14_campaign::run_cached(seed);
-                (result.report(), saved)
-            }
-            other => (other.run_with(seed, timing), 0),
-        }
-    }
-
-    /// [`ExperimentId::run_with_cached`] with the memoized experiments
-    /// routed through one caller-supplied [`ResultStore`] — the entry
-    /// point for the disk-backed
-    /// [`TieredCache`](m7_serve::tier::TieredCache), which makes
-    /// objective evaluations survive process restarts. Reports stay
-    /// byte-identical to the uncached runner for any store contents;
-    /// only the savings figure moves.
-    #[must_use]
-    pub fn run_with_cached_in<S: m7_serve::tier::ResultStore<f64>>(
+    pub fn run_in<S: ResultStore<f64>>(
         self,
         seed: u64,
         timing: Timing,
         store: &S,
     ) -> (Report, u64) {
+        EXPERIMENTS.incr();
+        let _span = m7_trace::span_dyn(self.slug());
+        let plain = |report: Report| (report, 0);
         match self {
+            Self::E1Growth => plain(e1_growth::run(seed).report()),
+            Self::E2Bridges => plain(e2_bridges::run().report()),
+            Self::E3Metrics => plain(e3_metrics::run(seed).report()),
+            Self::E4Widgetism => plain(e4_widgetism::run().report()),
+            Self::E5Brakes => plain(e5_brakes::run(seed).report()),
+            Self::E6Platforms => {
+                plain(e6_platforms::run_with(seed, timing, ParConfig::default()).report())
+            }
+            Self::E7EndToEnd => plain(e7_endtoend::run().report()),
+            Self::E8Global => plain(e8_global::run().report()),
             Self::E9Dse => {
-                EXPERIMENTS.incr();
-                let _span = m7_trace::span_dyn(self.slug());
-                let (result, saved) = e9_dse::run_cached_with(seed, store);
+                let (result, saved) = e9_dse::run_in(seed, store);
                 (result.report(), saved)
             }
+            Self::E10Contention => plain(e10_contention::run().report()),
+            Self::E11Robustness => plain(e11_robustness::run(seed).report()),
             Self::E12Scenarios => {
-                EXPERIMENTS.incr();
-                let _span = m7_trace::span_dyn(self.slug());
-                let (result, saved) = e12_scenarios::run_cached_with(seed, store);
+                let (result, saved) = e12_scenarios::run_in(seed, store);
                 (result.report(), saved)
             }
+            Self::E13Roofline => plain(e13_roofline::run_with(seed, timing).report()),
             Self::E14Campaign => {
-                EXPERIMENTS.incr();
-                let _span = m7_trace::span_dyn(self.slug());
-                let (result, saved) = e14_campaign::run_cached_with(seed, store);
+                let (result, saved) = e14_campaign::run_in(seed, store);
                 (result.report(), saved)
             }
-            other => (other.run_with(seed, timing), 0),
+            Self::E15Fusion => plain(e15_fusion::run(seed, ParConfig::default()).report()),
         }
     }
+
+    /// The experiment's seed under `root_seed`: derived from its position
+    /// in paper order, so an experiment runs on the same seed whether or
+    /// not the others run.
+    #[must_use]
+    pub fn seed(self, root_seed: u64) -> u64 {
+        let index = Self::ALL.iter().position(|&e| e == self).expect("id is in ALL") as u64;
+        derive_seed(root_seed, index)
+    }
+}
+
+/// Capacity of the in-memory store each experiment run gets: enough for
+/// every memoized key of E9, E12, or E14, so savings never depend on
+/// eviction. [`EvalCache`] grows lazily, so the bound costs nothing for
+/// experiments that memoize nothing.
+const STORE_CAPACITY: usize = 1024;
+
+/// A fresh in-memory store for one experiment run.
+pub(crate) fn fresh_store() -> EvalCache<f64> {
+    EvalCache::new(STORE_CAPACITY)
 }
 
 /// Resolves a slug-prefix filter to experiments in paper order.
 ///
 /// `None` selects every experiment. A filter that matches nothing is an
 /// error naming the known slugs, so a typo cannot silently run zero
-/// experiments — the same contract on the serial and parallel paths.
+/// experiments.
 ///
 /// # Errors
 ///
 /// Returns the "known slugs" message when the filter matches no slug.
 pub fn select(filter: Option<&str>) -> Result<Vec<ExperimentId>, String> {
-    let ids: Vec<ExperimentId> = match filter {
-        None => ExperimentId::ALL.to_vec(),
-        Some(f) => {
-            ExperimentId::ALL.iter().copied().filter(|id| id.slug().starts_with(f)).collect()
-        }
-    };
+    let Some(f) = filter else { return Ok(ExperimentId::ALL.to_vec()) };
+    let ids: Vec<ExperimentId> =
+        ExperimentId::ALL.iter().copied().filter(|id| id.slug().starts_with(f)).collect();
     if ids.is_empty() {
-        return Err(unknown_selection_error(filter.unwrap_or("")));
+        return Err(format!(
+            "no experiment slug starts with {f:?}; known slugs: {}",
+            known_slugs()
+        ));
     }
     Ok(ids)
 }
 
-/// The error for a selection that names no experiment.
-fn unknown_selection_error(filter: &str) -> String {
-    let slugs: Vec<&str> = ExperimentId::ALL.iter().map(|id| id.slug()).collect();
-    format!("no experiment slug starts with {filter:?}; known slugs: {}", slugs.join(", "))
+fn known_slugs() -> String {
+    ExperimentId::ALL.map(ExperimentId::slug).join(", ")
 }
 
-/// The derived per-experiment seed: an experiment always runs on the seed
-/// of its position in paper order, whether or not the others run.
-fn experiment_seed(root_seed: u64, id: ExperimentId) -> u64 {
-    let index = ExperimentId::ALL.iter().position(|&e| e == id).expect("id is in ALL") as u64;
-    derive_seed(root_seed, index)
-}
-
-/// Runs the selected experiments one at a time, in the given order, each
-/// on the seed of its paper-order position — the serial reference for
-/// [`run_selected_parallel`].
+/// Runs the selected experiments on the deterministic pool, each on its
+/// [`ExperimentId::seed`] and with a fresh in-memory store, returning
+/// `(id, report, evaluations saved)` in the given order regardless of
+/// which finishes first.
+///
+/// With [`Timing::Modeled`] the reports are a pure function of
+/// `root_seed` at any thread count; with [`Timing::Measured`] only E6's
+/// and E13's wall-clock numbers vary. Because no two experiments share a
+/// store, the savings figures are exact and thread-count invariant too.
+/// `ParConfig::serial()` runs the experiments one at a time, inline.
 ///
 /// # Errors
 ///
-/// Returns the "known slugs" style error when `ids` is empty — an empty
-/// selection is always a caller bug, never a valid no-op.
+/// Returns an error listing the known slugs when `ids` is empty — an
+/// empty selection is always a caller bug, never a valid no-op.
+pub fn run(
+    ids: &[ExperimentId],
+    root_seed: u64,
+    timing: Timing,
+    par: ParConfig,
+) -> Result<Vec<(ExperimentId, Report, u64)>, String> {
+    if ids.is_empty() {
+        return Err(format!("the experiment selection is empty; known slugs: {}", known_slugs()));
+    }
+    Ok(par.par_map(ids, |&id| {
+        let (report, saved) = id.run_in(id.seed(root_seed), timing, &fresh_store());
+        (id, report, saved)
+    }))
+}
+
+/// [`run`] one experiment at a time, without the savings figures — kept
+/// for callers that want reports only.
+///
+/// # Errors
+///
+/// Returns the same empty-selection error as [`run`].
 pub fn run_selected_serial(
     ids: &[ExperimentId],
     root_seed: u64,
     timing: Timing,
 ) -> Result<Vec<(ExperimentId, Report)>, String> {
-    if ids.is_empty() {
-        return Err(unknown_selection_error(""));
-    }
-    Ok(ids.iter().map(|&id| (id, id.run_with(experiment_seed(root_seed, id), timing))).collect())
-}
-
-/// Runs the selected experiments concurrently on the deterministic pool,
-/// each on the seed of its paper-order position, returning reports in the
-/// given order regardless of which finishes first.
-///
-/// With [`Timing::Modeled`] the reports are byte-identical to
-/// [`run_selected_serial`] with the same arguments at any thread count;
-/// with [`Timing::Measured`] only E6's two wall-clock numbers differ.
-///
-/// # Errors
-///
-/// Returns the same error as [`run_selected_serial`] when `ids` is empty
-/// — the parallel path must not silently accept a selection the serial
-/// path rejects.
-pub fn run_selected_parallel(
-    ids: &[ExperimentId],
-    root_seed: u64,
-    timing: Timing,
-    par: ParConfig,
-) -> Result<Vec<(ExperimentId, Report)>, String> {
-    if ids.is_empty() {
-        return Err(unknown_selection_error(""));
-    }
-    Ok(par.par_map(ids, |&id| (id, id.run_with(experiment_seed(root_seed, id), timing))))
-}
-
-/// [`run_selected_serial`], routing cached experiments (today: E9,
-/// E12, and E14)
-/// through their memoized path. Each tuple carries the evaluations the
-/// cache saved for that experiment; reports are byte-identical to the
-/// uncached runner.
-///
-/// # Errors
-///
-/// Returns the same empty-selection error as [`run_selected_serial`].
-pub fn run_selected_serial_cached(
-    ids: &[ExperimentId],
-    root_seed: u64,
-    timing: Timing,
-) -> Result<Vec<(ExperimentId, Report, u64)>, String> {
-    if ids.is_empty() {
-        return Err(unknown_selection_error(""));
-    }
-    Ok(ids
-        .iter()
-        .map(|&id| {
-            let (report, saved) = id.run_with_cached(experiment_seed(root_seed, id), timing);
-            (id, report, saved)
-        })
-        .collect())
-}
-
-/// [`run_selected_serial_cached`] with every memoized experiment
-/// sharing one caller-supplied store. With an in-memory store this is a
-/// cross-experiment cache; with a disk-backed
-/// [`TieredCache`](m7_serve::tier::TieredCache) it is a cross-*process*
-/// cache — a re-run in a fresh process answers previously computed
-/// objectives from disk and reports the larger savings, while every
-/// report stays byte-identical.
-///
-/// # Errors
-///
-/// Returns the same empty-selection error as [`run_selected_serial`].
-pub fn run_selected_serial_cached_in<S: m7_serve::tier::ResultStore<f64>>(
-    ids: &[ExperimentId],
-    root_seed: u64,
-    timing: Timing,
-    store: &S,
-) -> Result<Vec<(ExperimentId, Report, u64)>, String> {
-    if ids.is_empty() {
-        return Err(unknown_selection_error(""));
-    }
-    Ok(ids
-        .iter()
-        .map(|&id| {
-            let (report, saved) =
-                id.run_with_cached_in(experiment_seed(root_seed, id), timing, store);
-            (id, report, saved)
-        })
-        .collect())
-}
-
-/// [`run_selected_parallel`], routing cached experiments (today: E9,
-/// E12, and E14)
-/// through their memoized path on the deterministic pool. Reports and
-/// saved-evaluation counts are identical to
-/// [`run_selected_serial_cached`] at any thread count.
-///
-/// # Errors
-///
-/// Returns the same empty-selection error as [`run_selected_parallel`].
-pub fn run_selected_parallel_cached(
-    ids: &[ExperimentId],
-    root_seed: u64,
-    timing: Timing,
-    par: ParConfig,
-) -> Result<Vec<(ExperimentId, Report, u64)>, String> {
-    if ids.is_empty() {
-        return Err(unknown_selection_error(""));
-    }
-    Ok(par.par_map(ids, |&id| {
-        let (report, saved) = id.run_with_cached(experiment_seed(root_seed, id), timing);
-        (id, report, saved)
-    }))
-}
-
-/// Runs all experiments one at a time, in paper order, each on its own
-/// seed derived from `root_seed` — the serial reference for
-/// [`run_all_parallel`].
-#[must_use]
-pub fn run_all_serial(root_seed: u64, timing: Timing) -> Vec<(ExperimentId, Report)> {
-    run_selected_serial(&ExperimentId::ALL, root_seed, timing).expect("ALL is never empty")
-}
-
-/// Runs all experiments concurrently on the deterministic pool, each
-/// on its own seed derived from `root_seed`, returning reports in paper
-/// order regardless of which experiment finishes first.
-///
-/// With [`Timing::Modeled`] the reports are byte-identical to
-/// [`run_all_serial`] with the same arguments at any thread count; with
-/// [`Timing::Measured`] only E6's two wall-clock numbers differ.
-#[must_use]
-pub fn run_all_parallel(
-    root_seed: u64,
-    timing: Timing,
-    par: ParConfig,
-) -> Vec<(ExperimentId, Report)> {
-    run_selected_parallel(&ExperimentId::ALL, root_seed, timing, par).expect("ALL is never empty")
+    let rows = run(ids, root_seed, timing, ParConfig::serial())?;
+    Ok(rows.into_iter().map(|(id, report, _)| (id, report)).collect())
 }
 
 impl core::fmt::Display for ExperimentId {
@@ -482,13 +351,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_runner_preserves_paper_order() {
-        let reports = run_all_parallel(42, Timing::Modeled, ParConfig::default());
-        let ids: Vec<ExperimentId> = reports.iter().map(|(id, _)| *id).collect();
-        assert_eq!(ids, ExperimentId::ALL);
-    }
-
-    #[test]
     fn select_resolves_prefixes_and_defaults_to_all() {
         assert_eq!(select(None).unwrap(), ExperimentId::ALL.to_vec());
         assert_eq!(select(Some("e5")).unwrap(), vec![ExperimentId::E5Brakes]);
@@ -515,44 +377,48 @@ mod tests {
     }
 
     #[test]
-    fn cached_runner_reports_match_uncached_and_only_cached_paths_save() {
-        let ids = [ExperimentId::E5Brakes, ExperimentId::E9Dse, ExperimentId::E12Scenarios];
-        let plain = run_selected_serial(&ids, 42, Timing::Modeled).unwrap();
-        let cached = run_selected_serial_cached(&ids, 42, Timing::Modeled).unwrap();
-        for ((id, report), (cid, creport, saved)) in plain.iter().zip(&cached) {
-            assert_eq!(id, cid);
-            assert_eq!(report.to_string(), creport.to_string(), "{id}: report must not change");
-            if matches!(cid, ExperimentId::E9Dse | ExperimentId::E12Scenarios) {
-                assert!(*saved > 0, "{cid} must save evaluations");
-            } else {
-                assert_eq!(*saved, 0, "{id} has no cached path");
-            }
-        }
+    fn savings_are_thread_count_invariant_and_only_memoizing_experiments_save() {
+        let serial = run(&ExperimentId::ALL, 42, Timing::Modeled, ParConfig::serial()).unwrap();
         let parallel =
-            run_selected_parallel_cached(&ids, 42, Timing::Modeled, ParConfig::with_threads(4))
-                .unwrap();
-        assert_eq!(cached.len(), parallel.len());
-        for ((id, report, saved), (pid, preport, psaved)) in cached.iter().zip(&parallel) {
-            assert_eq!(id, pid);
-            assert_eq!(report.to_string(), preport.to_string());
+            run(&ExperimentId::ALL, 42, Timing::Modeled, ParConfig::with_threads(4)).unwrap();
+        let ids: Vec<ExperimentId> = parallel.iter().map(|(id, _, _)| *id).collect();
+        assert_eq!(ids, ExperimentId::ALL, "reports come back in paper order");
+        for ((id, report, saved), (_, preport, psaved)) in serial.iter().zip(&parallel) {
+            assert_eq!(report.to_string(), preport.to_string(), "{id}: report must not move");
             assert_eq!(saved, psaved, "{id}: savings must be thread-count invariant");
+            let memoizes = matches!(
+                id,
+                ExperimentId::E9Dse | ExperimentId::E12Scenarios | ExperimentId::E14Campaign
+            );
+            assert_eq!(*saved > 0, memoizes, "{id} saved {saved}");
         }
     }
 
     #[test]
-    fn empty_selection_errs_identically_on_serial_and_parallel_paths() {
-        let serial = run_selected_serial(&[], 42, Timing::Modeled).unwrap_err();
-        let parallel =
-            run_selected_parallel(&[], 42, Timing::Modeled, ParConfig::default()).unwrap_err();
-        assert_eq!(serial, parallel, "both paths must reject an empty selection the same way");
-        assert!(serial.contains("known slugs"), "got {serial}");
+    fn run_selected_serial_matches_the_runner() {
+        let ids = [ExperimentId::E5Brakes, ExperimentId::E9Dse];
+        let plain = run_selected_serial(&ids, 42, Timing::Modeled).unwrap();
+        let rows = run(&ids, 42, Timing::Modeled, ParConfig::serial()).unwrap();
+        assert_eq!(plain.len(), rows.len());
+        for ((id, report), (rid, rreport, _)) in plain.iter().zip(&rows) {
+            assert_eq!(id, rid);
+            assert_eq!(report.to_string(), rreport.to_string(), "{id}");
+        }
+    }
+
+    #[test]
+    fn empty_selection_errs_and_names_the_slugs() {
+        let err = run(&[], 42, Timing::Modeled, ParConfig::default()).unwrap_err();
+        assert!(err.starts_with("the experiment selection is empty;"), "got {err}");
+        assert!(err.contains("known slugs: e1_growth, e2_bridges"), "got {err}");
+        assert_eq!(run_selected_serial(&[], 42, Timing::Modeled).unwrap_err(), err);
     }
 
     #[test]
     fn single_selection_keeps_its_full_run_seed() {
-        let full = run_all_serial(42, Timing::Modeled);
-        let solo = run_selected_serial(&[ExperimentId::E5Brakes], 42, Timing::Modeled).unwrap();
-        let full_e5 = &full.iter().find(|(id, _)| *id == ExperimentId::E5Brakes).unwrap().1;
-        assert_eq!(solo[0].1.to_string(), full_e5.to_string());
+        let ids = [ExperimentId::E1Growth, ExperimentId::E5Brakes];
+        let pair = run_selected_serial(&ids, 42, Timing::Modeled).unwrap();
+        let solo = run_selected_serial(&ids[1..], 42, Timing::Modeled).unwrap();
+        assert_eq!(solo[0].1.to_string(), pair[1].1.to_string());
     }
 }

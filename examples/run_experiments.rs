@@ -1,62 +1,53 @@
-//! Regenerates every paper-anchored experiment (E1-E12) and prints the
+//! Regenerates every paper-anchored experiment (E1-E15) and prints the
 //! full reports — the repository's equivalent of rebuilding all of the
 //! paper's figures in one command.
 //!
 //! Run with: `cargo run --release --example run_experiments [flags] [e5]`
 //!
-//! By default the twelve experiments run **concurrently** on the
-//! deterministic pool (thread count from `M7_THREADS`, else all cores)
-//! with cost-modeled E6 build times, so the output is byte-identical to
-//! the serial run for the same seed. Flags:
+//! The fifteen experiments run **concurrently** on the deterministic
+//! pool (thread count from `M7_THREADS`, else all cores) with
+//! cost-modeled E6 and E13 numbers, so the output is byte-identical at any
+//! thread count for the same seed; `--threads 1` runs them one at a
+//! time. E9, E12, and E14 memoize their objective evaluations; the
+//! evaluations each one saved are printed to stderr. Flags:
 //!
-//! - `--serial` — run the experiments one at a time (same seeds, same
-//!   output).
-//! - `--measured` — time E6's roadmap builds on the host wall clock
-//!   instead of the cost models (numbers vary run to run).
+//! - `--measured` — time E6's roadmap builds and E13's kernels on the
+//!   host wall clock instead of the cost models (numbers vary run to run).
 //! - `--threads N` — size the deterministic pool explicitly (overrides
 //!   `M7_THREADS`; the reports do not change, only wall-clock time).
-//! - `--cached` — route experiments with a memoized evaluation path
-//!   (E9, E12) through their content-addressed caches. Reports stay
-//!   byte-identical; the evaluations saved are printed to stderr.
 //! - `--trace FILE` — enable tracing and write a chrome://tracing JSON
 //!   trace to FILE (load it in Perfetto or `chrome://tracing`).
 //! - `--metrics` — enable tracing and dump all metrics as `key=value`
 //!   lines to stderr after the run.
+//! - `--stats-interval MS` / `--journal DIR` — sample live telemetry
+//!   and journal it to DIR.
 //!
 //! Reports always go to stdout and observability output to a file /
 //! stderr, so the report stream stays byte-identical with tracing on.
 //!
 //! A non-flag argument selects experiments by slug prefix; unknown
-//! `-`-prefixed flags and a second positional argument are errors. A
-//! prefix that matches nothing is an error on both the serial and
-//! parallel paths.
+//! `-`-prefixed flags and a second positional argument are errors, as is
+//! a prefix that matches nothing.
 
 use magseven::par::ParConfig;
-use magseven::suite::experiments::{
-    run_selected_parallel, run_selected_parallel_cached, run_selected_serial,
-    run_selected_serial_cached, select, Timing,
-};
+use magseven::suite::experiments::{run, select, Timing};
 use magseven::trace::ObsFlags;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: run_experiments [--serial] [--cached] [--measured] [--threads N] \
+        "usage: run_experiments [--measured] [--threads N] \
          [--trace FILE] [--metrics] [--stats-interval MS] [--journal DIR] [slug-prefix]"
     );
     std::process::exit(2);
 }
 
 fn main() {
-    let mut serial = false;
-    let mut cached = false;
     let mut timing = Timing::Modeled;
     let mut filter: Option<String> = None;
     let mut obs = ObsFlags::default();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--serial" => serial = true,
-            "--cached" => cached = true,
             "--measured" => timing = Timing::Measured,
             s if obs.consume(s, &mut args) => {}
             other if other.starts_with('-') => {
@@ -93,18 +84,7 @@ fn main() {
         }
     };
 
-    // The cached and uncached paths print byte-identical reports; cached
-    // additionally reports the objective evaluations it skipped.
-    let triples =
-        |rs: Vec<(_, _, u64)>| rs.into_iter().map(|(id, r, s)| (id, r, Some(s))).collect();
-    let plain = |rs: Vec<(_, _)>| rs.into_iter().map(|(id, r)| (id, r, None)).collect();
-    let reports = match (cached, serial) {
-        (false, true) => run_selected_serial(&ids, seed, timing).map(plain),
-        (false, false) => run_selected_parallel(&ids, seed, timing, par).map(plain),
-        (true, true) => run_selected_serial_cached(&ids, seed, timing).map(triples),
-        (true, false) => run_selected_parallel_cached(&ids, seed, timing, par).map(triples),
-    };
-    let reports: Vec<(_, _, Option<u64>)> = match reports {
+    let reports = match run(&ids, seed, timing, par) {
         Ok(reports) => reports,
         Err(err) => {
             eprintln!("{err}");
@@ -114,7 +94,7 @@ fn main() {
 
     for (id, report, saved) in reports {
         eprintln!("ran {} — {}", id.slug(), id.description());
-        if let Some(saved) = saved.filter(|&s| s > 0) {
+        if saved > 0 {
             eprintln!("  {} saved {saved} objective evaluations via the result cache", id.slug());
         }
         println!("{report}");

@@ -1,5 +1,5 @@
 //! Golden-report regression suite: the seed-42, cost-modeled report text
-//! of every experiment (E1–E12) is pinned under `tests/golden/`, one file
+//! of every experiment (E1–E15) is pinned under `tests/golden/`, one file
 //! per slug. Any drift in a model, a kernel, the fault layer, or the
 //! report renderer fails the diff with a first-divergence pointer.
 //!
@@ -19,10 +19,17 @@ use std::time::Duration;
 
 use magseven::par::ParConfig;
 use magseven::serve::{recover_snapshot, FlightJournal};
-use magseven::suite::experiments::{run_all_parallel, run_all_serial, ExperimentId, Timing};
+use magseven::suite::experiments::{run, ExperimentId, Timing};
+use magseven::suite::report::Report;
 use magseven::trace::{HubConfig, TelemetryHub};
 
 const ROOT_SEED: u64 = 42;
+
+/// Every experiment's seed-42 modeled report, in paper order, on `par`.
+fn run_all(par: ParConfig) -> Vec<(ExperimentId, Report)> {
+    let rows = run(&ExperimentId::ALL, ROOT_SEED, Timing::Modeled, par).expect("ALL is non-empty");
+    rows.into_iter().map(|(id, report, _)| (id, report)).collect()
+}
 
 fn golden_path(slug: &str) -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR"))
@@ -81,13 +88,13 @@ fn check_against_golden(id: ExperimentId, rendered: &str) {
 
 /// Every experiment's seed-42 modeled report matches its pinned snapshot.
 ///
-/// Reports are generated exactly as `run_all_serial(42, Modeled)` does,
+/// Reports are generated exactly as `run(&ALL, 42, Modeled, serial)` does,
 /// so the snapshots double as a regression net for the per-experiment
 /// seed derivation: reordering `ExperimentId::ALL` or changing
 /// `derive_seed` shows up as drift here, not just as silent re-seeding.
 #[test]
 fn every_report_matches_its_golden_snapshot() {
-    let reports = run_all_serial(ROOT_SEED, Timing::Modeled);
+    let reports = run_all(ParConfig::serial());
     assert_eq!(reports.len(), ExperimentId::ALL.len(), "one snapshot per experiment");
     for (id, report) in &reports {
         check_against_golden(*id, &report.to_string());
@@ -128,7 +135,7 @@ fn hub_sampling_at_any_cadence_leaves_goldens_byte_identical() {
         vec![Box::new(journal)],
     );
 
-    let reports = run_all_serial(ROOT_SEED, Timing::Modeled);
+    let reports = run_all(ParConfig::serial());
     hub.stop();
 
     for (id, report) in &reports {
@@ -157,8 +164,7 @@ fn hub_sampling_at_any_cadence_leaves_goldens_byte_identical() {
 #[ignore = "runs the full suite twice; CI includes it with --include-ignored"]
 fn parallel_runner_reproduces_goldens_at_any_thread_count() {
     for threads in [1, 8] {
-        let reports =
-            run_all_parallel(ROOT_SEED, Timing::Modeled, ParConfig::with_threads(threads));
+        let reports = run_all(ParConfig::with_threads(threads));
         for (id, report) in &reports {
             let golden = std::fs::read_to_string(golden_path(id.slug()))
                 .expect("golden snapshot exists (run the serial golden test first)");

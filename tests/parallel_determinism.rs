@@ -6,7 +6,7 @@ use magseven::dse::explorer::{Explorer, SearchBudget};
 use magseven::dse::moga::{nsga2, nsga2_with};
 use magseven::dse::space::{DesignSpace, Dimension};
 use magseven::par::ParConfig;
-use magseven::suite::experiments::{run_all_parallel, run_all_serial, Timing};
+use magseven::suite::experiments::{run, run_selected_serial, ExperimentId, Timing};
 
 fn rugged_space() -> DesignSpace {
     DesignSpace::new(vec![
@@ -26,11 +26,11 @@ fn rugged(v: &[f64]) -> f64 {
 /// Satellite requirement: identical `Report` output from the parallel
 /// runner vs. the serial loop for the same seed.
 #[test]
-fn run_all_parallel_matches_serial_loop_byte_for_byte() {
-    let serial = run_all_serial(42, Timing::Modeled);
-    let parallel = run_all_parallel(42, Timing::Modeled, ParConfig::default());
+fn parallel_runner_matches_serial_loop_byte_for_byte() {
+    let serial = run_selected_serial(&ExperimentId::ALL, 42, Timing::Modeled).unwrap();
+    let parallel = run(&ExperimentId::ALL, 42, Timing::Modeled, ParConfig::default()).unwrap();
     assert_eq!(serial.len(), parallel.len());
-    for ((sid, sreport), (pid, preport)) in serial.iter().zip(&parallel) {
+    for ((sid, sreport), (pid, preport, _)) in serial.iter().zip(&parallel) {
         assert_eq!(sid, pid, "paper order must be preserved");
         assert_eq!(
             sreport.to_string(),

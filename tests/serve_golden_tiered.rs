@@ -12,10 +12,10 @@
 
 use std::path::PathBuf;
 
+use magseven::par::ParConfig;
+use magseven::serve::tier::ResultStore;
 use magseven::serve::tier::{TierConfig, TieredCache};
-use magseven::suite::experiments::{
-    run_selected_serial_cached, run_selected_serial_cached_in, ExperimentId, Timing,
-};
+use magseven::suite::experiments::{run, ExperimentId, Timing};
 
 const ROOT_SEED: u64 = 42;
 const HOT_CAPACITY: usize = 1 << 14;
@@ -42,19 +42,20 @@ fn golden_text(id: ExperimentId) -> String {
 
 /// One run of the memoized experiments over `store`:
 /// `(rendered reports, saved-evaluation counts)` in `IDS` order.
-fn run_in<S: magseven::serve::tier::ResultStore<f64>>(store: &S) -> (Vec<String>, Vec<u64>) {
-    let rows = run_selected_serial_cached_in(&IDS, ROOT_SEED, Timing::Modeled, store)
-        .expect("non-empty selection");
-    let reports = rows.iter().map(|(_, report, _)| report.to_string()).collect();
-    let saved = rows.iter().map(|(_, _, saved)| *saved).collect();
-    (reports, saved)
+fn run_in<S: ResultStore<f64>>(store: &S) -> (Vec<String>, Vec<u64>) {
+    IDS.iter()
+        .map(|id| {
+            let (report, saved) = id.run_in(id.seed(ROOT_SEED), Timing::Modeled, store);
+            (report.to_string(), saved)
+        })
+        .unzip()
 }
 
 #[test]
 fn reports_are_byte_identical_across_disabled_cold_and_warm_disk() {
-    // Baseline: the pre-existing per-experiment cache path.
+    // Baseline: the runner, with a fresh store per experiment.
     let baseline =
-        run_selected_serial_cached(&IDS, ROOT_SEED, Timing::Modeled).expect("non-empty selection");
+        run(&IDS, ROOT_SEED, Timing::Modeled, ParConfig::serial()).expect("non-empty selection");
 
     // Mode 1 — disabled disk: one shared memory-only tier.
     let memory: TieredCache<f64> = TieredCache::memory_only(HOT_CAPACITY);
@@ -82,24 +83,16 @@ fn reports_are_byte_identical_across_disabled_cold_and_warm_disk() {
     for (i, &id) in IDS.iter().enumerate() {
         let golden = golden_text(id);
         let base = baseline[i].1.to_string();
-        assert_eq!(base, golden, "{id}: baseline cached runner drifted from its golden snapshot");
+        assert_eq!(base, golden, "{id}: the runner drifted from its golden snapshot");
         assert_eq!(memory_reports[i], golden, "{id}: memory-only tier changed the report bytes");
         assert_eq!(cold_reports[i], golden, "{id}: cold disk tier changed the report bytes");
         assert_eq!(warm_reports[i], golden, "{id}: warm disk tier changed the report bytes");
 
-        // Savings bookkeeping: memory and cold disk see the identical
-        // hit sequence; a warm tier answers the formerly-cold first
-        // evaluations too, so it must save strictly more. (The absolute
-        // count can exceed the baseline's — the shared tier is larger
-        // than the per-experiment cache, so it evicts less — which is
-        // exactly why the *reports* being byte-identical above is the
-        // real invariant.)
-        assert!(
-            memory_saved[i] >= baseline[i].2,
-            "{id}: a larger shared store saved {} < baseline {}",
-            memory_saved[i],
-            baseline[i].2
-        );
+        // Savings bookkeeping: neither the runner's fresh store nor the
+        // shared tier evicts, so both see the identical hit sequence, as
+        // does a cold disk tier; a warm tier answers the formerly-cold
+        // first evaluations too, so it must save strictly more.
+        assert_eq!(memory_saved[i], baseline[i].2, "{id}: the shared store altered the hit path");
         assert_eq!(cold_saved[i], memory_saved[i], "{id}: write-through altered the hit path");
         assert!(
             warm_saved[i] > cold_saved[i],

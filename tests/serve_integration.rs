@@ -13,8 +13,9 @@ use std::time::Duration;
 use magseven::par::ParConfig;
 use magseven::serve::key::EvalRequest;
 use magseven::serve::server::{EvalClient, EvalServer, Evaluator, ServeConfig};
+use magseven::serve::tier::TieredCache;
 use magseven::serve::wire::Response;
-use magseven::suite::experiments::e9_dse;
+use magseven::suite::experiments::{e9_dse, ExperimentId};
 
 /// The watchdog budget for one whole client session against a local
 /// server — generous next to the ~ms round-trips, tight next to CI.
@@ -159,19 +160,18 @@ fn invalid_requests_answer_with_errors_not_hangs() {
     });
 }
 
-/// E9 through the shared evaluation cache: the result and the rendered
-/// report are byte-identical to the uncached run, and the cache saves a
-/// strictly positive number of objective evaluations.
+/// E9 through a shared memory tier: the rendered report is byte-identical
+/// to the golden snapshot (blessed from a memo-free search), and the store
+/// saves a strictly positive number of objective evaluations.
 #[test]
 fn e9_memoized_report_is_byte_identical_and_saves_work() {
-    let seed = 42;
-    let plain = e9_dse::run(seed);
-    let (cached, saved) = e9_dse::run_cached(seed);
-    assert_eq!(plain, cached, "memoization must not change E9's result");
-    assert_eq!(
-        plain.report().to_string(),
-        cached.report().to_string(),
-        "rendered reports must match byte for byte"
-    );
+    let seed = ExperimentId::E9Dse.seed(42);
+    let (memoized, saved) = e9_dse::run_in(seed, &TieredCache::memory_only(1 << 12));
+    let golden = std::fs::read_to_string(
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/e9_dse.txt"),
+    )
+    .expect("E9 golden snapshot");
+    assert_eq!(memoized.report().to_string(), golden, "memoization must not change E9's report");
+    assert_eq!(memoized, e9_dse::run(seed), "the store's contents must not change the result");
     assert!(saved > 0, "E9's budgeted strategies revisit exhaustively-scored designs");
 }

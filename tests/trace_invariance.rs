@@ -1,5 +1,5 @@
 //! Thread-count invariance of the observability layer: with tracing
-//! enabled, running the full experiment suite (E1–E12) on a 1-thread
+//! enabled, running the full experiment suite (E1–E15) on a 1-thread
 //! and an 8-thread pool must produce byte-identical reports AND
 //! identical deterministic-class aggregate metrics.
 //!
@@ -8,16 +8,18 @@
 //! contract this test pins down.
 
 use magseven::par::ParConfig;
-use magseven::suite::experiments::{run_all_parallel, Timing};
+use magseven::suite::experiments::{run, ExperimentId, Timing};
 use magseven::trace::{MetricValue, MetricsSnapshot};
 
 const ROOT_SEED: u64 = 42;
 
 fn run_suite(threads: usize) -> (String, MetricsSnapshot) {
     magseven::trace::reset();
-    let reports = run_all_parallel(ROOT_SEED, Timing::Modeled, ParConfig::with_threads(threads));
+    let reports =
+        run(&ExperimentId::ALL, ROOT_SEED, Timing::Modeled, ParConfig::with_threads(threads))
+            .expect("ALL is non-empty");
     let mut text = String::new();
-    for (id, report) in reports {
+    for (id, report, _) in reports {
         text.push_str(id.slug());
         text.push('\n');
         text.push_str(&report.to_string());
