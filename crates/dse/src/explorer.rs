@@ -2,6 +2,8 @@
 //! simulated annealing, genetic, and surrogate-guided (the ML-for-design
 //! strategy of paper §3.1).
 //!
+//! Every search is memoized: objective evaluations go through an
+//! [`EvalMemo`], so a design seen before is answered from its store.
 //! Every strategy that evaluates designs in batches (exhaustive, random,
 //! genetic generations, surrogate candidate scoring) runs those batches
 //! through the [`m7_par`] deterministic pool: results are bit-identical
@@ -12,6 +14,7 @@ use crate::memo::{dedup_indices, EvalMemo};
 use crate::space::{DesignSpace, PointIndex};
 use crate::surrogate::Forest;
 use m7_par::ParConfig;
+use m7_serve::cache::EvalCache;
 use m7_serve::tier::ResultStore;
 use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceHistogram};
 use rand::{Rng, SeedableRng};
@@ -147,6 +150,10 @@ impl Explorer {
 
     /// Runs the search, deterministic in `seed`.
     ///
+    /// Memoized through a private [`EvalCache`] sized to the budget, so a
+    /// design the search revisits is not evaluated again; see
+    /// [`Explorer::run_memoized`] to share a store across searches.
+    ///
     /// # Examples
     ///
     /// ```
@@ -170,37 +177,22 @@ impl Explorer {
         budget: SearchBudget,
         seed: u64,
     ) -> SearchResult {
-        self.run_with(space, objective, budget, seed, ParConfig::default())
+        let cache = EvalCache::new(budget.max_evaluations);
+        let memo = EvalMemo::new(&cache, 0);
+        self.run_memoized(space, objective, budget, seed, ParConfig::default(), &memo)
     }
 
-    /// Runs the search with an explicit parallelism configuration.
+    /// Runs the search with objective evaluations memoized through
+    /// `memo`'s content-addressed store.
     ///
-    /// The result is bit-identical for any `par` — threads change only
-    /// wall-clock time — so callers may pick [`ParConfig::serial`] for
-    /// latency-insensitive correctness tests and the default for sweeps.
-    #[must_use]
-    pub fn run_with(
-        &self,
-        space: &DesignSpace,
-        objective: &dyn Objective,
-        budget: SearchBudget,
-        seed: u64,
-        par: ParConfig,
-    ) -> SearchResult {
-        self.run_inner::<m7_serve::cache::EvalCache<f64>>(space, objective, budget, seed, par, None)
-    }
-
-    /// Runs the search with objective evaluations memoized through a
-    /// content-addressed cache.
-    ///
-    /// The returned [`SearchResult`] is **bit-identical** to
-    /// [`Explorer::run_with`] for the same arguments — objectives are
-    /// pure, so the cache changes only how many times the objective is
-    /// invoked (read the savings off the store's hit counters).
-    /// Successive searches sharing one memo (as in experiment E9) reuse
-    /// each other's evaluations — and with a disk-backed
-    /// [`m7_serve::tier::TieredCache`] behind the memo, so do successive
-    /// *processes*.
+    /// The returned [`SearchResult`] does not depend on what the store
+    /// already holds — objectives are pure, so the store changes only how
+    /// many times the objective is invoked (read the savings off the
+    /// store's hit counters) — nor on `par`, which changes only
+    /// wall-clock time. Successive searches sharing one memo (as in
+    /// experiment E9) reuse each other's evaluations — and with a
+    /// disk-backed [`m7_serve::tier::TieredCache`] behind the memo, so do
+    /// successive *processes*.
     #[must_use]
     pub fn run_memoized<S: ResultStore<f64>>(
         &self,
@@ -210,18 +202,6 @@ impl Explorer {
         seed: u64,
         par: ParConfig,
         memo: &EvalMemo<'_, S>,
-    ) -> SearchResult {
-        self.run_inner(space, objective, budget, seed, par, Some(memo))
-    }
-
-    fn run_inner<S: ResultStore<f64>>(
-        &self,
-        space: &DesignSpace,
-        objective: &dyn Objective,
-        budget: SearchBudget,
-        seed: u64,
-        par: ParConfig,
-        memo: Option<&EvalMemo<'_, S>>,
     ) -> SearchResult {
         let _span = SEARCH_SPAN.enter();
         SEARCHES.incr();
@@ -268,50 +248,38 @@ impl Explorer {
     ///
     /// Duplicate genotypes within the batch (common in late GA
     /// generations) are coalesced onto the first occurrence before
-    /// dispatch; with a memo, previously seen designs are answered from
-    /// the cache. Each design's cost still lands in the slot of its
-    /// input index, so the output is identical to the serial
-    /// `points.iter().map(...)` loop for any thread count, with or
-    /// without the cache.
+    /// dispatch, and previously seen designs are answered from the memo.
+    /// Each design's cost still lands in the slot of its input index, so
+    /// the output is identical to the serial `points.iter().map(...)`
+    /// loop for any thread count and any store contents.
     fn evaluate_batch<S: ResultStore<f64>>(
         space: &DesignSpace,
         objective: &dyn Objective,
         points: &[PointIndex],
         par: ParConfig,
-        memo: Option<&EvalMemo<'_, S>>,
+        memo: &EvalMemo<'_, S>,
     ) -> Vec<f64> {
         let (unique, assign) = dedup_indices(points);
         BATCH_ITEMS.record(points.len() as u64);
-        let unique_costs: Vec<f64> = match memo {
-            None => par.par_map(&unique, |&i| objective.evaluate(&space.values(&points[i]))),
-            Some(memo) => {
-                let (costs, outcome) = m7_serve::batch::evaluate_batch_memo(
-                    memo.cache(),
-                    par,
-                    &unique,
-                    |&i| memo.key(&space.values(&points[i])),
-                    |&i| objective.evaluate(&space.values(&points[i])),
-                );
-                MEMO_HITS.add(outcome.cache_hits as u64);
-                MEMO_COALESCED.add(outcome.coalesced as u64);
-                costs
-            }
-        };
+        let (unique_costs, outcome) = m7_serve::batch::evaluate_batch_memo(
+            memo.cache(),
+            par,
+            &unique,
+            |&i| memo.key(&space.values(&points[i])),
+            |&i| objective.evaluate(&space.values(&points[i])),
+        );
+        MEMO_HITS.add(outcome.cache_hits as u64);
+        MEMO_COALESCED.add(outcome.coalesced as u64);
         assign.into_iter().map(|u| unique_costs[u]).collect()
     }
 
-    /// Evaluates one point, through the memo when present.
+    /// Evaluates one design from its concrete values, through the memo.
     fn eval_one<S: ResultStore<f64>>(
-        space: &DesignSpace,
         objective: &dyn Objective,
-        point: &[usize],
-        memo: Option<&EvalMemo<'_, S>>,
+        values: &[f64],
+        memo: &EvalMemo<'_, S>,
     ) -> f64 {
-        let values = space.values(point);
-        match memo {
-            None => objective.evaluate(&values),
-            Some(memo) => memo.cost_or_insert_with(&values, || objective.evaluate(&values)),
-        }
+        memo.cost_or_insert_with(values, || objective.evaluate(values))
     }
 
     fn collect(points: Vec<PointIndex>, costs: Vec<f64>, space: &DesignSpace) -> SearchResult {
@@ -339,7 +307,7 @@ impl Explorer {
         objective: &dyn Objective,
         budget: SearchBudget,
         par: ParConfig,
-        memo: Option<&EvalMemo<'_, S>>,
+        memo: &EvalMemo<'_, S>,
     ) -> SearchResult {
         let mut points = space.enumerate();
         points.truncate(budget.max_evaluations);
@@ -353,7 +321,7 @@ impl Explorer {
         budget: SearchBudget,
         seed: u64,
         par: ParConfig,
-        memo: Option<&EvalMemo<'_, S>>,
+        memo: &EvalMemo<'_, S>,
     ) -> SearchResult {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let points: Vec<PointIndex> =
@@ -369,18 +337,18 @@ impl Explorer {
         seed: u64,
         t0: f64,
         cooling: f64,
-        memo: Option<&EvalMemo<'_, S>>,
+        memo: &EvalMemo<'_, S>,
     ) -> SearchResult {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let mut current = space.sample(&mut rng);
-        let mut current_cost = Self::eval_one(space, objective, &current, memo);
+        let mut current_cost = Self::eval_one(objective, &space.values(&current), memo);
         let mut best = current.clone();
         let mut best_cost = current_cost;
         let mut trace = vec![best_cost];
         let mut temperature = t0 * current_cost.abs().max(1e-9);
         for _ in 1..budget.max_evaluations {
             let candidate = space.neighbor(&current, &mut rng);
-            let cost = Self::eval_one(space, objective, &candidate, memo);
+            let cost = Self::eval_one(objective, &space.values(&candidate), memo);
             let accept = cost <= current_cost || {
                 let delta = cost - current_cost;
                 rng.gen_bool((-delta / temperature.max(1e-12)).exp().clamp(0.0, 1.0))
@@ -421,7 +389,7 @@ impl Explorer {
         population: usize,
         mutation_rate: f64,
         par: ParConfig,
-        memo: Option<&EvalMemo<'_, S>>,
+        memo: &EvalMemo<'_, S>,
     ) -> SearchResult {
         let population = population.max(2).min(budget.max_evaluations);
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
@@ -490,7 +458,6 @@ impl Explorer {
         }
     }
 
-    #[allow(clippy::too_many_arguments)]
     /// Surrogate-guided search with parallel candidate scoring.
     ///
     /// Candidate points are sampled serially (the RNG stream is a pure
@@ -508,7 +475,7 @@ impl Explorer {
         candidates: usize,
         kappa: f64,
         par: ParConfig,
-        memo: Option<&EvalMemo<'_, S>>,
+        memo: &EvalMemo<'_, S>,
     ) -> SearchResult {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let warmup = warmup.clamp(2, budget.max_evaluations);
@@ -520,10 +487,7 @@ impl Explorer {
                      trace: &mut Vec<f64>,
                      best_so_far: &mut f64| {
             let values = space.values(&point);
-            let cost = match memo {
-                None => objective.evaluate(&values),
-                Some(memo) => memo.cost_or_insert_with(&values, || objective.evaluate(&values)),
-            };
+            let cost = Self::eval_one(objective, &values, memo);
             *best_so_far = best_so_far.min(cost);
             trace.push(*best_so_far);
             evaluated.push((point, values, cost));
@@ -666,9 +630,42 @@ mod tests {
         }
     }
 
+    /// A store that never remembers: every probe misses, so a search over
+    /// it evaluates every design — the memo-free reference.
+    struct Forgetful;
+
+    impl ResultStore<f64> for Forgetful {
+        fn get(&self, _: m7_serve::key::CacheKey) -> Option<f64> {
+            None
+        }
+
+        fn insert(&self, _: m7_serve::key::CacheKey, _: f64) {}
+
+        fn hits(&self) -> u64 {
+            0
+        }
+    }
+
+    fn oracle(
+        explorer: &Explorer,
+        space: &DesignSpace,
+        objective: &dyn Objective,
+        budget: SearchBudget,
+        seed: u64,
+    ) -> SearchResult {
+        let memo = EvalMemo::new(&Forgetful, 0);
+        explorer.run_memoized(space, objective, budget, seed, ParConfig::default(), &memo)
+    }
+
+    fn bits(r: &SearchResult) -> Vec<u64> {
+        let mut bits: Vec<u64> = r.trace.iter().map(|c| c.to_bits()).collect();
+        bits.extend(r.best_values.iter().map(|v| v.to_bits()));
+        bits.push(r.best_cost.to_bits());
+        bits
+    }
+
     #[test]
     fn memoized_results_are_bit_identical_to_unmemoized() {
-        use m7_serve::cache::EvalCache;
         use m7_serve::key::namespace;
 
         let space = grid_space(16);
@@ -680,22 +677,49 @@ mod tests {
             Explorer::genetic(),
             Explorer::surrogate(),
         ] {
-            let plain = explorer.run(&space, &rugged, budget, 11);
+            let plain = oracle(&explorer, &space, &rugged, budget, 11);
             let cache = EvalCache::new(4096);
             let memo = EvalMemo::new(&cache, namespace("rugged", 11));
-            let memoized =
+            let cold =
                 explorer.run_memoized(&space, &rugged, budget, 11, ParConfig::default(), &memo);
-            assert_eq!(plain, memoized, "{} diverged under memoization", explorer.name());
-            // A bitwise check on the trace, not just PartialEq.
-            let identical =
-                plain.trace.iter().zip(&memoized.trace).all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(identical, "{} trace diverged bitwise", explorer.name());
+            // Pre-warm a second store with every design in the space.
+            let warm_cache = EvalCache::new(4096);
+            let warm_memo = EvalMemo::new(&warm_cache, namespace("rugged", 11));
+            let all = SearchBudget::new(space.cardinality());
+            let par = ParConfig::default();
+            let _ = Explorer::Exhaustive.run_memoized(&space, &rugged, all, 11, par, &warm_memo);
+            let warm = explorer.run_memoized(&space, &rugged, budget, 11, par, &warm_memo);
+            assert!(warm_cache.stats().hits > 0, "{} never read the warm store", explorer.name());
+            for (label, r) in [("cold", &cold), ("warm", &warm)] {
+                assert_eq!(plain, *r, "{} diverged under a {label} memo", explorer.name());
+                // A bitwise check, not just PartialEq.
+                assert_eq!(bits(&plain), bits(r), "{} {label} diverged bitwise", explorer.name());
+            }
+            assert_eq!(plain, explorer.run(&space, &rugged, budget, 11), "{}", explorer.name());
         }
     }
 
     #[test]
+    fn run_evaluates_each_design_at_most_once() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+
+        let space = grid_space(2);
+        let budget = SearchBudget::new(50);
+        let calls = AtomicUsize::new(0);
+        let counting = |v: &[f64]| {
+            calls.fetch_add(1, Ordering::Relaxed);
+            rugged(v)
+        };
+        let memoized = Explorer::annealing().run(&space, &counting, budget, 5);
+        let run_calls = calls.swap(0, Ordering::Relaxed);
+        let reference = oracle(&Explorer::annealing(), &space, &counting, budget, 5);
+        assert!(run_calls <= 4, "a 2x2 space has 4 designs, objective ran {run_calls} times");
+        assert_eq!(calls.load(Ordering::Relaxed), 50, "the oracle evaluates every step");
+        assert_eq!(memoized, reference);
+    }
+
+    #[test]
     fn memoized_rerun_invokes_the_objective_strictly_less() {
-        use m7_serve::cache::EvalCache;
         use m7_serve::key::namespace;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -707,7 +731,7 @@ mod tests {
             rugged(v)
         };
 
-        let baseline = Explorer::genetic().run(&space, &counting, budget, 3);
+        let baseline = oracle(&Explorer::genetic(), &space, &counting, budget, 3);
         let uncached_calls = calls.swap(0, Ordering::Relaxed);
 
         let cache = EvalCache::new(4096);

@@ -6,9 +6,9 @@
 //! over the same mission objective — stop re-scoring duplicate designs.
 //!
 //! Because objectives are pure, memoization never changes a result: a
-//! memoized search returns a [`SearchResult`](crate::explorer::SearchResult)
-//! bit-identical to the unmemoized one, it just invokes the objective
-//! fewer times.
+//! search returns a [`SearchResult`](crate::explorer::SearchResult)
+//! bit-identical to one over a store that never hits (which evaluates
+//! every design), it just invokes the objective fewer times.
 
 use crate::space::PointIndex;
 use m7_serve::cache::EvalCache;

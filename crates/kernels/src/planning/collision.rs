@@ -15,7 +15,6 @@
 //! the subject of experiment E6.
 
 use crate::geometry::Vec2;
-use m7_par::ParConfig;
 use serde::{Deserialize, Serialize};
 
 /// A collision primitive that can be queried against points and segments.
@@ -588,7 +587,6 @@ impl BatchChecker {
     ///
     /// Point-major iteration over the flat SoA arrays, each point running
     /// the [`COLLISION_LANES`]-wide branch-free sweep; see
-    /// [`BatchChecker::par_points_free`] for the multi-threaded variant and
     /// [`BatchChecker::points_free_scalar`] for the scalar reference.
     #[must_use]
     pub fn points_free(&self, points: &[Vec2]) -> Vec<bool> {
@@ -621,32 +619,6 @@ impl BatchChecker {
     #[must_use]
     pub fn segments_free_scalar(&self, edges: &[(Vec2, Vec2)]) -> Vec<bool> {
         edges.iter().map(|&(a, b)| self.segment_free_one_scalar(a, b)).collect()
-    }
-
-    /// Multi-threaded [`BatchChecker::points_free`].
-    ///
-    /// Each point runs the same scalar predicate as the serial batch; the
-    /// output vector is ordered by input index regardless of scheduling, so
-    /// the result is identical to [`BatchChecker::points_free`] at any
-    /// thread count.
-    #[must_use]
-    pub fn par_points_free(&self, points: &[Vec2], par: ParConfig) -> Vec<bool> {
-        par.par_map(points, |&p| self.point_free_one(p))
-    }
-
-    /// Multi-threaded [`BatchChecker::segments_free`].
-    ///
-    /// Identical output to the serial batch at any thread count; only
-    /// wall-clock changes.
-    #[must_use]
-    pub fn par_segments_free(&self, edges: &[(Vec2, Vec2)], par: ParConfig) -> Vec<bool> {
-        par.par_map(edges, |&(a, b)| self.segment_free_one(a, b))
-    }
-
-    /// Single-segment convenience wrapper over [`BatchChecker::segments_free`].
-    #[must_use]
-    pub fn segment_free(&self, a: Vec2, b: Vec2) -> bool {
-        self.segments_free(&[(a, b)])[0]
     }
 }
 
@@ -852,29 +824,6 @@ mod tests {
             let got = batch.points_free(&pts);
             for (i, p) in pts.iter().enumerate() {
                 prop_assert_eq!(got[i], w.point_free(*p));
-            }
-        }
-
-        #[test]
-        fn prop_par_batches_match_serial_at_any_thread_count(
-            seed in 0u64..500,
-            edges in prop::collection::vec(((0.0..20.0f64, 0.0..20.0f64), (0.0..20.0f64, 0.0..20.0f64)), 1..50),
-        ) {
-            let mut w = CollisionWorld::new(20.0, 20.0);
-            w.scatter_circles(8, 0.3, 2.5, seed);
-            w.add_rect(Vec2::new(3.0, 3.0), Vec2::new(4.5, 9.0));
-            let batch = w.to_batch_checker();
-            let edges: Vec<(Vec2, Vec2)> = edges
-                .into_iter()
-                .map(|((ax, ay), (bx, by))| (Vec2::new(ax, ay), Vec2::new(bx, by)))
-                .collect();
-            let pts: Vec<Vec2> = edges.iter().map(|&(a, _)| a).collect();
-            let serial_edges = batch.segments_free(&edges);
-            let serial_pts = batch.points_free(&pts);
-            for threads in [1usize, 2, 5, 8] {
-                let par = ParConfig::with_threads(threads);
-                prop_assert_eq!(&batch.par_segments_free(&edges, par), &serial_edges);
-                prop_assert_eq!(&batch.par_points_free(&pts, par), &serial_pts);
             }
         }
     }

@@ -10,7 +10,6 @@ use super::collision::CollisionWorld;
 use super::kdtree::KdTree;
 use super::path::Path;
 use crate::geometry::Vec2;
-use m7_par::ParConfig;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
@@ -59,54 +58,42 @@ pub struct Prm {
 impl Prm {
     /// Builds a roadmap using the conventional one-edge-at-a-time scalar
     /// checker.
+    ///
+    /// Sampling gives up once `2 × samples` candidates in a row land in
+    /// collision, so on a (nearly) fully obstructed world [`Prm::len`] may
+    /// come out below `config.samples` — zero when nothing is free.
     #[must_use]
     pub fn build(world: &CollisionWorld, config: PrmConfig, seed: u64) -> Self {
-        Self::build_inner(world, config, seed, None)
+        Self::build_inner(world, config, seed, false)
     }
 
     /// Builds an identical roadmap, validating all candidate edges through
     /// the batched structure-of-arrays checker.
+    ///
+    /// Sampling draws rounds of `2 × samples` candidates and gives up once
+    /// a whole round has no free point, so as with [`Prm::build`],
+    /// [`Prm::len`] may come out below `config.samples`.
     #[must_use]
     pub fn build_batched(world: &CollisionWorld, config: PrmConfig, seed: u64) -> Self {
-        Self::build_inner(world, config, seed, Some(ParConfig::serial()))
+        Self::build_inner(world, config, seed, true)
     }
 
-    /// [`Prm::build_batched`] with the batch queries spread over the
-    /// deterministic pool: the roadmap is bit-identical to the serial
-    /// batched build at any thread count (sampling stays on one RNG
-    /// stream; batch results are ordered by input index).
-    #[must_use]
-    pub fn build_batched_par(
-        world: &CollisionWorld,
-        config: PrmConfig,
-        seed: u64,
-        par: ParConfig,
-    ) -> Self {
-        Self::build_inner(world, config, seed, Some(par))
-    }
-
-    fn build_inner(
-        world: &CollisionWorld,
-        config: PrmConfig,
-        seed: u64,
-        batched: Option<ParConfig>,
-    ) -> Self {
+    fn build_inner(world: &CollisionWorld, config: PrmConfig, seed: u64, batched: bool) -> Self {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let round = config.samples * 2;
+        let mut sample =
+            || Vec2::new(rng.gen_range(0.0..world.width()), rng.gen_range(0.0..world.height()));
         // Sample free configurations.
         let mut vertices = Vec::with_capacity(config.samples);
-        if let Some(par) = batched {
+        if batched {
             // Batch the point checks too: oversample, filter in one pass.
             let batch = world.to_batch_checker();
             while vertices.len() < config.samples {
-                let candidates: Vec<Vec2> = (0..config.samples * 2)
-                    .map(|_| {
-                        Vec2::new(
-                            rng.gen_range(0.0..world.width()),
-                            rng.gen_range(0.0..world.height()),
-                        )
-                    })
-                    .collect();
-                let free = batch.par_points_free(&candidates, par);
+                let candidates: Vec<Vec2> = (0..round).map(|_| sample()).collect();
+                let free = batch.points_free(&candidates);
+                if !free.contains(&true) {
+                    break;
+                }
                 for (p, ok) in candidates.into_iter().zip(free) {
                     if ok && vertices.len() < config.samples {
                         vertices.push(p);
@@ -114,13 +101,14 @@ impl Prm {
                 }
             }
         } else {
-            while vertices.len() < config.samples {
-                let p = Vec2::new(
-                    rng.gen_range(0.0..world.width()),
-                    rng.gen_range(0.0..world.height()),
-                );
+            let mut misses = 0;
+            while vertices.len() < config.samples && misses < round {
+                let p = sample();
                 if world.point_free(p) {
                     vertices.push(p);
+                    misses = 0;
+                } else {
+                    misses += 1;
                 }
             }
         }
@@ -151,11 +139,11 @@ impl Prm {
         // batched path checks the same edges exactly in one SoA sweep.
         let mut edges = vec![Vec::new(); vertices.len()];
         let edge_checks = candidates.len();
-        let keep: Vec<bool> = if let Some(par) = batched {
+        let keep: Vec<bool> = if batched {
             let batch = world.to_batch_checker();
             let segs: Vec<(Vec2, Vec2)> =
                 candidates.iter().map(|&(i, j)| (vertices[i], vertices[j])).collect();
-            batch.par_segments_free(&segs, par)
+            batch.segments_free(&segs)
         } else {
             candidates
                 .iter()
@@ -315,20 +303,24 @@ mod tests {
     }
 
     #[test]
-    fn parallel_batched_build_is_bit_identical() {
-        let mut world = CollisionWorld::new(15.0, 15.0);
-        world.scatter_circles(10, 0.5, 1.5, 4);
-        let serial = Prm::build_batched(&world, PrmConfig::default(), 2);
-        for threads in [1usize, 2, 4, 8] {
-            let par = Prm::build_batched_par(
-                &world,
-                PrmConfig::default(),
-                2,
-                ParConfig::with_threads(threads),
-            );
-            assert_eq!(serial.vertices, par.vertices, "threads = {threads}");
-            assert_eq!(serial.edges, par.edges, "threads = {threads}");
-            assert_eq!(serial.edge_checks(), par.edge_checks());
+    fn fully_covered_world_yields_an_empty_roadmap() {
+        // Both builds run on a worker thread; the test thread only waits,
+        // so a sampler that never gives up fails here instead of hanging.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut world = CollisionWorld::new(10.0, 10.0);
+            world.add_rect(Vec2::new(-1.0, -1.0), Vec2::new(11.0, 11.0));
+            let config = PrmConfig { samples: 50, ..PrmConfig::default() };
+            for prm in [Prm::build(&world, config, 1), Prm::build_batched(&world, config, 1)] {
+                let path = prm.query(&world, Vec2::new(1.0, 1.0), Vec2::new(9.0, 9.0));
+                tx.send((prm.len(), prm.edge_count(), path.is_none())).unwrap();
+            }
+        });
+        for _ in 0..2 {
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(30))
+                .expect("PRM build on a fully covered world must return");
+            assert_eq!(got, (0, 0, true));
         }
     }
 

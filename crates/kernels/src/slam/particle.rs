@@ -10,7 +10,6 @@
 use crate::geometry::{Pose2, Vec2};
 use crate::grid::OccupancyGrid;
 use crate::slam::Scan;
-use m7_par::ParConfig;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
@@ -162,25 +161,15 @@ impl ParticleFilter {
     /// given the map, then resamples systematically when the effective
     /// sample size drops below half the particle count.
     pub fn update(&mut self, map: &OccupancyGrid, scan: &Scan) {
-        self.par_update(map, scan, ParConfig::serial());
-    }
-
-    /// Multi-threaded [`ParticleFilter::update`].
-    ///
-    /// Per-particle log-likelihoods are pure functions of the (fixed)
-    /// particle set, map, and scan, so they run through the deterministic
-    /// pool; weight application, normalization, and resampling stay serial
-    /// in particle order. The filter state after this call is bit-identical
-    /// to the serial update at any thread count.
-    pub fn par_update(&mut self, map: &OccupancyGrid, scan: &Scan, par: ParConfig) {
         let step = (scan.bearings.len() / self.config.beams_used).max(1);
         let inv_two_var = 1.0 / (2.0 * self.config.range_noise * self.config.range_noise);
         let max_range = scan.ranges.iter().cloned().fold(0.0f64, f64::max) + 1.0;
         let beams_used = self.config.beams_used;
 
-        // Phase 1 (parallel, read-only): one log-likelihood per particle,
-        // written to its input-index slot.
-        let log_likelihoods: Vec<f64> = par.par_map(&self.particles, |p| {
+        // One log-likelihood per particle, applied and accumulated into the
+        // normalizer in particle order.
+        let mut total = 0.0;
+        for p in &mut self.particles {
             let mut log_likelihood = 0.0;
             for (bearing, range) in
                 scan.bearings.iter().zip(&scan.ranges).step_by(step).take(beams_used)
@@ -193,19 +182,12 @@ impl ParticleFilter {
                 let err = expected - range;
                 log_likelihood -= err * err * inv_two_var;
             }
-            log_likelihood
-        });
-        let beams_per_particle =
-            scan.bearings.iter().zip(&scan.ranges).step_by(step).take(beams_used).count();
-        self.weight_evals += (self.particles.len() * beams_per_particle) as u64;
-
-        // Phase 2 (serial, particle order): apply weights and accumulate
-        // the normalizer in the same order as the serial loop.
-        let mut total = 0.0;
-        for (p, log_likelihood) in self.particles.iter_mut().zip(&log_likelihoods) {
             p.weight *= log_likelihood.exp().max(1e-300);
             total += p.weight;
         }
+        let beams_per_particle =
+            scan.bearings.iter().zip(&scan.ranges).step_by(step).take(beams_used).count();
+        self.weight_evals += (self.particles.len() * beams_per_particle) as u64;
         if total <= 0.0 {
             // Degenerate: reset to uniform rather than divide by zero.
             let w = 1.0 / self.particles.len() as f64;
@@ -323,33 +305,6 @@ mod tests {
         // Resampling may have restored uniformity; the eval counter proves
         // the weighting ran.
         assert!(pf.weight_evals() > 0);
-    }
-
-    #[test]
-    fn par_update_is_bit_identical_to_serial() {
-        let (map, center, half_w, half_h) = mapped_room();
-        let truth = Pose2::new(center, 0.0);
-        let run = |par: Option<ParConfig>| {
-            let config = ParticleFilterConfig { particles: 200, ..ParticleFilterConfig::default() };
-            let mut pf = ParticleFilter::new(config, &map, truth, 1.5, 11);
-            let mut pose = truth;
-            let step = Pose2::new(Vec2::new(0.25, 0.0), 0.04);
-            for _ in 0..4 {
-                pose = pose.compose(step);
-                pf.predict(step);
-                let scan = synthetic_room_scan(pose, center, half_w, half_h, 90);
-                match par {
-                    Some(p) => pf.par_update(&map, &scan, p),
-                    None => pf.update(&map, &scan),
-                }
-            }
-            (pf.particles().to_vec(), pf.weight_evals())
-        };
-        let serial = run(None);
-        for threads in [1usize, 2, 4, 8] {
-            let parallel = run(Some(ParConfig::with_threads(threads)));
-            assert_eq!(serial, parallel, "threads = {threads}");
-        }
     }
 
     #[test]

@@ -24,7 +24,6 @@ use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::{KernelFamily, KernelProfile};
 use m7_kernels::geometry::Vec2;
 use m7_kernels::planning::{CollisionWorld, Prm, PrmConfig};
-use m7_par::ParConfig;
 use m7_units::{Bytes, Ops};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
@@ -105,17 +104,17 @@ impl PlatformsResult {
 /// Runs E6 with wall-clock timing (the library default).
 #[must_use]
 pub fn run(seed: u64) -> PlatformsResult {
-    run_with(seed, Timing::Measured, ParConfig::default())
+    run_with(seed, Timing::Measured)
 }
 
 /// Runs E6: a cluttered 60×60 m warehouse with a dense roadmap.
 ///
-/// `par` feeds the batched checker's multi-threaded entry points
-/// ([`Prm::build_batched_par`]); the roadmap itself is bit-identical at
-/// any thread count. With [`Timing::Modeled`] the whole result is a pure
-/// function of `seed`.
+/// The batched side is [`Prm::build_batched`]: the structure-of-arrays
+/// checker on one thread, so [`Timing::Measured`] compares data layout
+/// and batching alone, not thread count. With [`Timing::Modeled`] the
+/// whole result is a pure function of `seed`.
 #[must_use]
-pub fn run_with(seed: u64, timing: Timing, par: ParConfig) -> PlatformsResult {
+pub fn run_with(seed: u64, timing: Timing) -> PlatformsResult {
     let mut world = CollisionWorld::new(60.0, 60.0);
     world.scatter_circles(160, 0.4, 1.6, seed);
     world.add_rect(Vec2::new(20.0, 0.0), Vec2::new(22.0, 40.0));
@@ -126,21 +125,21 @@ pub fn run_with(seed: u64, timing: Timing, par: ParConfig) -> PlatformsResult {
         Timing::Measured => {
             // Warm-up both paths once (allocator, caches), then measure.
             let _ = Prm::build(&world, PrmConfig { samples: 100, ..config }, seed);
-            let _ = Prm::build_batched_par(&world, PrmConfig { samples: 100, ..config }, seed, par);
+            let _ = Prm::build_batched(&world, PrmConfig { samples: 100, ..config }, seed);
 
             let t0 = Instant::now();
             let scalar = Prm::build(&world, config, seed);
             let scalar_ms = t0.elapsed().as_secs_f64() * 1e3;
 
             let t1 = Instant::now();
-            let batched = Prm::build_batched_par(&world, config, seed, par);
+            let batched = Prm::build_batched(&world, config, seed);
             let batched_ms = t1.elapsed().as_secs_f64() * 1e3;
             (scalar_ms, batched_ms, scalar.edge_checks().max(batched.edge_checks()))
         }
         Timing::Modeled => {
             // One real build supplies the workload size; both build times
             // come from the cost models, so the numbers are deterministic.
-            let batched = Prm::build_batched_par(&world, config, seed, par);
+            let batched = Prm::build_batched(&world, config, seed);
             let edge_checks = batched.edge_checks();
             let cpu = Platform::preset(PlatformKind::CpuScalar);
             let batch_profile = KernelProfile::collision_batch(edge_checks, world.len());
@@ -233,18 +232,15 @@ mod tests {
     }
 
     #[test]
-    fn modeled_timing_is_deterministic_across_thread_counts() {
-        let runs: Vec<PlatformsResult> = [1usize, 2, 8]
-            .iter()
-            .map(|&t| run_with(4, Timing::Modeled, ParConfig::with_threads(t)))
-            .collect();
-        assert_eq!(runs[0], runs[1]);
-        assert_eq!(runs[0], runs[2]);
-        assert_eq!(runs[0].report().to_string(), runs[2].report().to_string());
+    fn modeled_timing_is_deterministic() {
+        let a = run_with(4, Timing::Modeled);
+        let b = run_with(4, Timing::Modeled);
+        assert_eq!(a, b);
+        assert_eq!(a.report().to_string(), b.report().to_string());
         assert!(
-            runs[0].measured_speedup > 5.0,
+            a.measured_speedup > 5.0,
             "the modeled batching win should be large: {:.1}x",
-            runs[0].measured_speedup
+            a.measured_speedup
         );
     }
 }

@@ -208,9 +208,7 @@ impl ExperimentId {
             Self::E3Metrics => plain(e3_metrics::run(seed).report()),
             Self::E4Widgetism => plain(e4_widgetism::run().report()),
             Self::E5Brakes => plain(e5_brakes::run(seed).report()),
-            Self::E6Platforms => {
-                plain(e6_platforms::run_with(seed, timing, ParConfig::default()).report())
-            }
+            Self::E6Platforms => plain(e6_platforms::run_with(seed, timing).report()),
             Self::E7EndToEnd => plain(e7_endtoend::run().report()),
             Self::E8Global => plain(e8_global::run().report()),
             Self::E9Dse => {

@@ -3,9 +3,11 @@
 //! deterministic pool, or at any thread count.
 
 use magseven::dse::explorer::{Explorer, SearchBudget};
+use magseven::dse::memo::EvalMemo;
 use magseven::dse::moga::{nsga2, nsga2_with};
 use magseven::dse::space::{DesignSpace, Dimension};
 use magseven::par::ParConfig;
+use magseven::serve::cache::EvalCache;
 use magseven::suite::experiments::{run, run_selected_serial, ExperimentId, Timing};
 
 fn rugged_space() -> DesignSpace {
@@ -49,9 +51,15 @@ fn dse_strategies_identical_at_1_vs_8_threads() {
     let budget = SearchBudget::new(60);
     let strategies =
         [Explorer::Exhaustive, Explorer::Random, Explorer::genetic(), Explorer::surrogate()];
+    let run = |strategy: &Explorer, threads: usize| {
+        let cache = EvalCache::new(budget.max_evaluations);
+        let memo = EvalMemo::new(&cache, 0);
+        let par = ParConfig::with_threads(threads);
+        strategy.run_memoized(&space, &rugged, budget, 7, par, &memo)
+    };
     for strategy in &strategies {
-        let one = strategy.run_with(&space, &rugged, budget, 7, ParConfig::with_threads(1));
-        let eight = strategy.run_with(&space, &rugged, budget, 7, ParConfig::with_threads(8));
+        let one = run(strategy, 1);
+        let eight = run(strategy, 8);
         assert_eq!(one, eight, "{} must not depend on thread count", strategy.name());
         let bitwise = one.trace.iter().zip(&eight.trace).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(bitwise, "{}: traces must match bit for bit", strategy.name());
