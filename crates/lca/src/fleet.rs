@@ -64,12 +64,6 @@ impl FleetModel {
         self.compute_power
     }
 
-    /// Total fleet compute power while operating.
-    #[must_use]
-    pub fn fleet_power(&self) -> Watts {
-        self.compute_power * self.vehicles as f64
-    }
-
     /// Annual per-vehicle compute energy duty time.
     #[must_use]
     pub fn annual_duty(&self) -> Seconds {

@@ -40,7 +40,8 @@ pub enum ScenErrorKind {
     MalformedLine,
     /// The key is not recognized.
     UnknownKey(String),
-    /// The value could not be parsed for its key.
+    /// The value could not be parsed for its key, or lies outside the
+    /// key's range.
     InvalidValue {
         /// The key whose value failed.
         key: String,
@@ -106,20 +107,38 @@ pub fn render_scenario(s: &Scenario) -> String {
     out
 }
 
-/// Splits `value` into exactly `n` finite floats.
-fn floats(line: usize, key: &str, value: &str, n: usize) -> Result<Vec<f64>, ParseScenarioError> {
-    let invalid = || ParseScenarioError {
+fn invalid(line: usize, key: &str, value: &str) -> ParseScenarioError {
+    ParseScenarioError {
         line,
         kind: ScenErrorKind::InvalidValue { key: key.to_string(), value: value.to_string() },
-    };
+    }
+}
+
+/// Splits `value` into exactly `n` finite floats.
+fn floats(line: usize, key: &str, value: &str, n: usize) -> Result<Vec<f64>, ParseScenarioError> {
     let parts: Vec<f64> = value
         .split_whitespace()
-        .map(|p| p.parse::<f64>().map_err(|_| invalid()))
+        .map(|p| p.parse::<f64>().map_err(|_| invalid(line, key, value)))
         .collect::<Result<_, _>>()?;
     if parts.len() != n || parts.iter().any(|v| !v.is_finite()) {
-        return Err(invalid());
+        return Err(invalid(line, key, value));
     }
     Ok(parts)
+}
+
+/// Parses `value` as one finite float inside the range `ok` accepts.
+fn float_in(
+    line: usize,
+    key: &str,
+    value: &str,
+    ok: impl Fn(f64) -> bool,
+) -> Result<f64, ParseScenarioError> {
+    let v = floats(line, key, value, 1)?[0];
+    if ok(v) {
+        Ok(v)
+    } else {
+        Err(invalid(line, key, value))
+    }
 }
 
 /// Parses DSL text back into a [`Scenario`].
@@ -127,8 +146,9 @@ fn floats(line: usize, key: &str, value: &str, n: usize) -> Result<Vec<f64>, Par
 /// # Errors
 ///
 /// Returns a [`ParseScenarioError`] with the offending line on
-/// malformed input, unknown keys or families, bad numbers, or a
-/// missing mandatory field.
+/// malformed input, unknown keys or families, bad numbers (including a
+/// negative `gust` or `payload_g`, or a `sensor` derate outside
+/// `(0, 1]`), or a missing mandatory field.
 ///
 /// # Examples
 ///
@@ -173,13 +193,7 @@ pub fn parse_scenario(input: &str) -> Result<Scenario, ParseScenarioError> {
                 })?);
             }
             "seed" => {
-                seed = Some(value.parse::<u64>().map_err(|_| ParseScenarioError {
-                    line: line_no,
-                    kind: ScenErrorKind::InvalidValue {
-                        key: key.to_string(),
-                        value: value.to_string(),
-                    },
-                })?);
+                seed = Some(value.parse::<u64>().map_err(|_| invalid(line_no, key, value))?);
             }
             "level" => level = Some(floats(line_no, key, value, 1)?[0]),
             "size" => {
@@ -194,9 +208,9 @@ pub fn parse_scenario(input: &str) -> Result<Scenario, ParseScenarioError> {
                 let v = floats(line_no, key, value, 2)?;
                 goal = Some(Vec2::new(v[0], v[1]));
             }
-            "gust" => gust = Some(floats(line_no, key, value, 1)?[0]),
-            "payload_g" => payload = Some(floats(line_no, key, value, 1)?[0]),
-            "sensor" => sensor = Some(floats(line_no, key, value, 1)?[0]),
+            "gust" => gust = Some(float_in(line_no, key, value, |v| v >= 0.0)?),
+            "payload_g" => payload = Some(float_in(line_no, key, value, |v| v >= 0.0)?),
+            "sensor" => sensor = Some(float_in(line_no, key, value, |v| v > 0.0 && v <= 1.0)?),
             "circle" => {
                 let v = floats(line_no, key, value, 3)?;
                 circles.push(CircleObs { center: Vec2::new(v[0], v[1]), radius: v[2] });
@@ -292,6 +306,12 @@ mod tests {
             parse_scenario("gust = NaN\n").unwrap_err().kind,
             ScenErrorKind::InvalidValue { .. }
         ));
+        // Values the evaluator cannot fly are refused at their line.
+        for bad in ["gust = -0.1", "payload_g = -5.0", "sensor = 0.0", "sensor = 1.5"] {
+            let err = parse_scenario(&format!("family = maze\n{bad}\n")).unwrap_err();
+            assert_eq!(err.line, 2, "{bad}");
+            assert!(matches!(err.kind, ScenErrorKind::InvalidValue { .. }), "{bad}");
+        }
     }
 
     #[test]

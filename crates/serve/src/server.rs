@@ -333,13 +333,6 @@ impl ServerHandle {
         self.shared.shed.get()
     }
 
-    /// Exact count of connections reaped for being stuck past the io
-    /// timeout.
-    #[must_use]
-    pub fn reap_count(&self) -> u64 {
-        self.shared.reaped.get()
-    }
-
     /// The full live-telemetry snapshot — the same payload the
     /// `telemetry` request answers on the wire.
     #[must_use]

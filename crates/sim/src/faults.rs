@@ -106,16 +106,6 @@ impl Fault {
         let (s, e) = self.interval();
         t >= s && t < e
     }
-
-    /// Whether this fault degrades the perception path (dropout, stuck,
-    /// bias) as opposed to compute, power, or transport.
-    #[must_use]
-    pub fn is_sensor_fault(&self) -> bool {
-        matches!(
-            self,
-            Fault::SensorDropout { .. } | Fault::SensorStuck { .. } | Fault::SensorBias { .. }
-        )
-    }
 }
 
 /// Per-minute hazard rates and severity parameters for sampling random
@@ -257,8 +247,8 @@ impl FaultProfile {
 ///     start: Seconds::new(10.0),
 ///     duration: Seconds::new(5.0),
 /// }]);
-/// assert!(!schedule.sensor_available(Seconds::new(12.0)));
-/// assert!(schedule.sensor_available(Seconds::new(20.0)));
+/// assert_eq!(schedule.dropout_since(Seconds::new(12.0)), Some(Seconds::new(10.0)));
+/// assert_eq!(schedule.dropout_since(Seconds::new(20.0)), None);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
@@ -396,17 +386,10 @@ impl FaultSchedule {
         &self.faults
     }
 
-    /// Whether any fault is active at time `t` (point events count only
-    /// through [`FaultSchedule::crashes_between`]).
+    /// Whether any fault is active at time `t` (point events never are).
     #[must_use]
     pub fn any_active(&self, t: Seconds) -> bool {
         self.faults.iter().any(|f| f.active_at(t))
-    }
-
-    /// Whether the exteroceptive sensor is producing at time `t`.
-    #[must_use]
-    pub fn sensor_available(&self, t: Seconds) -> bool {
-        !self.faults.iter().any(|f| matches!(f, Fault::SensorDropout { .. }) && f.active_at(t))
     }
 
     /// The onset of the dropout outage covering `t`, if any (the earliest
@@ -456,18 +439,6 @@ impl FaultSchedule {
             .product()
     }
 
-    /// Number of compute crashes scheduled in `[t0, t1)`.
-    #[must_use]
-    pub fn crashes_between(&self, t0: Seconds, t1: Seconds) -> usize {
-        self.faults
-            .iter()
-            .filter(|f| match f {
-                Fault::ComputeCrash { at } => *at >= t0 && *at < t1,
-                _ => false,
-            })
-            .count()
-    }
-
     /// Battery delivery efficiency at time `t` (product of active sags;
     /// 1.0 nominal). Energy drawn from the pack is `power * dt /
     /// efficiency`.
@@ -497,18 +468,6 @@ impl FaultSchedule {
         1.0 - pass
     }
 
-    /// Total scheduled sensor-dropout seconds (for reporting).
-    #[must_use]
-    pub fn total_dropout(&self) -> Seconds {
-        self.faults
-            .iter()
-            .filter_map(|f| match f {
-                Fault::SensorDropout { duration, .. } => Some(*duration),
-                _ => None,
-            })
-            .sum()
-    }
-
     /// Union-merged `[start, end)` windows where perception is degraded
     /// (dropout or stuck), sorted by start. Overlapping and touching
     /// windows coalesce — the interval arithmetic the property tests pin.
@@ -536,6 +495,119 @@ impl FaultSchedule {
     }
 }
 
+/// A schedule's interval-fault state at the current mission time.
+///
+/// No fault starts or ends strictly between two consecutive interval
+/// edges, so every query below is constant there: the cursor re-asks the
+/// schedule only when time reaches the next edge, and a closed loop can
+/// hoist whatever it derives from the state the same way. Point events
+/// ([`Fault::ComputeCrash`]) are not edges; their consumer tracks them.
+#[derive(Debug)]
+pub(crate) struct FaultCursor<'a> {
+    schedule: &'a FaultSchedule,
+    /// Sorted, distinct starts and ends of the interval faults.
+    edges: Vec<f64>,
+    /// Index of the first edge later than the last refresh.
+    next: usize,
+    /// [`FaultSchedule::compute_slowdown`].
+    pub(crate) slowdown: f64,
+    /// [`FaultSchedule::battery_efficiency`].
+    pub(crate) efficiency: f64,
+    /// [`FaultSchedule::message_drop_rate`].
+    pub(crate) drop_rate: f64,
+    /// [`FaultSchedule::sensor_bias`] while a bias fault is active.
+    pub(crate) bias: Option<f64>,
+    /// [`FaultSchedule::any_active`].
+    pub(crate) any_active: bool,
+    /// [`FaultSchedule::dropout_since`].
+    pub(crate) dropout_since: Option<Seconds>,
+    /// [`FaultSchedule::stuck_since`].
+    pub(crate) stuck_since: Option<Seconds>,
+}
+
+impl<'a> FaultCursor<'a> {
+    /// A cursor at mission time zero.
+    pub(crate) fn new(schedule: &'a FaultSchedule) -> Self {
+        let mut edges: Vec<f64> = schedule
+            .faults
+            .iter()
+            .filter(|f| !matches!(f, Fault::ComputeCrash { .. }))
+            .flat_map(|f| {
+                let (s, e) = f.interval();
+                [s.value(), e.value()]
+            })
+            .collect();
+        edges.sort_by(f64::total_cmp);
+        edges.dedup();
+        let mut cursor = Self {
+            schedule,
+            edges,
+            next: 0,
+            slowdown: 1.0,
+            efficiency: 1.0,
+            drop_rate: 0.0,
+            bias: None,
+            any_active: false,
+            dropout_since: None,
+            stuck_since: None,
+        };
+        cursor.refresh(Seconds::ZERO);
+        cursor
+    }
+
+    /// The earliest mission time at which the state can change.
+    pub(crate) fn next_edge(&self) -> f64 {
+        self.edges.get(self.next).copied().unwrap_or(f64::INFINITY)
+    }
+
+    /// Brings the state to mission time `t`, which must not decrease
+    /// between calls. Returns whether an edge was crossed.
+    pub(crate) fn seek(&mut self, t: Seconds) -> bool {
+        if t.value() < self.next_edge() {
+            return false;
+        }
+        self.refresh(t);
+        true
+    }
+
+    fn refresh(&mut self, t: Seconds) {
+        let s = self.schedule;
+        self.next = self.edges.partition_point(|&e| e <= t.value());
+        self.slowdown = s.compute_slowdown(t);
+        self.efficiency = s.battery_efficiency(t);
+        self.drop_rate = s.message_drop_rate(t);
+        self.bias = s
+            .faults
+            .iter()
+            .any(|f| matches!(f, Fault::SensorBias { .. }) && f.active_at(t))
+            .then(|| s.sensor_bias(t));
+        self.any_active = s.any_active(t);
+        self.dropout_since = s.dropout_since(t);
+        self.stuck_since = s.stuck_since(t);
+    }
+
+    /// Asserts that the state equals the schedule's direct queries at `t`.
+    #[cfg(test)]
+    pub(crate) fn assert_current(&self, t: Seconds) {
+        let s = self.schedule;
+        assert_eq!(self.slowdown.to_bits(), s.compute_slowdown(t).to_bits(), "slowdown at {t}");
+        assert_eq!(self.efficiency.to_bits(), s.battery_efficiency(t).to_bits(), "sag at {t}");
+        assert_eq!(self.drop_rate.to_bits(), s.message_drop_rate(t).to_bits(), "drops at {t}");
+        assert_eq!(self.bias.unwrap_or(0.0), s.sensor_bias(t), "bias at {t}");
+        assert_eq!(self.any_active, s.any_active(t), "any_active at {t}");
+        assert_eq!(self.dropout_since, s.dropout_since(t), "dropout at {t}");
+        assert_eq!(self.stuck_since, s.stuck_since(t), "stuck at {t}");
+        CURSOR_CHECKS.with(|n| n.set(n.get() + 1));
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Steps at which [`FaultCursor::assert_current`] has passed on this
+    /// thread.
+    pub(crate) static CURSOR_CHECKS: core::cell::Cell<u64> = const { core::cell::Cell::new(0) };
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -543,12 +615,11 @@ mod tests {
     #[test]
     fn empty_schedule_is_nominal() {
         let s = FaultSchedule::none();
-        assert!(s.sensor_available(Seconds::new(0.0)));
+        assert_eq!(s.dropout_since(Seconds::new(0.0)), None);
         assert_eq!(s.compute_slowdown(Seconds::new(100.0)), 1.0);
         assert_eq!(s.battery_efficiency(Seconds::new(100.0)), 1.0);
         assert_eq!(s.message_drop_rate(Seconds::new(100.0)), 0.0);
         assert_eq!(s.sensor_bias(Seconds::new(100.0)), 0.0);
-        assert_eq!(s.total_dropout(), Seconds::ZERO);
         assert!(!s.any_active(Seconds::new(0.0)));
         assert!(s.merged_sensor_outages().is_empty());
     }
@@ -559,13 +630,10 @@ mod tests {
             start: Seconds::new(10.0),
             duration: Seconds::new(5.0),
         }]);
-        assert!(s.sensor_available(Seconds::new(9.99)));
-        assert!(!s.sensor_available(Seconds::new(10.0)));
-        assert!(!s.sensor_available(Seconds::new(14.99)));
-        assert!(s.sensor_available(Seconds::new(15.0)));
-        assert_eq!(s.total_dropout(), Seconds::new(5.0));
-        assert_eq!(s.dropout_since(Seconds::new(12.0)), Some(Seconds::new(10.0)));
-        assert_eq!(s.dropout_since(Seconds::new(16.0)), None);
+        assert_eq!(s.dropout_since(Seconds::new(9.99)), None);
+        assert_eq!(s.dropout_since(Seconds::new(10.0)), Some(Seconds::new(10.0)));
+        assert_eq!(s.dropout_since(Seconds::new(14.99)), Some(Seconds::new(10.0)));
+        assert_eq!(s.dropout_since(Seconds::new(15.0)), None);
     }
 
     #[test]
@@ -637,21 +705,13 @@ mod tests {
         assert_eq!(s.stuck_since(Seconds::new(9.0)), None);
         assert_eq!(s.sensor_bias(Seconds::new(7.0)), 2.0);
         assert_eq!(s.sensor_bias(Seconds::new(12.0)), 1.5);
-        // Stuck sensors still "produce" — availability is unaffected.
-        assert!(s.sensor_available(Seconds::new(6.0)));
+        // Stuck sensors still "produce" — they are not a dropout.
+        assert_eq!(s.dropout_since(Seconds::new(6.0)), None);
     }
 
     #[test]
-    fn crash_counting_is_half_open() {
-        let s = FaultSchedule::new(vec![
-            Fault::ComputeCrash { at: Seconds::new(10.0) },
-            Fault::ComputeCrash { at: Seconds::new(10.5) },
-            Fault::ComputeCrash { at: Seconds::new(20.0) },
-        ]);
-        assert_eq!(s.crashes_between(Seconds::new(10.0), Seconds::new(11.0)), 2);
-        assert_eq!(s.crashes_between(Seconds::new(11.0), Seconds::new(20.0)), 0);
-        assert_eq!(s.crashes_between(Seconds::new(20.0), Seconds::new(21.0)), 1);
-        // A point event is never "active".
+    fn point_events_are_never_active() {
+        let s = FaultSchedule::new(vec![Fault::ComputeCrash { at: Seconds::new(10.0) }]);
         assert!(!s.any_active(Seconds::new(10.0)));
     }
 

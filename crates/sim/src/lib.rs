@@ -13,7 +13,8 @@
 //!   with explicit data-movement taxes (the "AI tax").
 //! - [`uav`] — a closed-loop point-mass UAV whose safe speed is coupled to
 //!   its perception/planning latency and whose endurance is coupled to the
-//!   mass and power of its compute tier.
+//!   mass and power of its compute tier. [`uav::Uav::fly_degraded`] is its
+//!   one step loop, with or without faults.
 //! - [`mission`] — mission specifications and outcome metrics.
 //!
 //! # Examples

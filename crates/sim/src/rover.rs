@@ -131,6 +131,9 @@ impl Rover {
 
     /// Patrols from `start` through every goal in order, planning each leg
     /// with RRT and tracking it with pure pursuit. Deterministic in `seed`.
+    ///
+    /// [`Rover::patrol_degraded`] with an empty schedule and
+    /// [`DegradationPolicy::none`], where every fault factor is exactly 1.
     #[must_use]
     pub fn patrol(
         &self,
@@ -139,79 +142,17 @@ impl Rover {
         goals: &[Vec2],
         seed: u64,
     ) -> RoverOutcome {
-        let dt = Seconds::new(0.05);
-        let mut battery = Battery::new(self.config.battery);
-        let mut pose = Pose2::new(start, 0.0);
-        let mut time = Seconds::ZERO;
-        let mut planning_time = Seconds::ZERO;
-        let mut distance = Meters::new(0.0);
-        let mut goals_reached = 0usize;
-        let compute_power: Watts = self.config.tier.power();
-
-        'mission: for (leg, &goal) in goals.iter().enumerate() {
-            // Plan the leg (the rover sits still while compute runs).
-            let planner = Rrt::new(RrtConfig::default(), seed ^ (leg as u64) << 8);
-            let Some(raw) = planner.plan(world, pose.position, goal) else {
-                break;
-            };
-            let path = raw.shortcut(world);
-            let plan_cost = self.config.tier.plan_latency() * 20.0; // full leg plan ≈ 20 replans
-            planning_time += plan_cost;
-            time += plan_cost;
-            if !battery.draw(compute_power + self.config.base_power, plan_cost) {
-                break;
-            }
-
-            // Pure-pursuit tracking along the smoothed path.
-            let mut s = 0.0f64; // arc-length progress of the lookahead point
-            let max_steps = 200_000;
-            for _ in 0..max_steps {
-                if pose.position.distance(goal) < 0.5 {
-                    goals_reached += 1;
-                    continue 'mission;
-                }
-                // Advance the carrot to stay `lookahead` ahead of the rover.
-                while s < path.length()
-                    && path.point_at(s).distance(pose.position) < self.config.lookahead
-                {
-                    s += self.config.lookahead * 0.25;
-                }
-                let carrot = path.point_at(s.min(path.length()));
-                let to_carrot = carrot - pose.position;
-                let heading_error = normalize_angle(to_carrot.angle() - pose.heading);
-                // Unicycle command: slow down for sharp turns.
-                let v = self.config.max_speed
-                    * (1.0 - 0.7 * (heading_error.abs() / core::f64::consts::PI));
-                let omega = 2.5 * heading_error;
-                // Integrate the kinematics.
-                let step = v * dt;
-                pose = Pose2::new(
-                    pose.position + pose.forward() * step.value(),
-                    pose.heading + omega * dt.value(),
-                );
-                distance += step;
-                time += dt;
-                let p = self.drive_power(v) + compute_power;
-                if !battery.draw(p, dt) {
-                    break 'mission;
-                }
-            }
-            // Tracking stalled (should not happen on valid paths).
-            break;
-        }
-
-        RoverOutcome {
-            goals_reached,
-            time,
-            planning_time,
-            energy: battery.used().min(battery.capacity()),
-            distance,
-            completed: goals_reached == goals.len(),
-        }
+        let (none, blind) = (FaultSchedule::none(), DegradationPolicy::none());
+        self.patrol_degraded(world, start, goals, &none, &blind, seed).outcome
     }
 
     /// Patrols under a fault schedule while consulting a
-    /// [`DegradationPolicy`], deterministic in `seed`.
+    /// [`DegradationPolicy`], deterministic in `seed`. This is the rover's
+    /// one closed loop; [`Rover::patrol`] and experiment E12 run it.
+    ///
+    /// Each leg is planned with RRT while the rover stands still, then
+    /// tracked with pure pursuit in 50 ms steps; a leg that has not
+    /// reached its goal after 200 000 steps ends the patrol.
     ///
     /// A ground vehicle degrades differently from a UAV: stopping is
     /// always safe, so crashes and outages cost *time and energy* rather
@@ -264,8 +205,9 @@ impl Rover {
                 break;
             };
             let path = raw.shortcut(world);
-            // Brownouts stretch the planning stall; the fallback kernel
-            // shrinks it (and its power) at no safety cost on the ground.
+            // A full leg plan costs about 20 replans. Brownouts stretch the
+            // planning stall; the fallback kernel shrinks it (and its power)
+            // at no safety cost on the ground.
             let slowdown = faults.compute_slowdown(time);
             let stressed = slowdown >= 1.5 || faults.battery_efficiency(time) < 1.0;
             let (lat_scale, p_plan) = if policy.kernel_fallback && stressed {
@@ -282,8 +224,8 @@ impl Rover {
                 break;
             }
 
-            let mut s = 0.0f64;
-            let max_steps = 400_000;
+            let mut s = 0.0f64; // arc-length progress of the lookahead point
+            let max_steps = 200_000;
             for _ in 0..max_steps {
                 if pose.position.distance(goal) < 0.5 {
                     goals_reached += 1;
@@ -356,6 +298,7 @@ impl Rover {
                     break 'mission;
                 }
             }
+            // Tracking stalled (should not happen on valid paths).
             break;
         }
 
@@ -477,23 +420,115 @@ mod tests {
         assert!(heavy.drive_power(MetersPerSecond::new(2.0)) > fast);
     }
 
+    /// The nominal patrol loop as it stood before [`Rover::patrol`] became
+    /// a wrapper over [`Rover::patrol_degraded`], kept as a bit-exact
+    /// oracle.
+    fn reference_patrol(
+        rover: &Rover,
+        world: &CollisionWorld,
+        start: Vec2,
+        goals: &[Vec2],
+        seed: u64,
+    ) -> RoverOutcome {
+        let config = rover.config();
+        let dt = Seconds::new(0.05);
+        let mut battery = Battery::new(config.battery);
+        let mut pose = Pose2::new(start, 0.0);
+        let mut time = Seconds::ZERO;
+        let mut planning_time = Seconds::ZERO;
+        let mut distance = Meters::new(0.0);
+        let mut goals_reached = 0usize;
+        let compute_power: Watts = config.tier.power();
+
+        'mission: for (leg, &goal) in goals.iter().enumerate() {
+            let planner = Rrt::new(RrtConfig::default(), seed ^ (leg as u64) << 8);
+            let Some(raw) = planner.plan(world, pose.position, goal) else {
+                break;
+            };
+            let path = raw.shortcut(world);
+            let plan_cost = config.tier.plan_latency() * 20.0;
+            planning_time += plan_cost;
+            time += plan_cost;
+            if !battery.draw(compute_power + config.base_power, plan_cost) {
+                break;
+            }
+
+            let mut s = 0.0f64;
+            for _ in 0..200_000 {
+                if pose.position.distance(goal) < 0.5 {
+                    goals_reached += 1;
+                    continue 'mission;
+                }
+                while s < path.length()
+                    && path.point_at(s).distance(pose.position) < config.lookahead
+                {
+                    s += config.lookahead * 0.25;
+                }
+                let carrot = path.point_at(s.min(path.length()));
+                let to_carrot = carrot - pose.position;
+                let heading_error = normalize_angle(to_carrot.angle() - pose.heading);
+                let v =
+                    config.max_speed * (1.0 - 0.7 * (heading_error.abs() / core::f64::consts::PI));
+                let omega = 2.5 * heading_error;
+                let step = v * dt;
+                pose = Pose2::new(
+                    pose.position + pose.forward() * step.value(),
+                    pose.heading + omega * dt.value(),
+                );
+                distance += step;
+                time += dt;
+                let p = rover.drive_power(v) + compute_power;
+                if !battery.draw(p, dt) {
+                    break 'mission;
+                }
+            }
+            break;
+        }
+
+        RoverOutcome {
+            goals_reached,
+            time,
+            planning_time,
+            energy: battery.used().min(battery.capacity()),
+            distance,
+            completed: goals_reached == goals.len(),
+        }
+    }
+
     #[test]
-    fn degraded_patrol_with_no_faults_matches_legacy_shape() {
-        let world = open_world();
-        let rover = Rover::new(RoverConfig::default());
-        let goals = [Vec2::new(25.0, 25.0)];
-        let legacy = rover.patrol(&world, Vec2::new(2.0, 2.0), &goals, 7);
-        let degraded = rover.patrol_degraded(
-            &world,
-            Vec2::new(2.0, 2.0),
-            &goals,
-            &FaultSchedule::none(),
-            &DegradationPolicy::none(),
-            7,
-        );
-        assert_eq!(degraded.outcome, legacy, "blind + faultless replays the legacy loop");
-        assert!(!degraded.safe_stopped);
-        assert_eq!(degraded.retries, 0);
+    fn patrol_replays_the_reference_loop_bit_for_bit() {
+        let bits = |o: &RoverOutcome| {
+            [
+                o.goals_reached as u64,
+                o.time.value().to_bits(),
+                o.planning_time.value().to_bits(),
+                o.energy.value().to_bits(),
+                o.distance.value().to_bits(),
+                u64::from(o.completed),
+            ]
+        };
+        let mut walled = CollisionWorld::new(30.0, 30.0);
+        walled.add_rect(Vec2::new(12.0, 5.0), Vec2::new(14.0, 25.0));
+        let mut blocked = CollisionWorld::new(20.0, 20.0);
+        blocked.add_rect(Vec2::new(9.0, 0.0), Vec2::new(11.0, 20.0));
+        let cases: [(&CollisionWorld, Vec2, &[Vec2]); 4] = [
+            (&walled, Vec2::new(2.0, 2.0), &[Vec2::new(25.0, 5.0), Vec2::new(25.0, 28.0)]),
+            (&walled, Vec2::new(1.0, 1.0), &[Vec2::new(2.0, 28.0)]),
+            (&blocked, Vec2::new(2.0, 10.0), &[Vec2::new(18.0, 10.0)]),
+            (&blocked, Vec2::new(2.0, 2.0), &[Vec2::new(5.0, 18.0), Vec2::new(2.0, 2.0)]),
+        ];
+        let tiny = RoverConfig { battery: Joules::new(300.0), ..RoverConfig::default() };
+        let micro = RoverConfig { tier: ComputeTier::Micro, ..RoverConfig::default() };
+        for config in [RoverConfig::default(), tiny, micro] {
+            let rover = Rover::new(config);
+            for (i, &(world, start, goals)) in cases.iter().enumerate() {
+                for seed in [3, 11] {
+                    let want = reference_patrol(&rover, world, start, goals, seed);
+                    let got = rover.patrol(world, start, goals, seed);
+                    assert_eq!(bits(&got), bits(&want), "case {i} seed {seed}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -144,6 +144,8 @@ impl NoiseSource {
     }
 
     /// Draws one sample.
+    // Inlined into the closed loops' steps, whose largest cost it is.
+    #[inline]
     pub fn sample(&mut self) -> f64 {
         if let Some(s) = self.spare.take() {
             return s * self.std;

@@ -16,7 +16,7 @@
 
 use crate::battery::{hover_power, Battery};
 use crate::degrade::DegradationPolicy;
-use crate::faults::FaultSchedule;
+use crate::faults::{FaultCursor, FaultSchedule};
 use crate::mission::{MissionOutcome, MissionSpec};
 use crate::sensor::NoiseSource;
 use m7_units::{Grams, Hertz, Joules, Meters, MetersPerSecond, Seconds, Watts};
@@ -203,101 +203,35 @@ impl Uav {
         self.config.frame_mass + self.config.tier.mass() + Grams::new(mission.payload_grams())
     }
 
-    /// Flies `mission`, deterministic in `seed`.
-    ///
-    /// Equivalent to [`Uav::fly_with_faults`] with an empty schedule.
+    /// Flies `mission` with no faults and the fault-blind policy,
+    /// deterministic in `seed`: [`Uav::fly_degraded`] with an empty
+    /// schedule and [`DegradationPolicy::none`], where every fault factor
+    /// is exactly 1.
     #[must_use]
     pub fn fly(&self, mission: &MissionSpec, seed: u64) -> MissionOutcome {
-        self.fly_with_faults(mission, &crate::faults::FaultSchedule::none(), seed)
-    }
-
-    /// Flies `mission` under a fault schedule, deterministic in `seed`.
-    ///
-    /// Fixed-step closed loop (20 ms): each step the vehicle cruises at its
-    /// gust-perturbed safe speed, draws hover plus compute power, and counts
-    /// replans at the tier's plan rate. During a sensor dropout the vehicle
-    /// creeps blind at 0.3 m/s; during a compute brownout the reaction
-    /// latency (and thus the safe speed) degrades by the scheduled factor.
-    /// The mission aborts when the battery empties.
-    #[must_use]
-    pub fn fly_with_faults(
-        &self,
-        mission: &MissionSpec,
-        faults: &crate::faults::FaultSchedule,
-        seed: u64,
-    ) -> MissionOutcome {
-        let dt = Seconds::new(0.02);
-        let mass = self.all_up_mass(mission);
-        let p_hover = hover_power(mass, self.config.rotor_disk_area);
-        let p_compute = self.config.tier.power();
-        let mut gusts = NoiseSource::new(mission.gust_std(), seed);
-
-        let mut battery = Battery::new(self.config.battery);
-        let mut covered = Meters::new(0.0);
-        let mut t = Seconds::ZERO;
-        let mut replan_accumulator = 0.0;
-        let mut replans = 0u64;
-        let plan_rate = self.config.tier.plan_rate();
-
-        // Safety cap so a mis-configured vehicle cannot spin forever.
-        let max_steps = 10_000_000usize;
-        let mut completed = false;
-        for _ in 0..max_steps {
-            if covered >= mission.distance() {
-                completed = true;
-                break;
-            }
-            // Fault-adjusted commanded speed.
-            let v_cmd = if faults.sensor_available(t) {
-                let slowdown = faults.compute_slowdown(t);
-                let t_react = self.config.tier.plan_latency() * slowdown;
-                MetersPerSecond::new(self.config.sensor_range.value() / (2.0 * t_react.value()))
-                    .min(self.config.max_speed)
-            } else {
-                MetersPerSecond::new(0.3) // blind creep
-            };
-            // Gusts perturb ground speed multiplicatively.
-            let v = (v_cmd * (1.0 + gusts.sample())).max(MetersPerSecond::new(0.0));
-            let p_total = p_hover + p_compute;
-            if !battery.draw(p_total, dt) {
-                t += dt;
-                break;
-            }
-            covered += v * dt;
-            t += dt;
-            replan_accumulator += plan_rate.value() * dt.value();
-            while replan_accumulator >= 1.0 {
-                replan_accumulator -= 1.0;
-                replans += 1;
-            }
-        }
-
-        let average_speed = if t.value() > 0.0 { covered / t } else { MetersPerSecond::new(0.0) };
-        MissionOutcome {
-            completed,
-            time: t,
-            energy: battery.used().min(battery.capacity()),
-            distance: covered.min(mission.distance()),
-            average_speed,
-            propulsion_power: p_hover,
-            compute_power: p_compute,
-            replans,
-        }
+        self.fly_degraded(mission, &FaultSchedule::none(), &DegradationPolicy::none(), seed).mission
     }
 
     /// Flies `mission` under a fault schedule while consulting a
-    /// [`DegradationPolicy`], deterministic in `seed`.
+    /// [`DegradationPolicy`], deterministic in `seed`. This is the UAV's
+    /// one closed loop: [`Uav::fly`] and experiment E11 both run it.
     ///
-    /// This is the robustness-campaign engine behind experiment E11. On
-    /// top of the nominal closed loop it models:
+    /// Fixed-step loop (20 ms): each step the vehicle cruises at its
+    /// gust-perturbed safe speed, draws hover plus compute power, and
+    /// counts replans at the tier's plan rate. The mission aborts when the
+    /// battery empties. On top of that it models:
     ///
     /// - **Compute crashes** ([`crate::faults::Fault::ComputeCrash`]): the
     ///   stack dies and the vehicle hovers while it restarts — warm
     ///   retries with backoff if the policy enables them, otherwise a
     ///   full cold boot.
+    /// - **Brownouts**: the reaction latency, and so the safe speed,
+    ///   degrades by the scheduled factor.
     /// - **Sensor dropouts**: dead-reckoning coast at a fraction of the
     ///   safe speed (bounded by the coast budget) if enabled, else a
-    ///   blind creep.
+    ///   blind creep at 0.3 m/s.
+    /// - **Sensor bias**: the usable sensing range shrinks by the bias,
+    ///   floored at 0.5 m while a bias is active.
     /// - **Stuck sensors**: a fault-blind vehicle flies stale frames at
     ///   full speed and accrues collision hazard per meter; an aware
     ///   vehicle detects staleness after the watchdog period and coasts.
@@ -313,7 +247,15 @@ impl Uav {
     ///
     /// Health monitoring is not free: an aware policy pays
     /// [`DegradationPolicy::monitor_overhead`] on nominal reaction time.
+    ///
+    /// The fault state is piecewise constant in mission time, so the loop
+    /// re-derives the reaction latency, safe speed and power draw only when
+    /// time reaches the next fault edge, scheduled crash or end of a
+    /// restart.
     #[must_use]
+    // Inlined into `fly`, whose empty schedule and blind policy the
+    // optimizer then folds into a fault-free copy of the loop.
+    #[inline]
     pub fn fly_degraded(
         &self,
         mission: &MissionSpec,
@@ -339,6 +281,7 @@ impl Uav {
             })
             .collect();
         crash_times.sort_by(|a, b| a.value().partial_cmp(&b.value()).expect("finite crashes"));
+        let crash_at = |i: usize| crash_times.get(i).map_or(f64::INFINITY, |c| c.value());
         let mut next_crash = 0usize;
 
         let mut battery = Battery::new(self.config.battery);
@@ -367,6 +310,40 @@ impl Uav {
                 .min(self.config.max_speed)
         };
 
+        let cruise = |c: &FaultCursor| {
+            let range = self.config.sensor_range.value();
+            let mut range_eff = Meters::new(c.bias.map_or(range, |b| (range - b).max(0.5)));
+            let mut latency = self.config.tier.plan_latency();
+            let mut p_compute_eff = p_compute;
+            // Cheaper kernel variant: faster and frugal, slightly worse
+            // effective sensing — worth it only under stress.
+            let fallback = policy.kernel_fallback && (c.slowdown >= 1.5 || c.efficiency < 1.0);
+            if fallback {
+                latency *= 0.5;
+                p_compute_eff = p_compute * 0.35;
+                range_eff *= 0.85;
+            }
+            // Dropped inter-stage messages cost retransmits.
+            let retransmit = 1.0 / (1.0 - c.drop_rate);
+            let t_react = latency * c.slowdown * overhead * retransmit;
+            Cruise {
+                t_react,
+                v_safe: MetersPerSecond::new(range_eff.value() / (2.0 * t_react.value()))
+                    .min(self.config.max_speed),
+                fallback,
+                p_fly: Watts::new((p_hover + p_compute_eff).value() / c.efficiency),
+                // Stack rebooting, near-idle.
+                p_reboot: Watts::new((p_hover + p_compute * 0.2).value() / c.efficiency),
+            }
+        };
+        let mut cursor = FaultCursor::new(faults);
+        let mut now = cruise(&cursor);
+        let mut next_event = cursor.next_edge().min(crash_at(0));
+        // No fault active and no restart under way: the step cruises at
+        // `now.v_safe`. Like `now`, this changes only at an event.
+        let mut quiet = !cursor.any_active;
+
+        // Safety cap so a mis-configured vehicle cannot spin forever.
         let max_steps = 10_000_000usize;
         for step in 0..max_steps {
             if covered >= mission.distance() {
@@ -374,28 +351,41 @@ impl Uav {
                 break;
             }
 
-            // Transient compute crashes ground planning until recovered.
-            while next_crash < crash_times.len() && crash_times[next_crash] <= t {
-                next_crash += 1;
-                let mut downtime = Seconds::ZERO;
-                let mut revived = false;
-                let mut attempt = 0u32;
-                while let Some(cost) = policy.retry_cost(attempt) {
-                    downtime += cost;
-                    retries += 1;
-                    attempt += 1;
-                    if events.gen_bool(WARM_RESTART_SUCCESS) {
-                        revived = true;
-                        break;
+            if t.value() >= next_event {
+                // Transient compute crashes ground planning until recovered.
+                while next_crash < crash_times.len() && crash_times[next_crash] <= t {
+                    next_crash += 1;
+                    let mut downtime = Seconds::ZERO;
+                    let mut revived = false;
+                    let mut attempt = 0u32;
+                    while let Some(cost) = policy.retry_cost(attempt) {
+                        downtime += cost;
+                        retries += 1;
+                        attempt += 1;
+                        if events.gen_bool(WARM_RESTART_SUCCESS) {
+                            revived = true;
+                            break;
+                        }
                     }
+                    if !revived {
+                        downtime += Seconds::new(COLD_BOOT_S);
+                        cold_boots += 1;
+                    }
+                    let until = t + downtime;
+                    recovering_until = recovering_until.max(until);
                 }
-                if !revived {
-                    downtime += Seconds::new(COLD_BOOT_S);
-                    cold_boots += 1;
+                if cursor.seek(t) {
+                    now = cruise(&cursor);
                 }
-                let until = t + downtime;
-                recovering_until = recovering_until.max(until);
+                next_event = cursor.next_edge().min(crash_at(next_crash));
+                let recovering = t < recovering_until;
+                if recovering {
+                    next_event = next_event.min(recovering_until.value());
+                }
+                quiet = !recovering && !cursor.any_active;
             }
+            #[cfg(test)]
+            cursor.assert_current(t);
 
             // Commanded safe-stop: land now if finishing is no longer
             // energetically credible above the reserve.
@@ -409,52 +399,33 @@ impl Uav {
                 }
             }
 
-            let recovering = t < recovering_until;
-            let mut p_compute_eff = p_compute;
             let mut stale_exposure = false;
-            let v_cmd = if recovering {
-                p_compute_eff = p_compute * 0.2; // stack rebooting, near-idle
-                MetersPerSecond::new(0.0)
+            let (v_cmd, p_total) = if quiet {
+                (now.v_safe, now.p_fly)
+            } else if t < recovering_until {
+                (MetersPerSecond::new(0.0), now.p_reboot)
             } else {
-                let slowdown = faults.compute_slowdown(t);
-                let sag_eff = faults.battery_efficiency(t);
-                let drop_rate = faults.message_drop_rate(t);
-                let mut range_eff = Meters::new(
-                    (self.config.sensor_range.value() - faults.sensor_bias(t)).max(0.5),
-                );
-                let mut latency = self.config.tier.plan_latency();
-                // Cheaper kernel variant: faster and frugal, slightly
-                // worse effective sensing — worth it only under stress.
-                if policy.kernel_fallback && (slowdown >= 1.5 || sag_eff < 1.0) {
-                    latency *= 0.5;
-                    p_compute_eff = p_compute * 0.35;
-                    range_eff *= 0.85;
+                if now.fallback {
                     fallback_time += dt;
                 }
-                // Dropped inter-stage messages cost retransmits.
-                let retransmit = 1.0 / (1.0 - drop_rate);
-                let t_react = latency * slowdown * overhead * retransmit;
-                let v_safe = MetersPerSecond::new(range_eff.value() / (2.0 * t_react.value()))
-                    .min(self.config.max_speed);
-                if step % 25 == 0 && faults.any_active(t) {
-                    degraded_latencies_s.push(t_react.value());
+                if cursor.any_active && step % 25 == 0 {
+                    degraded_latencies_s.push(now.t_react.value());
                 }
-
-                if let Some(since) = faults.dropout_since(t) {
+                let v_cmd = if let Some(since) = cursor.dropout_since {
                     match policy.coast {
                         Some(c) if t - since < c.max_duration => {
                             coast_time += dt;
-                            v_safe * c.speed_fraction
+                            now.v_safe * c.speed_fraction
                         }
                         _ => MetersPerSecond::new(BLIND_CREEP),
                     }
-                } else if let Some(since) = faults.stuck_since(t) {
+                } else if let Some(since) = cursor.stuck_since {
                     match policy.coast {
                         // Watchdog has flagged the stale stream: coast.
                         Some(c) if t - since >= c.detect_after => {
                             if t - since < c.detect_after + c.max_duration {
                                 coast_time += dt;
-                                v_safe * c.speed_fraction
+                                now.v_safe * c.speed_fraction
                             } else {
                                 MetersPerSecond::new(BLIND_CREEP)
                             }
@@ -462,14 +433,16 @@ impl Uav {
                         // Undetected: full speed on stale frames.
                         _ => {
                             stale_exposure = true;
-                            v_safe
+                            now.v_safe
                         }
                     }
                 } else {
-                    v_safe
-                }
+                    now.v_safe
+                };
+                (v_cmd, now.p_fly)
             };
 
+            // Gusts perturb ground speed multiplicatively.
             let v = (v_cmd * (1.0 + gusts.sample())).max(MetersPerSecond::new(0.0));
 
             // Flying stale perception risks an obstacle strike.
@@ -482,8 +455,6 @@ impl Uav {
                 }
             }
 
-            let sag_eff = faults.battery_efficiency(t);
-            let p_total = Watts::new((p_hover + p_compute_eff).value() / sag_eff);
             if !battery.draw(p_total, dt) {
                 t += dt;
                 crashed = true; // fell out of the sky, pack exhausted
@@ -521,6 +492,21 @@ impl Uav {
             degraded_latencies_s,
         }
     }
+}
+
+/// The step values [`Uav::fly_degraded`] derives from the fault state,
+/// held between fault edges.
+struct Cruise {
+    /// Effective reaction latency.
+    t_react: Seconds,
+    /// Perception-limited cruise speed.
+    v_safe: MetersPerSecond,
+    /// The fallback kernel variant is in use.
+    fallback: bool,
+    /// Pack draw while flying.
+    p_fly: Watts,
+    /// Pack draw while the stack restarts.
+    p_reboot: Watts,
 }
 
 /// Outcome of a fault-injected, policy-mediated flight
@@ -637,18 +623,21 @@ mod tests {
 
     #[test]
     fn sensor_dropout_slows_the_mission() {
-        use crate::faults::{Fault, FaultSchedule};
+        use crate::faults::Fault;
         let uav = Uav::new(UavConfig::default());
         let mission = MissionSpec::survey(1000.0);
         let nominal = uav.fly(&mission, 1);
-        let degraded = uav.fly_with_faults(
-            &mission,
-            &FaultSchedule::new(vec![Fault::SensorDropout {
-                start: Seconds::new(5.0),
-                duration: Seconds::new(20.0),
-            }]),
-            1,
-        );
+        let degraded = uav
+            .fly_degraded(
+                &mission,
+                &FaultSchedule::new(vec![Fault::SensorDropout {
+                    start: Seconds::new(5.0),
+                    duration: Seconds::new(20.0),
+                }]),
+                &DegradationPolicy::none(),
+                1,
+            )
+            .mission;
         assert!(nominal.completed && degraded.completed);
         assert!(
             degraded.time.value() > nominal.time.value() + 15.0,
@@ -660,54 +649,165 @@ mod tests {
 
     #[test]
     fn brownout_reduces_safe_speed() {
-        use crate::faults::{Fault, FaultSchedule};
+        use crate::faults::Fault;
         // A tier that is perception-limited even nominally.
         let uav = Uav::new(UavConfig::default().with_tier(ComputeTier::Micro));
         let mission = MissionSpec::survey(500.0).with_gusts(0.0);
         let nominal = uav.fly(&mission, 2);
-        let browned = uav.fly_with_faults(
-            &mission,
-            &FaultSchedule::new(vec![Fault::ComputeBrownout {
-                start: Seconds::ZERO,
-                duration: Seconds::new(1e6),
-                slowdown: 2.0,
-            }]),
-            2,
-        );
+        let browned = uav
+            .fly_degraded(
+                &mission,
+                &FaultSchedule::new(vec![Fault::ComputeBrownout {
+                    start: Seconds::ZERO,
+                    duration: Seconds::new(1e6),
+                    slowdown: 2.0,
+                }]),
+                &DegradationPolicy::none(),
+                2,
+            )
+            .mission;
         assert!(browned.time.value() > nominal.time.value() * 1.8, "half the speed, ~2x the time");
     }
 
     #[test]
     fn long_blind_crawl_can_fail_the_mission() {
-        use crate::faults::{Fault, FaultSchedule};
+        use crate::faults::Fault;
         let uav = Uav::new(UavConfig::default());
         let mission = MissionSpec::survey(3000.0);
-        let blinded = uav.fly_with_faults(
-            &mission,
-            &FaultSchedule::new(vec![Fault::SensorDropout {
-                start: Seconds::ZERO,
-                duration: Seconds::new(1e6),
-            }]),
-            3,
-        );
+        let blinded = uav
+            .fly_degraded(
+                &mission,
+                &FaultSchedule::new(vec![Fault::SensorDropout {
+                    start: Seconds::ZERO,
+                    duration: Seconds::new(1e6),
+                }]),
+                &DegradationPolicy::none(),
+                3,
+            )
+            .mission;
         assert!(!blinded.completed, "creeping blind at 0.3 m/s drains the battery first");
     }
 
+    /// The nominal closed loop as it stood before [`Uav::fly`] became a
+    /// wrapper over [`Uav::fly_degraded`], kept as a bit-exact oracle.
+    fn reference_fly(uav: &Uav, mission: &MissionSpec, seed: u64) -> MissionOutcome {
+        let config = uav.config();
+        let dt = Seconds::new(0.02);
+        let mass = uav.all_up_mass(mission);
+        let p_hover = hover_power(mass, config.rotor_disk_area);
+        let p_compute = config.tier.power();
+        let mut gusts = NoiseSource::new(mission.gust_std(), seed);
+
+        let mut battery = Battery::new(config.battery);
+        let mut covered = Meters::new(0.0);
+        let mut t = Seconds::ZERO;
+        let mut replan_accumulator = 0.0;
+        let mut replans = 0u64;
+        let plan_rate = config.tier.plan_rate();
+
+        let max_steps = 10_000_000usize;
+        let mut completed = false;
+        for _ in 0..max_steps {
+            if covered >= mission.distance() {
+                completed = true;
+                break;
+            }
+            let t_react = config.tier.plan_latency();
+            let v_cmd = MetersPerSecond::new(config.sensor_range.value() / (2.0 * t_react.value()))
+                .min(config.max_speed);
+            let v = (v_cmd * (1.0 + gusts.sample())).max(MetersPerSecond::new(0.0));
+            let p_total = p_hover + p_compute;
+            if !battery.draw(p_total, dt) {
+                t += dt;
+                break;
+            }
+            covered += v * dt;
+            t += dt;
+            replan_accumulator += plan_rate.value() * dt.value();
+            while replan_accumulator >= 1.0 {
+                replan_accumulator -= 1.0;
+                replans += 1;
+            }
+        }
+
+        let average_speed = if t.value() > 0.0 { covered / t } else { MetersPerSecond::new(0.0) };
+        MissionOutcome {
+            completed,
+            time: t,
+            energy: battery.used().min(battery.capacity()),
+            distance: covered.min(mission.distance()),
+            average_speed,
+            propulsion_power: p_hover,
+            compute_power: p_compute,
+            replans,
+        }
+    }
+
+    /// Bit patterns of every float in an outcome, so `-0.0` and `0.0`
+    /// (or two NaNs) cannot pass for each other.
+    fn bits(o: &MissionOutcome) -> [u64; 8] {
+        [
+            u64::from(o.completed),
+            o.time.value().to_bits(),
+            o.energy.value().to_bits(),
+            o.distance.value().to_bits(),
+            o.average_speed.value().to_bits(),
+            o.propulsion_power.value().to_bits(),
+            o.compute_power.value().to_bits(),
+            o.replans,
+        ]
+    }
+
     #[test]
-    fn degraded_engine_matches_nominal_when_blind_and_faultless() {
-        // With an empty schedule and the blind policy, every fault factor
-        // multiplies by exactly 1.0, so the degraded engine must replay
-        // the legacy loop bit for bit.
-        let uav = Uav::new(UavConfig::default());
-        let mission = MissionSpec::survey(800.0);
-        let legacy = uav.fly(&mission, 11);
-        let degraded =
-            uav.fly_degraded(&mission, &FaultSchedule::none(), &DegradationPolicy::none(), 11);
-        assert_eq!(degraded.mission, legacy);
-        assert!(degraded.succeeded());
-        assert!(!degraded.crashed && !degraded.safe_stopped);
-        assert_eq!(degraded.retries, 0);
-        assert!(degraded.degraded_latencies_s.is_empty());
+    fn fly_replays_the_reference_loop_bit_for_bit() {
+        let missions = [MissionSpec::survey(600.0), MissionSpec::delivery(900.0, 400.0)];
+        for tier in ComputeTier::ALL {
+            for range in [12.0, 3.0, 0.3] {
+                let mut config = UavConfig::default().with_tier(tier);
+                config.sensor_range = Meters::new(range);
+                let uav = Uav::new(config);
+                for mission in &missions {
+                    for gust in [0.0, 0.05, 0.2] {
+                        let mission = mission.clone().with_gusts(gust);
+                        for seed in [1, 77] {
+                            let want = reference_fly(&uav, &mission, seed);
+                            let got = uav.fly(&mission, seed);
+                            assert_eq!(
+                                bits(&got),
+                                bits(&want),
+                                "{tier} range {range} {} gust {gust} seed {seed}",
+                                mission.name()
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn fault_cursor_matches_direct_queries_at_every_step() {
+        // `fly_degraded` asserts the cursor against the schedule's direct
+        // queries on every step of a test build; count that it did.
+        let uav = Uav::new(UavConfig::default().with_tier(ComputeTier::Micro));
+        let mission = MissionSpec::survey(1500.0);
+        let profile = crate::faults::FaultProfile::harsh();
+        for seed in 0..6 {
+            let schedule = FaultSchedule::sample(&profile, Seconds::new(600.0), seed);
+            assert!(schedule.faults().len() > 10, "harsh schedules carry many faults");
+            for policy in [DegradationPolicy::none(), DegradationPolicy::full()] {
+                let before = crate::faults::CURSOR_CHECKS.with(std::cell::Cell::get);
+                let out = uav.fly_degraded(&mission, &schedule, &policy, seed);
+                let checked = crate::faults::CURSOR_CHECKS.with(std::cell::Cell::get) - before;
+                let steps = (out.mission.time.value() / 0.02).round() as u64;
+                // A flight that ends inside a step (safe-stop, strike) has
+                // checked one step more than its clock shows.
+                assert!(
+                    checked == steps || checked == steps + 1,
+                    "seed {seed}: {checked} checks over {steps} steps"
+                );
+            }
+        }
     }
 
     #[test]
