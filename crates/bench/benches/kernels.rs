@@ -83,7 +83,7 @@ fn bench_ekf_slam(c: &mut Criterion) {
 fn bench_dnn_inference(c: &mut Criterion) {
     let data = Dataset::blobs(50, 4, 2, BENCH_SEED);
     let mut mlp = Mlp::new(&[2, 32, 32, 4], BENCH_SEED);
-    mlp.train(&data, 5, 0.05);
+    mlp.train(&data, 5, 0.05).expect("blobs fit the network");
     let input = [1.5, -0.5];
     let mut group = c.benchmark_group("dnn_forward");
     for precision in Precision::ALL {
@@ -314,7 +314,7 @@ fn bench_mlp_lane_pair(c: &mut Criterion) {
     let widths = [8usize, 64, 64, 6];
     let mut mlp = Mlp::new(&widths, BENCH_SEED);
     let data = Dataset::blobs(40, widths[3], widths[0], BENCH_SEED);
-    mlp.train(&data, 2, 0.03);
+    mlp.train(&data, 2, 0.03).expect("blobs fit the network");
     let batch = 256;
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(BENCH_SEED + 3);
     let inputs: Vec<f64> = (0..batch * widths[0]).map(|_| rng.gen_range(-2.0..2.0)).collect();

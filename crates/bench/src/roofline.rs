@@ -276,7 +276,7 @@ fn dnn_cases(quick: bool, reps: usize, out: &mut Vec<KernelMeasurement>) {
         // A few epochs so weights are non-degenerate (quantization paths
         // see a realistic spread).
         let data = Dataset::blobs(40, widths[3], widths[0], BENCH_SEED);
-        m.train(&data, 2, 0.03);
+        m.train(&data, 2, 0.03).expect("blobs fit the network");
         m
     };
     for &batch in batches {

@@ -9,6 +9,8 @@
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
+use crate::linalg::LinalgError;
+
 /// Numeric precision of the weights during inference.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Precision {
@@ -174,6 +176,25 @@ pub struct MlpScratch {
     b: Vec<f64>,
 }
 
+/// Training workspace: every layer's output activations and the two
+/// gradient buffers, reused for every example of a training call.
+#[derive(Debug, Default)]
+struct TrainScratch {
+    acts: Vec<Vec<f64>>,
+    grad: Vec<f64>,
+    grad_prev: Vec<f64>,
+}
+
+/// The index of the largest logit (the last one on ties).
+fn argmax(logits: &[f64]) -> usize {
+    logits
+        .iter()
+        .enumerate()
+        .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("logits are finite"))
+        .map(|(i, _)| i)
+        .expect("at least one class")
+}
+
 /// A ReLU multilayer perceptron classifier.
 ///
 /// # Examples
@@ -183,9 +204,10 @@ pub struct MlpScratch {
 ///
 /// let data = Dataset::blobs(200, 3, 2, 42);
 /// let mut mlp = Mlp::new(&[2, 16, 3], 7);
-/// mlp.train(&data, 40, 0.05);
-/// let acc = mlp.accuracy(&data, Precision::F32);
+/// mlp.train(&data, 40, 0.05)?;
+/// let acc = mlp.accuracy(&data, Precision::F32)?;
 /// assert!(acc > 0.8, "blobs are separable, got {acc}");
+/// # Ok::<(), m7_kernels::linalg::LinalgError>(())
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Mlp {
@@ -383,59 +405,57 @@ impl Mlp {
         precision: Precision,
         scratch: &mut MlpScratch,
     ) -> usize {
-        let logits = self.forward_into(input, precision, scratch);
-        logits
-            .iter()
-            .enumerate()
-            .max_by(|(_, a), (_, b)| a.partial_cmp(b).expect("logits are finite"))
-            .map(|(i, _)| i)
-            .expect("at least one class")
+        argmax(self.forward_into(input, precision, scratch))
     }
 
     /// Fraction of `data` classified correctly at `precision`.
-    #[must_use]
-    pub fn accuracy(&self, data: &Dataset, precision: Precision) -> f64 {
-        if data.is_empty() {
-            return 0.0;
-        }
-        let mut scratch = MlpScratch::default();
-        let correct = data
-            .iter()
-            .filter(|(x, y)| self.predict_with(x, precision, &mut scratch) == **y)
-            .count();
-        correct as f64 / data.len() as f64
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] with the network's
+    /// `(input width, classes)` as `expected` and the dataset's as `found`
+    /// if the examples do not have the input width or a label is not
+    /// below the class count.
+    pub fn accuracy(&self, data: &Dataset, precision: Precision) -> Result<f64, LinalgError> {
+        self.check_shape(data)?;
+        Ok(self.correct_fraction(data, precision, &mut MlpScratch::default()))
     }
 
     /// Trains with plain SGD on softmax cross-entropy for `epochs` passes.
-    pub fn train(&mut self, data: &Dataset, epochs: usize, learning_rate: f64) {
-        for _ in 0..epochs {
-            for (x, y) in data.iter() {
-                self.sgd_step(x, *y, learning_rate);
-            }
-        }
+    ///
+    /// # Errors
+    ///
+    /// As [`Mlp::accuracy`]; the network is left untouched.
+    pub fn train(
+        &mut self,
+        data: &Dataset,
+        epochs: usize,
+        learning_rate: f64,
+    ) -> Result<(), LinalgError> {
+        self.train_quantized(data, epochs, learning_rate, Precision::F32)
     }
 
     /// Quantization-aware training: after every epoch the weights are
     /// snapped to the `precision` grid, so optimization must live with the
     /// representable set. At very low precisions training stalls — the
     /// mechanism behind the time-to-accuracy inversion of experiment E3.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mlp::accuracy`]; the network is left untouched.
     pub fn train_quantized(
         &mut self,
         data: &Dataset,
         epochs: usize,
         learning_rate: f64,
         precision: Precision,
-    ) {
+    ) -> Result<(), LinalgError> {
+        self.check_shape(data)?;
+        let mut scratch = TrainScratch::default();
         for _ in 0..epochs {
-            for (x, y) in data.iter() {
-                self.sgd_step(x, *y, learning_rate);
-            }
-            if precision != Precision::F32 {
-                for layer in &mut self.layers {
-                    *layer = layer.quantized(precision);
-                }
-            }
+            self.epoch(data, learning_rate, precision, &mut scratch);
         }
+        Ok(())
     }
 
     /// Trains epoch by epoch (quantization-aware at `precision`) until the
@@ -443,6 +463,10 @@ impl Mlp {
     ///
     /// Returns the number of epochs needed, or `None` if the target was
     /// never reached — low precisions plateau below the target.
+    ///
+    /// # Errors
+    ///
+    /// As [`Mlp::accuracy`]; the network is left untouched.
     pub fn epochs_to_accuracy(
         &mut self,
         data: &Dataset,
@@ -450,61 +474,111 @@ impl Mlp {
         learning_rate: f64,
         precision: Precision,
         max_epochs: usize,
-    ) -> Option<usize> {
+    ) -> Result<Option<usize>, LinalgError> {
+        self.check_shape(data)?;
+        let mut train = TrainScratch::default();
+        let mut infer = MlpScratch::default();
         for epoch in 1..=max_epochs {
-            self.train_quantized(data, 1, learning_rate, precision);
-            if self.accuracy(data, precision) >= target_accuracy {
-                return Some(epoch);
+            self.epoch(data, learning_rate, precision, &mut train);
+            if self.correct_fraction(data, precision, &mut infer) >= target_accuracy {
+                return Ok(Some(epoch));
             }
         }
-        None
+        Ok(None)
     }
 
-    fn sgd_step(&mut self, input: &[f64], label: usize, lr: f64) {
-        // Forward pass, keeping activations.
-        let mut activations: Vec<Vec<f64>> = vec![input.to_vec()];
+    /// `Ok` if `data`'s examples have this network's input width and its
+    /// labels are below its class count.
+    fn check_shape(&self, data: &Dataset) -> Result<(), LinalgError> {
+        let expected = (self.input_dim(), self.classes());
+        if data.dim == expected.0 && data.classes <= expected.1 {
+            Ok(())
+        } else {
+            Err(LinalgError::DimensionMismatch { expected, found: (data.dim, data.classes) })
+        }
+    }
+
+    /// [`Mlp::accuracy`] of a dataset of the right shape: one batched
+    /// forward pass, so every layer is packed once.
+    fn correct_fraction(
+        &self,
+        data: &Dataset,
+        precision: Precision,
+        scratch: &mut MlpScratch,
+    ) -> f64 {
+        if data.is_empty() {
+            return 0.0;
+        }
+        let logits = self.forward_batch_into(&data.features, precision, scratch);
+        let correct = logits
+            .chunks_exact(self.classes())
+            .zip(&data.labels)
+            .filter(|&(row, &y)| argmax(row) == y)
+            .count();
+        correct as f64 / data.len() as f64
+    }
+
+    /// One SGD pass over `data`, then the snap to the `precision` grid.
+    fn epoch(&mut self, data: &Dataset, lr: f64, precision: Precision, scratch: &mut TrainScratch) {
+        for (x, &y) in data.iter() {
+            self.sgd_step(x, y, lr, scratch);
+        }
+        if precision != Precision::F32 {
+            for layer in &mut self.layers {
+                *layer = layer.quantized(precision);
+            }
+        }
+    }
+
+    fn sgd_step(&mut self, input: &[f64], label: usize, lr: f64, scratch: &mut TrainScratch) {
+        let TrainScratch { acts, grad, grad_prev } = scratch;
+        // Forward pass, keeping activations: `acts[i]` is layer `i`'s output.
+        acts.resize_with(self.layers.len(), Vec::new);
         let last = self.layers.len() - 1;
         for (i, layer) in self.layers.iter().enumerate() {
-            let mut out = Vec::new();
-            layer.forward(activations.last().expect("nonempty"), &mut out);
+            let (done, rest) = acts.split_at_mut(i);
+            let out = &mut rest[0];
+            layer.forward(done.last().map_or(input, Vec::as_slice), out);
             if i != last {
-                for v in &mut out {
+                for v in out.iter_mut() {
                     *v = v.max(0.0);
                 }
             }
-            activations.push(out);
         }
         // Softmax + cross-entropy gradient at the output.
-        let logits = activations.last().expect("nonempty").clone();
+        let logits = &acts[last];
         let max = logits.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
-        let exps: Vec<f64> = logits.iter().map(|v| (v - max).exp()).collect();
-        let sum: f64 = exps.iter().sum();
-        let mut grad: Vec<f64> = exps.iter().map(|e| e / sum).collect();
+        grad.clear();
+        grad.extend(logits.iter().map(|v| (v - max).exp()));
+        let sum: f64 = grad.iter().sum();
+        for g in grad.iter_mut() {
+            *g /= sum;
+        }
         grad[label] -= 1.0;
 
         // Backward pass.
         for i in (0..self.layers.len()).rev() {
-            let input_act = activations[i].clone();
+            let input_act = if i == 0 { input } else { &acts[i - 1] };
             let layer = &mut self.layers[i];
-            let mut grad_prev = vec![0.0; layer.inputs];
-            #[allow(clippy::needless_range_loop)]
-            for o in 0..layer.outputs {
-                let g = grad[o];
-                for j in 0..layer.inputs {
-                    grad_prev[j] += layer.weights[o * layer.inputs + j] * g;
-                    layer.weights[o * layer.inputs + j] -= lr * g * input_act[j];
+            grad_prev.clear();
+            grad_prev.resize(layer.inputs, 0.0);
+            for (o, &g) in grad.iter().enumerate() {
+                let row = &mut layer.weights[o * layer.inputs..(o + 1) * layer.inputs];
+                for ((gp, w), &x) in grad_prev.iter_mut().zip(row).zip(input_act) {
+                    *gp += *w * g;
+                    *w -= lr * g * x;
                 }
                 layer.biases[o] -= lr * g;
             }
             if i > 0 {
                 // ReLU derivative through the previous activation.
-                for (gp, a) in grad_prev.iter_mut().zip(&activations[i]) {
+                for (gp, a) in grad_prev.iter_mut().zip(input_act) {
                     if *a <= 0.0 {
                         *gp = 0.0;
                     }
                 }
             }
-            grad = grad_prev;
+            core::mem::swap(grad, grad_prev);
         }
     }
 }
@@ -512,7 +586,11 @@ impl Mlp {
 /// A labeled classification dataset.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Dataset {
-    features: Vec<Vec<f64>>,
+    /// Features row-major, `dim` per example.
+    features: Vec<f64>,
+    dim: usize,
+    /// Every label is below `classes`.
+    classes: usize,
     labels: Vec<usize>,
 }
 
@@ -528,40 +606,38 @@ impl Dataset {
         assert!(classes > 0, "need at least one class");
         assert!(dim >= 2, "blob dataset needs dim >= 2");
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut features = Vec::new();
-        let mut labels = Vec::new();
+        let mut features = Vec::with_capacity(per_class * classes * dim);
+        let mut labels = Vec::with_capacity(per_class * classes);
         for c in 0..classes {
             let angle = 2.0 * core::f64::consts::PI * c as f64 / classes as f64;
             let (cx, cy) = (3.0 * angle.cos(), 3.0 * angle.sin());
             for _ in 0..per_class {
-                let mut x = vec![0.0; dim];
-                x[0] = cx + rng.gen_range(-0.8..0.8);
-                x[1] = cy + rng.gen_range(-0.8..0.8);
-                for v in x.iter_mut().skip(2) {
-                    *v = rng.gen_range(-0.5..0.5);
+                features.push(cx + rng.gen_range(-0.8..0.8));
+                features.push(cy + rng.gen_range(-0.8..0.8));
+                for _ in 2..dim {
+                    features.push(rng.gen_range(-0.5..0.5));
                 }
-                features.push(x);
                 labels.push(c);
             }
         }
-        Self { features, labels }
+        Self { features, dim, classes, labels }
     }
 
     /// Number of examples.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.features.len()
+        self.labels.len()
     }
 
     /// Returns `true` if the dataset has no examples.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.features.is_empty()
+        self.labels.is_empty()
     }
 
     /// Iterates over `(features, label)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (&[f64], &usize)> {
-        self.features.iter().map(Vec::as_slice).zip(self.labels.iter())
+        self.features.chunks_exact(self.dim).zip(self.labels.iter())
     }
 }
 
@@ -572,23 +648,23 @@ mod tests {
     fn trained_model() -> (Mlp, Dataset) {
         let data = Dataset::blobs(150, 4, 2, 11);
         let mut mlp = Mlp::new(&[2, 24, 4], 5);
-        mlp.train(&data, 60, 0.03);
+        mlp.train(&data, 60, 0.03).unwrap();
         (mlp, data)
     }
 
     #[test]
     fn training_reaches_high_accuracy() {
         let (mlp, data) = trained_model();
-        let acc = mlp.accuracy(&data, Precision::F32);
+        let acc = mlp.accuracy(&data, Precision::F32).unwrap();
         assert!(acc > 0.9, "separable blobs should train to >90%, got {acc}");
     }
 
     #[test]
     fn accuracy_degrades_monotonically_with_precision_on_average() {
         let (mlp, data) = trained_model();
-        let f32_acc = mlp.accuracy(&data, Precision::F32);
-        let int8 = mlp.accuracy(&data, Precision::Int8);
-        let int2 = mlp.accuracy(&data, Precision::Int2);
+        let f32_acc = mlp.accuracy(&data, Precision::F32).unwrap();
+        let int8 = mlp.accuracy(&data, Precision::Int8).unwrap();
+        let int2 = mlp.accuracy(&data, Precision::Int2).unwrap();
         assert!(int8 <= f32_acc + 1e-9);
         assert!(int2 <= int8 + 0.05, "2-bit should be no better than 8-bit (±5%)");
         assert!(int2 < f32_acc, "2-bit quantization must cost accuracy");
@@ -597,7 +673,8 @@ mod tests {
     #[test]
     fn int16_is_nearly_lossless() {
         let (mlp, data) = trained_model();
-        let delta = mlp.accuracy(&data, Precision::F32) - mlp.accuracy(&data, Precision::Int16);
+        let delta = mlp.accuracy(&data, Precision::F32).unwrap()
+            - mlp.accuracy(&data, Precision::Int16).unwrap();
         assert!(delta.abs() < 0.02, "16-bit quantization should be ~lossless, delta {delta}");
     }
 
@@ -616,8 +693,8 @@ mod tests {
         let data = Dataset::blobs(50, 2, 2, 3);
         let mut a = Mlp::new(&[2, 8, 2], 9);
         let mut b = Mlp::new(&[2, 8, 2], 9);
-        a.train(&data, 5, 0.05);
-        b.train(&data, 5, 0.05);
+        a.train(&data, 5, 0.05).unwrap();
+        b.train(&data, 5, 0.05).unwrap();
         assert_eq!(a, b);
     }
 
@@ -635,11 +712,13 @@ mod tests {
     fn quantized_training_reaches_target_at_high_precision() {
         let data = Dataset::blobs(100, 3, 2, 21);
         let mut f32_model = Mlp::new(&[2, 16, 3], 4);
-        let f32_epochs = f32_model.epochs_to_accuracy(&data, 0.9, 0.05, Precision::F32, 100);
+        let f32_epochs =
+            f32_model.epochs_to_accuracy(&data, 0.9, 0.05, Precision::F32, 100).unwrap();
         assert!(f32_epochs.is_some(), "f32 training should reach 90%");
 
         let mut int8_model = Mlp::new(&[2, 16, 3], 4);
-        let int8_epochs = int8_model.epochs_to_accuracy(&data, 0.9, 0.05, Precision::Int8, 150);
+        let int8_epochs =
+            int8_model.epochs_to_accuracy(&data, 0.9, 0.05, Precision::Int8, 150).unwrap();
         assert!(int8_epochs.is_some(), "int8 QAT should still reach 90%");
     }
 
@@ -647,7 +726,7 @@ mod tests {
     fn two_bit_training_stalls() {
         let data = Dataset::blobs(100, 6, 2, 22);
         let mut model = Mlp::new(&[2, 16, 6], 4);
-        let epochs = model.epochs_to_accuracy(&data, 0.95, 0.05, Precision::Int2, 60);
+        let epochs = model.epochs_to_accuracy(&data, 0.95, 0.05, Precision::Int2, 60).unwrap();
         assert!(epochs.is_none(), "2-bit weights cannot express a 95% 6-class classifier here");
     }
 
@@ -713,7 +792,138 @@ mod tests {
     #[test]
     fn empty_dataset_accuracy_is_zero() {
         let mlp = Mlp::new(&[2, 4, 2], 0);
-        let empty = Dataset { features: Vec::new(), labels: Vec::new() };
-        assert_eq!(mlp.accuracy(&empty, Precision::F32), 0.0);
+        let empty = Dataset::blobs(0, 2, 2, 0);
+        assert!(empty.is_empty());
+        assert_eq!(mlp.accuracy(&empty, Precision::F32), Ok(0.0));
+    }
+
+    /// A dataset whose width or class count does not fit the network is
+    /// a typed error from every entry point, and leaves the network as
+    /// it was.
+    #[test]
+    fn shape_mismatches_are_typed_errors() {
+        let cases = [
+            // Two-dimensional blobs into a three-input network.
+            (vec![3, 16, 8], Dataset::blobs(10, 8, 2, 1), (3, 8), (2, 8)),
+            // Four-dimensional blobs into a two-input network.
+            (vec![2, 8, 3], Dataset::blobs(10, 3, 4, 1), (2, 3), (4, 3)),
+            // Ten classes into eight outputs.
+            (vec![2, 16, 8], Dataset::blobs(10, 10, 2, 1), (2, 8), (2, 10)),
+        ];
+        for (widths, data, expected, found) in cases {
+            let want = Err(LinalgError::DimensionMismatch { expected, found });
+            let mut mlp = Mlp::new(&widths, 3);
+            let before = mlp.clone();
+            assert_eq!(mlp.train(&data, 2, 0.05), want);
+            assert_eq!(mlp.train_quantized(&data, 2, 0.05, Precision::Int8), want);
+            assert_eq!(
+                mlp.epochs_to_accuracy(&data, 0.9, 0.05, Precision::F32, 3),
+                want.map(|()| None)
+            );
+            assert_eq!(mlp.accuracy(&data, Precision::F32), want.map(|()| 0.0));
+            assert_eq!(mlp, before, "{widths:?}: a rejected dataset must not train the network");
+        }
+        // Fewer classes than outputs is a fit.
+        let mut mlp = Mlp::new(&[2, 8, 4], 3);
+        assert!(mlp.train(&Dataset::blobs(10, 3, 2, 1), 1, 0.05).is_ok());
+    }
+
+    /// The per-example allocating SGD step as it stood before training
+    /// ran over a reusable scratch, kept as a bit-exact oracle.
+    fn reference_sgd_step(mlp: &mut Mlp, input: &[f64], label: usize, lr: f64) {
+        let mut activations: Vec<Vec<f64>> = vec![input.to_vec()];
+        let last = mlp.layers.len() - 1;
+        for (i, layer) in mlp.layers.iter().enumerate() {
+            let mut out = Vec::new();
+            layer.forward(activations.last().expect("nonempty"), &mut out);
+            if i != last {
+                for v in &mut out {
+                    *v = v.max(0.0);
+                }
+            }
+            activations.push(out);
+        }
+        let logits = activations.last().expect("nonempty").clone();
+        let max = logits.iter().fold(f64::NEG_INFINITY, |m, &v| m.max(v));
+        let exps: Vec<f64> = logits.iter().map(|v| (v - max).exp()).collect();
+        let sum: f64 = exps.iter().sum();
+        let mut grad: Vec<f64> = exps.iter().map(|e| e / sum).collect();
+        grad[label] -= 1.0;
+        for i in (0..mlp.layers.len()).rev() {
+            let input_act = activations[i].clone();
+            let layer = &mut mlp.layers[i];
+            let mut grad_prev = vec![0.0; layer.inputs];
+            #[allow(clippy::needless_range_loop)]
+            for o in 0..layer.outputs {
+                let g = grad[o];
+                for j in 0..layer.inputs {
+                    grad_prev[j] += layer.weights[o * layer.inputs + j] * g;
+                    layer.weights[o * layer.inputs + j] -= lr * g * input_act[j];
+                }
+                layer.biases[o] -= lr * g;
+            }
+            if i > 0 {
+                for (gp, a) in grad_prev.iter_mut().zip(&activations[i]) {
+                    if *a <= 0.0 {
+                        *gp = 0.0;
+                    }
+                }
+            }
+            grad = grad_prev;
+        }
+    }
+
+    /// The old per-example accuracy: one quantize-and-pack per example.
+    fn reference_accuracy(mlp: &Mlp, data: &Dataset, precision: Precision) -> f64 {
+        let mut scratch = MlpScratch::default();
+        let correct = data
+            .iter()
+            .filter(|(x, y)| mlp.predict_with(x, precision, &mut scratch) == **y)
+            .count();
+        correct as f64 / data.len() as f64
+    }
+
+    fn bits(mlp: &Mlp) -> Vec<u64> {
+        mlp.layers
+            .iter()
+            .flat_map(|l| l.weights.iter().chain(&l.biases))
+            .map(|v| v.to_bits())
+            .collect()
+    }
+
+    /// Scratch training and batched accuracy reproduce the allocating
+    /// step and the per-example accuracy bit for bit, epoch by epoch, at
+    /// every precision and on two network shapes.
+    #[test]
+    fn training_and_accuracy_replay_the_reference_bit_for_bit() {
+        let shapes = [
+            (vec![2, 16, 8], Dataset::blobs(25, 8, 2, 42)),
+            (vec![4, 12, 6, 3], Dataset::blobs(30, 3, 4, 7)),
+        ];
+        for (widths, data) in &shapes {
+            for precision in Precision::ALL {
+                let mut fast = Mlp::new(widths, 5);
+                let mut slow = fast.clone();
+                for epoch in 0..6 {
+                    fast.train_quantized(data, 1, 0.05, precision).unwrap();
+                    for (x, &y) in data.iter() {
+                        reference_sgd_step(&mut slow, x, y, 0.05);
+                    }
+                    if precision != Precision::F32 {
+                        for layer in &mut slow.layers {
+                            *layer = layer.quantized(precision);
+                        }
+                    }
+                    assert_eq!(bits(&fast), bits(&slow), "{widths:?} {precision} epoch {epoch}");
+                    for p in Precision::ALL {
+                        assert_eq!(
+                            fast.accuracy(data, p).unwrap().to_bits(),
+                            reference_accuracy(&slow, data, p).to_bits(),
+                            "{widths:?} trained at {precision}, scored at {p}, epoch {epoch}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

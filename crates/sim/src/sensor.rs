@@ -143,10 +143,14 @@ impl NoiseSource {
         Self { std, rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed), spare: None }
     }
 
-    /// Draws one sample.
+    /// Draws one sample. A zero-std source returns `0.0` without
+    /// drawing.
     // Inlined into the closed loops' steps, whose largest cost it is.
     #[inline]
     pub fn sample(&mut self) -> f64 {
+        if self.std == 0.0 {
+            return 0.0;
+        }
         if let Some(s) = self.spare.take() {
             return s * self.std;
         }

@@ -289,7 +289,7 @@ impl Uav {
         let mut t = Seconds::ZERO;
         let mut replan_accumulator = 0.0;
         let mut replans = 0u64;
-        let plan_rate = self.config.tier.plan_rate();
+        let replan_step = self.config.tier.plan_rate().value() * dt.value();
         let overhead = policy.monitor_overhead();
 
         let mut completed = false;
@@ -463,7 +463,7 @@ impl Uav {
             }
             covered += v * dt;
             t += dt;
-            replan_accumulator += plan_rate.value() * dt.value();
+            replan_accumulator += replan_step;
             while replan_accumulator >= 1.0 {
                 replan_accumulator -= 1.0;
                 replans += 1;

@@ -99,8 +99,9 @@ pub fn run(seed: u64) -> MetricsResult {
             let steps_per_second = 1.0 / step_latency.value();
 
             let mut model = template.clone();
-            let epochs_to_target =
-                model.epochs_to_accuracy(&data, target, 0.05, precision, max_epochs);
+            let epochs_to_target = model
+                .epochs_to_accuracy(&data, target, 0.05, precision, max_epochs)
+                .expect("the blobs fit the network");
             let steps_per_epoch = data.len() as f64;
             let time_to_accuracy =
                 epochs_to_target.map(|e| e as f64 * steps_per_epoch * step_latency.value());
@@ -109,7 +110,9 @@ pub fn run(seed: u64) -> MetricsResult {
                 steps_per_second,
                 epochs_to_target,
                 time_to_accuracy,
-                final_accuracy: model.accuracy(&data, precision),
+                final_accuracy: model
+                    .accuracy(&data, precision)
+                    .expect("the blobs fit the network"),
             }
         })
         .collect();
