@@ -51,7 +51,7 @@ impl SharedBus {
 
     /// Utilization of the bus under the given demands (may exceed 1).
     #[must_use]
-    pub fn utilization(&self, demands: &[BytesPerSecond]) -> f64 {
+    pub(crate) fn utilization(&self, demands: &[BytesPerSecond]) -> f64 {
         let total: f64 = demands.iter().map(|d| d.value()).sum();
         total / self.capacity.value()
     }
@@ -119,17 +119,6 @@ impl SharedBus {
             })
             .collect()
     }
-
-    /// M/M/1-style queueing *latency* multiplier `1 / (1 − ρ)`, capped at
-    /// 10×. Applies to individual-request latency below saturation; use
-    /// [`SharedBus::slowdowns`] for sustained throughput.
-    #[must_use]
-    pub fn queueing_multiplier(&self, utilization: f64) -> f64 {
-        if utilization >= 1.0 {
-            return 10.0;
-        }
-        (1.0 / (1.0 - utilization.max(0.0))).min(10.0)
-    }
 }
 
 /// Aggregate throughput of `n` identical accelerators sharing one bus, each
@@ -189,15 +178,6 @@ mod tests {
         let three = bus.slowdowns(&[gbps(4.0); 3])[0];
         assert_eq!(one, 1.0, "a lone modest client is unimpeded");
         assert!(three > one, "more clients must mean more slowdown");
-    }
-
-    #[test]
-    fn queueing_multiplier_shape() {
-        let bus = SharedBus::new(gbps(10.0));
-        assert_eq!(bus.queueing_multiplier(0.0), 1.0);
-        assert!(bus.queueing_multiplier(0.9) > bus.queueing_multiplier(0.5));
-        assert!(bus.queueing_multiplier(0.99) <= 10.0);
-        assert_eq!(bus.queueing_multiplier(1.5), 10.0);
     }
 
     #[test]

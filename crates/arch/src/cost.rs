@@ -55,53 +55,9 @@ pub struct CostEstimate {
     pub bound: Bound,
 }
 
-impl CostEstimate {
-    /// Ratio of another estimate's latency to this one (how many times
-    /// faster this estimate is).
-    ///
-    /// # Panics
-    ///
-    /// Panics if this estimate's latency is zero.
-    #[must_use]
-    pub fn speedup_over(&self, baseline: &Self) -> f64 {
-        assert!(self.latency.value() > 0.0, "latency must be positive");
-        baseline.latency / self.latency
-    }
-
-    /// Energy-delay product, a common accelerator figure of merit.
-    #[must_use]
-    pub fn energy_delay_product(&self) -> f64 {
-        self.energy.value() * self.latency.value()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn estimate(latency: f64, energy: f64) -> CostEstimate {
-        CostEstimate {
-            latency: Seconds::new(latency),
-            energy: Joules::new(energy),
-            achieved: OpsPerSecond::new(1.0 / latency),
-            power: Watts::new(energy / latency),
-            bound: Bound::Compute,
-        }
-    }
-
-    #[test]
-    fn speedup_ratio() {
-        let fast = estimate(0.001, 0.1);
-        let slow = estimate(0.01, 0.1);
-        assert!((fast.speedup_over(&slow) - 10.0).abs() < 1e-12);
-        assert!((slow.speedup_over(&fast) - 0.1).abs() < 1e-12);
-    }
-
-    #[test]
-    fn edp() {
-        let e = estimate(2.0, 3.0);
-        assert_eq!(e.energy_delay_product(), 6.0);
-    }
 
     #[test]
     fn bound_display() {

@@ -36,14 +36,8 @@ impl OperatingPoint {
 
     /// Dynamic-power multiplier at this point: `f · V²`.
     #[must_use]
-    pub fn power_scale(self) -> f64 {
+    pub(crate) fn power_scale(self) -> f64 {
         self.frequency_scale * self.voltage_scale * self.voltage_scale
-    }
-
-    /// Energy-per-operation multiplier: `V²` (frequency cancels).
-    #[must_use]
-    pub fn energy_per_op_scale(self) -> f64 {
-        self.voltage_scale * self.voltage_scale
     }
 }
 
@@ -121,7 +115,6 @@ mod tests {
         let ladder = OperatingPoint::ladder();
         for w in ladder.windows(2) {
             assert!(w[0].power_scale() < w[1].power_scale());
-            assert!(w[0].energy_per_op_scale() < w[1].energy_per_op_scale());
         }
     }
 

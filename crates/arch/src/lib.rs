@@ -34,7 +34,6 @@ pub mod contention;
 pub mod cost;
 pub mod dvfs;
 pub mod generator;
-pub mod memory;
 pub mod platform;
 pub mod roofline;
 pub mod spec;

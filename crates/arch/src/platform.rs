@@ -230,13 +230,13 @@ impl Platform {
 
     /// Throughput of the non-parallelizable fraction.
     #[must_use]
-    pub fn serial_rate(&self) -> OpsPerSecond {
+    pub(crate) fn serial_rate(&self) -> OpsPerSecond {
         self.serial_rate
     }
 
     /// Fixed dispatch/launch overhead per kernel invocation.
     #[must_use]
-    pub fn dispatch_overhead(&self) -> Seconds {
+    pub(crate) fn dispatch_overhead(&self) -> Seconds {
         self.dispatch_overhead
     }
 
@@ -254,7 +254,7 @@ impl Platform {
 
     /// Power while idle.
     #[must_use]
-    pub fn idle_power(&self) -> Watts {
+    pub(crate) fn idle_power(&self) -> Watts {
         self.idle_power
     }
 
@@ -418,14 +418,14 @@ impl PlatformBuilder {
 
     /// Sets the serial-fraction throughput.
     #[must_use]
-    pub fn serial_rate(mut self, rate: OpsPerSecond) -> Self {
+    pub(crate) fn serial_rate(mut self, rate: OpsPerSecond) -> Self {
         self.platform.serial_rate = rate;
         self
     }
 
     /// Sets the dispatch overhead.
     #[must_use]
-    pub fn dispatch_overhead(mut self, overhead: Seconds) -> Self {
+    pub(crate) fn dispatch_overhead(mut self, overhead: Seconds) -> Self {
         self.platform.dispatch_overhead = overhead;
         self
     }

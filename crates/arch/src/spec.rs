@@ -113,7 +113,9 @@ fn parse_family(s: &str) -> Option<KernelFamily> {
 /// # Errors
 ///
 /// Returns a [`ParseSpecError`] with the offending line on malformed
-/// input, unknown keys/kinds/families, bad numbers, or a missing `kind`.
+/// input, unknown keys/kinds/families, bad numbers (including any
+/// non-finite value, and a `peak_tops` or `bandwidth_gbps` that is not
+/// positive), or a missing `kind`.
 ///
 /// # Examples
 ///
@@ -159,21 +161,28 @@ pub fn parse_platform(input: &str) -> Result<Platform, ParseSpecError> {
     let mut active = preset.active_power();
     let mut idle = preset.idle_power();
 
+    let invalid = |line: usize, key: &str, value: &str| ParseSpecError {
+        line,
+        kind: SpecErrorKind::InvalidValue { key: key.to_string(), value: value.to_string() },
+    };
     let parse_f64 = |line: usize, key: &str, value: &str| -> Result<f64, ParseSpecError> {
-        value.parse::<f64>().map_err(|_| ParseSpecError {
-            line,
-            kind: SpecErrorKind::InvalidValue { key: key.to_string(), value: value.to_string() },
-        })
+        value.parse::<f64>().ok().filter(|v| v.is_finite()).ok_or_else(|| invalid(line, key, value))
+    };
+    // A roofline ceiling must be positive and finite after unit scaling.
+    let ceiling = |line: usize, key: &str, value: &str, scale: f64| {
+        let v = parse_f64(line, key, value)? * scale;
+        if v > 0.0 && v.is_finite() {
+            Ok(v)
+        } else {
+            Err(invalid(line, key, value))
+        }
     };
 
     for (line, key, value) in fields {
         match key.as_str() {
             "name" => builder = builder.name(value),
-            "peak_tops" => peak = OpsPerSecond::from_teraops(parse_f64(line, &key, &value)?),
-            "bandwidth_gbps" => {
-                bandwidth =
-                    BytesPerSecond::from_gigabytes_per_second(parse_f64(line, &key, &value)?);
-            }
+            "peak_tops" => peak = OpsPerSecond::new(ceiling(line, &key, &value, 1e12)?),
+            "bandwidth_gbps" => bandwidth = BytesPerSecond::new(ceiling(line, &key, &value, 1e9)?),
             "serial_gops" => {
                 builder =
                     builder.serial_rate(OpsPerSecond::from_gigaops(parse_f64(line, &key, &value)?));

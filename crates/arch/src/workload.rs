@@ -236,7 +236,7 @@ impl KernelProfile {
 
     /// Parallelizable fraction of the work.
     #[must_use]
-    pub fn parallel_fraction(&self) -> f64 {
+    pub(crate) fn parallel_fraction(&self) -> f64 {
         self.parallel_fraction
     }
 

@@ -1,15 +1,16 @@
-//! Micro-benchmarks of the autonomy kernels, including the scalar vs.
-//! batched collision-checking ablation that experiment E6 reports and the
-//! scalar-vs-lane pairs for the PR 6 vectorized hot loops (compare with
-//! `RUSTFLAGS="-C target-cpu=native"` to see the lane headroom).
+//! Micro-benchmarks of the autonomy kernels that no perfbench workload or
+//! `BENCH_roofline.json` row times on its own, including the scalar vs.
+//! batched collision-checking ablation that experiment E6 reports. The
+//! lane-vs-scalar pairs (collision, BRIEF matching, batched MLP) are
+//! measured by the roofline harness (`examples/roofline_report.rs`).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use m7_bench::BENCH_SEED;
-use m7_kernels::dnn::{Dataset, Mlp, MlpScratch, Precision};
+use m7_kernels::dnn::{Dataset, Mlp, Precision};
 use m7_kernels::dynamics::{Link, SerialChain};
 use m7_kernels::geometry::Vec2;
 use m7_kernels::linalg::Matrix;
-use m7_kernels::perception::{Descriptor, FeatureFrontEnd, Image};
+use m7_kernels::perception::{FeatureFrontEnd, Image};
 use m7_kernels::planning::{CollisionWorld, Rrt, RrtConfig};
 use m7_kernels::slam::{EkfSlam, EkfSlamConfig, LandmarkObservation};
 use rand::{Rng, SeedableRng};
@@ -247,98 +248,6 @@ fn bench_astar(c: &mut Criterion) {
     group.finish();
 }
 
-/// Scalar-vs-lane pair for the batched collision sweep: short PRM-style
-/// edges (the planner's steady-state regime) through the lane path and the
-/// early-exit scalar reference.
-fn bench_collision_lane_pair(c: &mut Criterion) {
-    let mut world = CollisionWorld::new(40.0, 40.0);
-    world.scatter_circles(256, 0.2, 1.0, BENCH_SEED);
-    let checker = world.to_batch_checker();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(BENCH_SEED + 1);
-    let edges: Vec<(Vec2, Vec2)> = (0..2048)
-        .map(|_| {
-            let from = Vec2::new(rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0));
-            (from, from + Vec2::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)))
-        })
-        .collect();
-    let mut group = c.benchmark_group("collision_lane_pair");
-    group.throughput(Throughput::Elements(edges.len() as u64));
-    group.bench_function("scalar", |b| {
-        b.iter(|| black_box(checker.segments_free_scalar(black_box(&edges))))
-    });
-    group
-        .bench_function("lane", |b| b.iter(|| black_box(checker.segments_free(black_box(&edges)))));
-    group.finish();
-}
-
-/// Scalar-vs-lane pairs for BRIEF Hamming distances and full descriptor
-/// matching.
-fn bench_matcher_lane_pair(c: &mut Criterion) {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(BENCH_SEED + 2);
-    let mut gen_set = |n: usize| -> Vec<Descriptor> {
-        (0..n).map(|_| Descriptor([rng.gen(), rng.gen(), rng.gen(), rng.gen()])).collect()
-    };
-    let a = gen_set(512);
-    let b = gen_set(512);
-
-    let mut distances = c.benchmark_group("brief_hamming_512");
-    distances.throughput(Throughput::Elements(b.len() as u64));
-    distances.bench_function("scalar", |bch| {
-        bch.iter(|| {
-            let q = black_box(&a[0]);
-            black_box(b.iter().map(|d| q.distance(d)).collect::<Vec<u32>>())
-        })
-    });
-    distances.bench_function("lane", |bch| {
-        let mut buf = Vec::new();
-        bch.iter(|| {
-            Descriptor::distances_into(black_box(&a[0]), black_box(&b), &mut buf);
-            black_box(buf.last().copied())
-        })
-    });
-    distances.finish();
-
-    let mut matcher = c.benchmark_group("brief_match_512x512");
-    matcher.throughput(Throughput::Elements((a.len() * b.len()) as u64));
-    matcher.bench_function("scalar", |bch| {
-        bch.iter(|| black_box(FeatureFrontEnd::match_descriptors_scalar(black_box(&a), &b)))
-    });
-    matcher.bench_function("lane", |bch| {
-        bch.iter(|| black_box(FeatureFrontEnd::match_descriptors_planes(black_box(&a), &b)))
-    });
-    matcher.finish();
-}
-
-/// Scalar-vs-lane pair for batched MLP inference on the quantized path.
-fn bench_mlp_lane_pair(c: &mut Criterion) {
-    let widths = [8usize, 64, 64, 6];
-    let mut mlp = Mlp::new(&widths, BENCH_SEED);
-    let data = Dataset::blobs(40, widths[3], widths[0], BENCH_SEED);
-    mlp.train(&data, 2, 0.03).expect("blobs fit the network");
-    let batch = 256;
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(BENCH_SEED + 3);
-    let inputs: Vec<f64> = (0..batch * widths[0]).map(|_| rng.gen_range(-2.0..2.0)).collect();
-    let mut group = c.benchmark_group("mlp_forward_batch_256");
-    group.throughput(Throughput::Elements(batch as u64));
-    group.bench_function("scalar", |b| {
-        b.iter(|| {
-            for s in 0..batch {
-                black_box(mlp.forward_reference(
-                    black_box(&inputs[s * widths[0]..(s + 1) * widths[0]]),
-                    Precision::Int8,
-                ));
-            }
-        })
-    });
-    group.bench_function("lane", |b| {
-        let mut scratch = MlpScratch::default();
-        b.iter(|| {
-            black_box(mlp.forward_batch_into(black_box(&inputs), Precision::Int8, &mut scratch));
-        })
-    });
-    group.finish();
-}
-
 fn bench_perception(c: &mut Criterion) {
     let image = Image::synthetic(320, 240, BENCH_SEED);
     let frontend = FeatureFrontEnd::new(200, 7);
@@ -361,8 +270,5 @@ criterion_group!(
     bench_dynamics,
     bench_linalg,
     bench_perception,
-    bench_collision_lane_pair,
-    bench_matcher_lane_pair,
-    bench_mlp_lane_pair,
 );
 criterion_main!(kernels);

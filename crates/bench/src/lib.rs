@@ -1,5 +1,5 @@
 //! Benchmark support crate: the roofline harness lives in [`roofline`];
-//! the Criterion targets live in `benches/`.
+//! the Criterion kernel micro-benches live in `benches/`.
 //!
 //! - [`roofline`] — the measured-vs-modeled harness behind experiment
 //!   E13 and the repo-root `BENCH_roofline.json` (run via
@@ -9,16 +9,12 @@
 //!   `examples/bench_sentinel.rs --check A B`; non-zero exit on
 //!   regression). Seeds and guards the repo-root
 //!   `BENCH_serve_latency.json` written by `examples/serve_bench.rs`.
-//! - `benches/experiments.rs` — one benchmark per paper experiment
-//!   (E1-E10), timing a full regeneration of each figure/table
-//!   equivalent.
-//! - `benches/kernels.rs` — micro-benches of the autonomy kernels,
-//!   including the scalar-vs-batched collision ablation behind E6 and
-//!   the scalar-vs-lane pairs for the vectorized kernels.
-//! - `benches/sim.rs` — closed-loop UAV missions and pipeline
-//!   simulations.
+//! - `benches/kernels.rs` — micro-benches of the autonomy kernels that
+//!   nothing else times on their own, including the scalar-vs-batched
+//!   collision ablation behind E6. Experiments, closed-loop simulation
+//!   and serving are timed by the `perfbench/` workloads instead.
 //!
-//! Run with `cargo bench --workspace`.
+//! Run with `cargo bench --offline -p m7-bench`.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

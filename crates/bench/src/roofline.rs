@@ -45,7 +45,7 @@ use rand::{Rng, SeedableRng};
 use crate::BENCH_SEED;
 
 /// Schema tag stamped into the JSON document, bumped on shape changes.
-pub const ROOFLINE_SCHEMA: &str = "m7-bench/roofline/v1";
+pub(crate) const ROOFLINE_SCHEMA: &str = "m7-bench/roofline/v1";
 
 /// Best-of-N timing repetitions in full mode.
 const FULL_REPS: usize = 5;
@@ -391,8 +391,8 @@ impl RooflineSuite {
     /// Machine-readable JSON document (the `BENCH_roofline.json` shape).
     ///
     /// Hand-rolled emitter — all names are ASCII identifiers, so no
-    /// escaping is needed; the shape is pinned by [`ROOFLINE_SCHEMA`] and
-    /// checked by [`validate_roofline_json`].
+    /// escaping is needed; the shape is pinned by the schema tag
+    /// `m7-bench/roofline/v1` and checked by [`validate_roofline_json`].
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::new();

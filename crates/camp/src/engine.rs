@@ -93,8 +93,8 @@ pub struct CampaignOutcome {
     pub strata: Vec<StratumReport>,
     /// Per-round budget trail.
     pub rounds: Vec<RoundReport>,
-    /// Scalar coverage score in `[0, 1]` (see
-    /// [`coverage_score`](crate::stats::coverage_score)).
+    /// Scalar coverage score in `[0, 1]`: the mean, over strata, of how
+    /// tightly each stratum's success rate is pinned.
     pub coverage: f64,
     /// Closed-loop evaluations the campaign accounts for, including
     /// units replayed from the checkpoint store.

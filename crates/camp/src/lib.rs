@@ -53,6 +53,6 @@ pub mod engine;
 pub mod plan;
 pub mod stats;
 
-pub use engine::{run_campaign, CampaignOutcome, RoundReport, StratumReport};
+pub use engine::{run_campaign, CampaignOutcome};
 pub use plan::CampaignPlan;
-pub use stats::{coverage_score, wilson_interval, wilson_width, StratumSketch};
+pub use stats::{wilson_interval, wilson_width, StratumSketch};

@@ -122,7 +122,7 @@ impl CampaignPlan {
 
     /// Deterministic per-stratum stream seed for a campaign root seed.
     #[must_use]
-    pub fn stratum_seed(&self, root: u64, stratum: usize) -> u64 {
+    pub(crate) fn stratum_seed(&self, root: u64, stratum: usize) -> u64 {
         derive_seed(root ^ STRATUM_SALT, stratum as u64)
     }
 

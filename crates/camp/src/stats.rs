@@ -18,7 +18,7 @@ const WILSON_Z: f64 = 1.96;
 
 /// Encoded size of a [`StratumSketch`] on disk: six little-endian
 /// `u64` words.
-pub const SKETCH_BYTES: usize = 48;
+pub(crate) const SKETCH_BYTES: usize = 48;
 
 /// Mergeable success/failure sketch for one campaign stratum.
 ///
@@ -194,7 +194,7 @@ pub fn wilson_width(successes: u64, trials: u64) -> f64 {
 /// approaching 1 means every stratum's success probability is pinned
 /// down tightly.
 #[must_use]
-pub fn coverage_score(sketches: &[StratumSketch]) -> f64 {
+pub(crate) fn coverage_score(sketches: &[StratumSketch]) -> f64 {
     if sketches.is_empty() {
         return 0.0;
     }

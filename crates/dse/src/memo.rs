@@ -74,7 +74,7 @@ impl<'a, S: ResultStore<f64>> EvalMemo<'a, S> {
 
     /// Returns the memoized cost of `values`, computing and storing it on
     /// a miss.
-    pub fn cost_or_insert_with(&self, values: &[f64], compute: impl FnOnce() -> f64) -> f64 {
+    pub(crate) fn cost_or_insert_with(&self, values: &[f64], compute: impl FnOnce() -> f64) -> f64 {
         self.cache.get_or_insert_with(self.key(values), compute).0
     }
 }
@@ -94,7 +94,7 @@ impl<S: ResultStore<f64>> core::fmt::Debug for EvalMemo<'_, S> {
 /// Population scoring uses this so a GA generation never dispatches the
 /// same genotype twice in one batch — independent of any cache.
 #[must_use]
-pub fn dedup_indices(points: &[PointIndex]) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn dedup_indices(points: &[PointIndex]) -> (Vec<usize>, Vec<usize>) {
     let mut first: std::collections::HashMap<&[usize], usize> = std::collections::HashMap::new();
     let mut unique: Vec<usize> = Vec::new();
     let mut assign: Vec<usize> = Vec::with_capacity(points.len());

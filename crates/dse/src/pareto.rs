@@ -51,35 +51,6 @@ pub fn pareto_front(points: &[Vec<f64>]) -> Vec<usize> {
     front
 }
 
-/// The hypervolume indicator in 2D (area dominated by the front up to a
-/// reference point), a scalar front-quality metric. Minimization in both
-/// objectives.
-///
-/// # Panics
-///
-/// Panics if any point is not 2-dimensional.
-#[must_use]
-pub fn hypervolume_2d(points: &[Vec<f64>], reference: (f64, f64)) -> f64 {
-    assert!(points.iter().all(|p| p.len() == 2), "hypervolume_2d requires 2-D points");
-    let front_idx = pareto_front(points);
-    let mut front: Vec<(f64, f64)> = front_idx
-        .into_iter()
-        .map(|i| (points[i][0], points[i][1]))
-        .filter(|&(x, y)| x <= reference.0 && y <= reference.1)
-        .collect();
-    front.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite objectives"));
-    front.dedup();
-    let mut area = 0.0;
-    let mut prev_y = reference.1;
-    for &(x, y) in &front {
-        if y < prev_y {
-            area += (reference.0 - x) * (prev_y - y);
-            prev_y = y;
-        }
-    }
-    area
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -116,25 +87,6 @@ mod tests {
             vec![6.0, 6.0, 6.0], // dominated by all
         ];
         assert_eq!(pareto_front(&pts), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn hypervolume_of_single_point() {
-        let hv = hypervolume_2d(&[vec![1.0, 1.0]], (3.0, 3.0));
-        assert!((hv - 4.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn hypervolume_grows_with_better_front() {
-        let worse = hypervolume_2d(&[vec![2.0, 2.0]], (4.0, 4.0));
-        let better = hypervolume_2d(&[vec![2.0, 2.0], vec![1.0, 3.0]], (4.0, 4.0));
-        assert!(better > worse);
-    }
-
-    #[test]
-    fn hypervolume_ignores_points_beyond_reference() {
-        let hv = hypervolume_2d(&[vec![5.0, 5.0]], (4.0, 4.0));
-        assert_eq!(hv, 0.0);
     }
 
     proptest! {

@@ -36,7 +36,7 @@ impl Dimension {
 }
 
 /// A point in a design space, stored as one level index per dimension.
-pub type PointIndex = Vec<usize>;
+pub(crate) type PointIndex = Vec<usize>;
 
 /// A discrete, enumerable design space.
 ///

@@ -6,7 +6,7 @@ use rand::{Rng, SeedableRng};
 
 /// A binary regression tree (CART) with variance-reduction splits.
 #[derive(Debug, Clone)]
-pub struct RegressionTree {
+pub(crate) struct RegressionTree {
     nodes: Vec<TreeNode>,
 }
 

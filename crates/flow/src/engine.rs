@@ -1,7 +1,7 @@
 //! The sealed graph and its virtual-time execution engine.
 //!
-//! [`seal`] validates a [`GraphBuilder`](crate::GraphBuilder)'s
-//! topology, costs every placement (in parallel on the `m7-par` pool),
+//! [`GraphBuilder::seal`] validates the builder's topology, costs every
+//! placement (in parallel on the `m7-par` pool),
 //! applies shared-site contention, and freezes the result into a
 //! [`Graph`]. [`Graph::run_seeded`] then executes the graph on a
 //! deterministic virtual clock, one event at a time in (time, FIFO)

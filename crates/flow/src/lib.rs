@@ -64,11 +64,11 @@ pub mod placement;
 pub mod policy;
 pub mod vtime;
 
-pub use engine::{EdgeReport, GraphReport, NodeReport};
+pub use engine::GraphReport;
 pub use graph::{
-    EdgeId, EdgeSpec, FlowError, Graph, GraphBuilder, LossModel, LossSeed, NodeId, ServerSpec,
-    Service, SinkSpec, SourceSpec,
+    EdgeSpec, FlowError, Graph, GraphBuilder, LossModel, LossSeed, ServerSpec, Service, SinkSpec,
+    SourceSpec,
 };
-pub use message::{MessageType, PortType};
+pub use message::MessageType;
 pub use placement::Placement;
 pub use policy::QueuePolicy;

@@ -35,7 +35,7 @@ pub trait MessageType: 'static {
 /// The resolved type of a node port: a [`MessageType`]'s identity plus
 /// its display name.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PortType {
+pub(crate) struct PortType {
     id: TypeId,
     name: &'static str,
 }

@@ -96,28 +96,12 @@ impl<E> EventQueue<E> {
         self.heap.push(Reverse(HeapEntry { at: at.value(), seq, payload }));
     }
 
-    /// Schedules `payload` at `delay` after the current time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `delay` is negative or non-finite.
-    pub fn schedule_in(&mut self, delay: Seconds, payload: E) {
-        assert!(delay.value() >= 0.0, "delay must be non-negative");
-        self.schedule(Seconds::new(self.now + delay.value()), payload);
-    }
-
     /// Pops the next event, advancing simulated time to its timestamp.
     pub fn pop(&mut self) -> Option<(Seconds, E)> {
         self.heap.pop().map(|Reverse(entry)| {
             self.now = entry.at;
             (Seconds::new(entry.at), entry.payload)
         })
-    }
-
-    /// The timestamp of the next pending event, if any.
-    #[must_use]
-    pub fn peek_time(&self) -> Option<Seconds> {
-        self.heap.peek().map(|Reverse(e)| Seconds::new(e.at))
     }
 }
 
@@ -153,30 +137,11 @@ mod tests {
     }
 
     #[test]
-    fn schedule_in_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(Seconds::new(5.0), "first");
-        q.pop();
-        q.schedule_in(Seconds::new(2.0), "second");
-        let (t, _) = q.pop().unwrap();
-        assert_eq!(t, Seconds::new(7.0));
-    }
-
-    #[test]
     #[should_panic(expected = "past")]
     fn rejects_past_events() {
         let mut q = EventQueue::new();
         q.schedule(Seconds::new(5.0), ());
         q.pop();
         q.schedule(Seconds::new(1.0), ());
-    }
-
-    #[test]
-    fn peek_does_not_advance_time() {
-        let mut q = EventQueue::new();
-        q.schedule(Seconds::new(4.0), ());
-        assert_eq!(q.peek_time(), Some(Seconds::new(4.0)));
-        assert_eq!(q.now(), Seconds::ZERO);
-        assert_eq!(q.len(), 1);
     }
 }

@@ -90,12 +90,6 @@ impl TrapezoidalProfile {
         2.0 * self.ramp_time + self.cruise_time
     }
 
-    /// Peak speed actually reached.
-    #[must_use]
-    pub fn peak_speed(&self) -> f64 {
-        self.cruise_speed
-    }
-
     /// Commanded speed at time `t` (clamped to the motion interval).
     #[must_use]
     pub fn speed(&self, t: f64) -> f64 {
@@ -144,22 +138,17 @@ pub struct Pid {
     kd: f64,
     integral: f64,
     prev_error: Option<f64>,
-    integral_limit: f64,
 }
 
 impl Pid {
-    /// Creates a controller with the given gains and a default integral
-    /// clamp of ±100.
+    /// Anti-windup clamp on the integral term.
+    const INTEGRAL_LIMIT: f64 = 100.0;
+
+    /// Creates a controller with the given gains and an integral clamp of
+    /// ±100.
     #[must_use]
     pub fn new(kp: f64, ki: f64, kd: f64) -> Self {
-        Self { kp, ki, kd, integral: 0.0, prev_error: None, integral_limit: 100.0 }
-    }
-
-    /// Sets the anti-windup clamp on the integral term.
-    #[must_use]
-    pub fn with_integral_limit(mut self, limit: f64) -> Self {
-        self.integral_limit = limit.abs();
-        self
+        Self { kp, ki, kd, integral: 0.0, prev_error: None }
     }
 
     /// Advances the controller by one step and returns the control output.
@@ -171,7 +160,7 @@ impl Pid {
             return self.kp * error;
         }
         self.integral =
-            (self.integral + error * dt).clamp(-self.integral_limit, self.integral_limit);
+            (self.integral + error * dt).clamp(-Self::INTEGRAL_LIMIT, Self::INTEGRAL_LIMIT);
         let derivative = match self.prev_error {
             Some(prev) => (error - prev) / dt,
             None => 0.0,
@@ -211,7 +200,6 @@ impl Pid {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Lqr {
     gain: Matrix,
-    iterations_used: usize,
 }
 
 impl Lqr {
@@ -248,10 +236,9 @@ impl Lqr {
         }
 
         let mut p = q.clone();
-        let mut iterations_used = max_iterations;
         let at = a.transpose();
         let bt = b.transpose();
-        for iter in 0..max_iterations {
+        for _ in 0..max_iterations {
             // K = (R + Bᵀ P B)⁻¹ Bᵀ P A
             let btp = bt.mul(&p)?;
             let s = r.add(&btp.mul(b)?)?;
@@ -262,7 +249,6 @@ impl Lqr {
             let delta = p_next.sub(&p)?.frobenius_norm();
             p = p_next;
             if delta < 1e-10 {
-                iterations_used = iter + 1;
                 break;
             }
         }
@@ -270,19 +256,13 @@ impl Lqr {
         let btp = bt.mul(&p)?;
         let s = r.add(&btp.mul(b)?)?;
         let gain = s.solve(&btp.mul(a)?)?;
-        Ok(Self { gain, iterations_used })
+        Ok(Self { gain })
     }
 
     /// The feedback gain matrix `K`.
     #[must_use]
     pub fn gain(&self) -> &Matrix {
         &self.gain
-    }
-
-    /// Riccati iterations actually performed before convergence.
-    #[must_use]
-    pub fn iterations_used(&self) -> usize {
-        self.iterations_used
     }
 
     /// Computes `u = −K x`.
@@ -311,12 +291,12 @@ mod tests {
 
     #[test]
     fn pid_integral_accumulates_and_clamps() {
-        let mut pid = Pid::new(0.0, 1.0, 0.0).with_integral_limit(0.5);
+        let mut pid = Pid::new(0.0, 1.0, 0.0);
         let mut last = 0.0;
         for _ in 0..100 {
-            last = pid.update(1.0, 0.1);
+            last = pid.update(1.0, 10.0);
         }
-        assert!((last - 0.5).abs() < 1e-9, "integral should clamp at 0.5, got {last}");
+        assert!((last - 100.0).abs() < 1e-9, "integral should clamp at 100, got {last}");
     }
 
     #[test]
@@ -369,14 +349,6 @@ mod tests {
     }
 
     #[test]
-    fn lqr_converges_early() {
-        let (a, b) = double_integrator();
-        let lqr = Lqr::solve(&a, &b, &Matrix::identity(2), &Matrix::from_diagonal(&[1.0]), 10_000)
-            .unwrap();
-        assert!(lqr.iterations_used() < 10_000, "Riccati should converge well before the cap");
-    }
-
-    #[test]
     fn lqr_dimension_errors() {
         let a = Matrix::identity(2);
         let b = Matrix::zeros(3, 1);
@@ -391,7 +363,7 @@ mod tests {
     #[test]
     fn trapezoid_reaches_cruise() {
         let p = TrapezoidalProfile::new(10.0, 2.0, 1.0).unwrap();
-        assert_eq!(p.peak_speed(), 2.0);
+        assert_eq!(p.speed(p.duration() / 2.0), 2.0);
         assert_eq!(p.speed(2.0), 2.0);
         assert_eq!(p.speed(0.0), 0.0);
         assert!((p.speed(p.duration()) - 0.0).abs() < 1e-12);
@@ -402,8 +374,9 @@ mod tests {
     #[test]
     fn short_distance_becomes_triangular() {
         let p = TrapezoidalProfile::new(1.0, 10.0, 1.0).unwrap();
-        assert!(p.peak_speed() < 10.0, "cannot reach cruise, peak {}", p.peak_speed());
-        assert!((p.peak_speed() - 1.0).abs() < 1e-12);
+        let peak = p.speed(p.duration() / 2.0);
+        assert!(peak < 10.0, "cannot reach cruise, peak {peak}");
+        assert!((peak - 1.0).abs() < 1e-12);
         assert!((p.position(p.duration()) - 1.0).abs() < 1e-9);
     }
 

@@ -45,7 +45,7 @@ impl Precision {
     /// Largest representable quantized magnitude (`2^(bits-1) − 1`), or
     /// `None` for floating point.
     #[must_use]
-    pub fn max_level(self) -> Option<f64> {
+    pub(crate) fn max_level(self) -> Option<f64> {
         match self {
             Self::F32 => None,
             _ => Some(f64::from((1u32 << (self.bits() - 1)) - 1)),
@@ -232,7 +232,7 @@ impl Mlp {
 
     /// Input dimension.
     #[must_use]
-    pub fn input_dim(&self) -> usize {
+    pub(crate) fn input_dim(&self) -> usize {
         self.layers[0].inputs
     }
 
@@ -244,7 +244,7 @@ impl Mlp {
 
     /// Total weight count (excluding biases).
     #[must_use]
-    pub fn weight_count(&self) -> usize {
+    pub(crate) fn weight_count(&self) -> usize {
         self.layers.iter().map(|l| l.weights.len()).sum()
     }
 
@@ -262,7 +262,7 @@ impl Mlp {
 
     /// Class logits for one input at the given weight precision.
     ///
-    /// Convenience wrapper over [`Mlp::forward_into`] with a throwaway
+    /// Convenience wrapper over `Mlp::forward_into` with a throwaway
     /// scratch; use the `_into` variant (or [`Mlp::forward_batch_into`])
     /// on hot paths to amortize the buffers.
     ///
@@ -287,7 +287,7 @@ impl Mlp {
     /// # Panics
     ///
     /// Panics if `input.len() != self.input_dim()`.
-    pub fn forward_into<'s>(
+    pub(crate) fn forward_into<'s>(
         &self,
         input: &[f64],
         precision: Precision,
@@ -362,7 +362,7 @@ impl Mlp {
 
     /// Scalar-reference forward pass: per-layer quantized clone and
     /// row-major dot products, the original formulation. Kept public as
-    /// the property-tested reference for [`Mlp::forward_into`].
+    /// the property-tested reference for the buffered forward pass.
     ///
     /// # Panics
     ///
@@ -399,7 +399,7 @@ impl Mlp {
 
     /// [`Mlp::predict`] with a caller-provided scratch, for allocation-free
     /// sweeps over many examples.
-    pub fn predict_with(
+    pub(crate) fn predict_with(
         &self,
         input: &[f64],
         precision: Precision,
@@ -443,7 +443,7 @@ impl Mlp {
     /// # Errors
     ///
     /// As [`Mlp::accuracy`]; the network is left untouched.
-    pub fn train_quantized(
+    pub(crate) fn train_quantized(
         &mut self,
         data: &Dataset,
         epochs: usize,

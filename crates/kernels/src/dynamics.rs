@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 /// Gravitational acceleration used by the chain model (m/s²).
-pub const GRAVITY: f64 = 9.81;
+pub(crate) const GRAVITY: f64 = 9.81;
 
 /// One revolute link of a planar serial chain.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -64,12 +64,6 @@ impl SerialChain {
     #[must_use]
     pub fn dof(&self) -> usize {
         self.links.len()
-    }
-
-    /// The links, base to tip.
-    #[must_use]
-    pub fn links(&self) -> &[Link] {
-        &self.links
     }
 
     /// Tip position `(x, y)` for joint angles `q`.
@@ -166,14 +160,6 @@ impl SerialChain {
         }
         tau
     }
-
-    /// Floating-point-operation estimate for one inverse-dynamics call
-    /// (linear in the number of joints, like the algorithm itself).
-    #[must_use]
-    pub fn rnea_flops(&self) -> f64 {
-        // ~60 flops per joint for the planar recursion.
-        60.0 * self.dof() as f64
-    }
 }
 
 #[cfg(test)]
@@ -247,13 +233,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flops_scale_with_dof() {
-        let small = SerialChain::new(vec![Link::uniform_rod(1.0, 1.0); 2]);
-        let large = SerialChain::new(vec![Link::uniform_rod(1.0, 1.0); 8]);
-        assert!((large.rnea_flops() / small.rnea_flops() - 4.0).abs() < 1e-12);
-    }
-
     proptest! {
         #[test]
         fn prop_fk_within_reach(
@@ -261,7 +240,7 @@ mod tests {
         ) {
             let chain = three_link();
             let (x, y) = chain.forward_kinematics(&q);
-            let reach: f64 = chain.links().iter().map(|l| l.length).sum();
+            let reach: f64 = chain.links.iter().map(|l| l.length).sum();
             prop_assert!(x.hypot(y) <= reach + 1e-9);
         }
 
@@ -272,8 +251,8 @@ mod tests {
             // Static gravity torque at any pose is bounded by Σ m g · reach.
             let chain = three_link();
             let tau = chain.inverse_dynamics(&q, &[0.0; 3], &[0.0; 3]);
-            let reach: f64 = chain.links().iter().map(|l| l.length).sum();
-            let total_mass: f64 = chain.links().iter().map(|l| l.mass).sum();
+            let reach: f64 = chain.links.iter().map(|l| l.length).sum();
+            let total_mass: f64 = chain.links.iter().map(|l| l.mass).sum();
             let bound = total_mass * GRAVITY * reach;
             for t in tau {
                 prop_assert!(t.abs() <= bound + 1e-6);

@@ -59,7 +59,7 @@ impl Vec2 {
     /// Squared Euclidean norm (cheaper than [`Vec2::norm`]).
     #[inline]
     #[must_use]
-    pub fn norm_squared(self) -> f64 {
+    pub(crate) fn norm_squared(self) -> f64 {
         self.dot(self)
     }
 
@@ -81,7 +81,7 @@ impl Vec2 {
     /// vector.
     #[inline]
     #[must_use]
-    pub fn normalized(self) -> Self {
+    pub(crate) fn normalized(self) -> Self {
         let n = self.norm();
         if n > 0.0 {
             self / n
@@ -93,14 +93,14 @@ impl Vec2 {
     /// Linear interpolation: `self` at `t = 0`, `other` at `t = 1`.
     #[inline]
     #[must_use]
-    pub fn lerp(self, other: Self, t: f64) -> Self {
+    pub(crate) fn lerp(self, other: Self, t: f64) -> Self {
         self + (other - self) * t
     }
 
     /// Rotates the vector by `angle` radians counter-clockwise.
     #[inline]
     #[must_use]
-    pub fn rotated(self, angle: f64) -> Self {
+    pub(crate) fn rotated(self, angle: f64) -> Self {
         let (s, c) = angle.sin_cos();
         Self::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
@@ -224,25 +224,6 @@ impl Vec3 {
     #[must_use]
     pub fn norm(self) -> f64 {
         self.dot(self).sqrt()
-    }
-
-    /// Squared Euclidean norm.
-    #[inline]
-    #[must_use]
-    pub fn norm_squared(self) -> f64 {
-        self.dot(self)
-    }
-
-    /// The unit vector in this direction, or zero for the zero vector.
-    #[inline]
-    #[must_use]
-    pub fn normalized(self) -> Self {
-        let n = self.norm();
-        if n > 0.0 {
-            self * (1.0 / n)
-        } else {
-            Self::ZERO
-        }
     }
 }
 

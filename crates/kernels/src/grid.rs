@@ -66,14 +66,14 @@ impl OccupancyGrid {
     /// Grid width in cells.
     #[inline]
     #[must_use]
-    pub fn width_cells(&self) -> usize {
+    pub(crate) fn width_cells(&self) -> usize {
         self.width_cells
     }
 
     /// Grid height in cells.
     #[inline]
     #[must_use]
-    pub fn height_cells(&self) -> usize {
+    pub(crate) fn height_cells(&self) -> usize {
         self.height_cells
     }
 
@@ -87,7 +87,7 @@ impl OccupancyGrid {
     /// Converts a world point to cell indices, or `None` if out of bounds.
     #[inline]
     #[must_use]
-    pub fn cell_of(&self, p: Vec2) -> Option<(usize, usize)> {
+    pub(crate) fn cell_of(&self, p: Vec2) -> Option<(usize, usize)> {
         if p.x < 0.0 || p.y < 0.0 {
             return None;
         }
@@ -103,7 +103,7 @@ impl OccupancyGrid {
     /// The center of cell `(cx, cy)` in world coordinates.
     #[inline]
     #[must_use]
-    pub fn cell_center(&self, cx: usize, cy: usize) -> Vec2 {
+    pub(crate) fn cell_center(&self, cx: usize, cy: usize) -> Vec2 {
         Vec2::new((cx as f64 + 0.5) * self.resolution, (cy as f64 + 0.5) * self.resolution)
     }
 
@@ -127,7 +127,7 @@ impl OccupancyGrid {
     /// Panics if the indices are out of bounds.
     #[inline]
     #[must_use]
-    pub fn log_odds_at(&self, cx: usize, cy: usize) -> f64 {
+    pub(crate) fn log_odds_at(&self, cx: usize, cy: usize) -> f64 {
         assert!(cx < self.width_cells && cy < self.height_cells, "cell out of bounds");
         self.log_odds[cy * self.width_cells + cx]
     }
@@ -152,7 +152,7 @@ impl OccupancyGrid {
     /// The cells crossed by the segment `origin → endpoint` (integer
     /// supercover via DDA), clipped to the grid.
     #[must_use]
-    pub fn traverse(&self, origin: Vec2, endpoint: Vec2) -> Vec<(usize, usize)> {
+    pub(crate) fn traverse(&self, origin: Vec2, endpoint: Vec2) -> Vec<(usize, usize)> {
         let mut out = Vec::new();
         let delta = endpoint - origin;
         let len = delta.norm();
@@ -181,7 +181,7 @@ impl OccupancyGrid {
     /// Casts a ray against occupied cells (probability > `threshold`),
     /// returning the world point of the first hit, if any, within `max_range`.
     #[must_use]
-    pub fn raycast(
+    pub(crate) fn raycast(
         &self,
         origin: Vec2,
         direction: Vec2,
@@ -201,14 +201,6 @@ impl OccupancyGrid {
         }
         None
     }
-
-    /// Fraction of cells whose state is known (log-odds moved away from 0),
-    /// a coverage metric used by exploration missions.
-    #[must_use]
-    pub fn known_fraction(&self) -> f64 {
-        let known = self.log_odds.iter().filter(|v| v.abs() > 1e-9).count();
-        known as f64 / self.log_odds.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -222,7 +214,6 @@ mod tests {
         assert_eq!(g.width_cells(), 10);
         assert_eq!(g.height_cells(), 10);
         assert_eq!(g.probability(Vec2::new(2.0, 2.0)), 0.5);
-        assert_eq!(g.known_fraction(), 0.0);
     }
 
     #[test]
@@ -241,7 +232,6 @@ mod tests {
         }
         assert!(g.probability(Vec2::new(8.0, 5.0)) > 0.9);
         assert!(g.probability(Vec2::new(4.0, 5.0)) < 0.1);
-        assert!(g.known_fraction() > 0.0);
     }
 
     #[test]

@@ -42,12 +42,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod camera;
 pub mod control;
 pub mod dnn;
 pub mod dynamics;
 pub mod geometry;
-pub mod geometry3;
 pub mod grid;
 pub mod linalg;
 pub mod perception;

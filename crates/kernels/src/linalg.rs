@@ -385,16 +385,8 @@ impl Matrix {
 
     /// The Frobenius norm.
     #[must_use]
-    pub fn frobenius_norm(&self) -> f64 {
+    pub(crate) fn frobenius_norm(&self) -> f64 {
         self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Returns `true` if every corresponding element differs by less than
-    /// `tol`.
-    #[must_use]
-    pub fn approx_eq(&self, rhs: &Self, tol: f64) -> bool {
-        self.shape() == rhs.shape()
-            && self.data.iter().zip(&rhs.data).all(|(a, b)| (a - b).abs() < tol)
     }
 }
 
@@ -419,6 +411,15 @@ impl core::ops::IndexMut<(usize, usize)> for Matrix {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl Matrix {
+        /// Returns `true` if every corresponding element differs by less
+        /// than `tol`.
+        fn approx_eq(&self, rhs: &Self, tol: f64) -> bool {
+            self.shape() == rhs.shape()
+                && self.data.iter().zip(&rhs.data).all(|(a, b)| (a - b).abs() < tol)
+        }
+    }
 
     #[test]
     fn identity_is_multiplicative_identity() {

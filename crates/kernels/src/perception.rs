@@ -89,23 +89,6 @@ impl Image {
         assert!(x < self.width && y < self.height, "pixel out of bounds");
         self.pixels[y * self.width + x]
     }
-
-    /// Translates the image content by integer offsets, filling vacated
-    /// pixels with 0. Used to synthesize camera motion between frames.
-    #[must_use]
-    pub fn shifted(&self, dx: isize, dy: isize) -> Self {
-        let mut out = vec![0u8; self.pixels.len()];
-        for y in 0..self.height {
-            for x in 0..self.width {
-                let sx = x as isize - dx;
-                let sy = y as isize - dy;
-                if sx >= 0 && sy >= 0 && (sx as usize) < self.width && (sy as usize) < self.height {
-                    out[y * self.width + x] = self.pixels[sy as usize * self.width + sx as usize];
-                }
-            }
-        }
-        Self { width: self.width, height: self.height, pixels: out }
-    }
 }
 
 /// A detected keypoint with its corner score.
@@ -123,53 +106,12 @@ pub struct Keypoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Descriptor(pub [u64; 4]);
 
-/// Descriptors processed per chunk in the batched Hamming sweep — enough
-/// independent popcount chains to keep the execution ports busy, and the
-/// fixed trip count lets the compiler unroll and (with
-/// `target-cpu=native`) vectorize the XOR+popcount body.
-pub const HAMMING_CHUNK: usize = 4;
-
 impl Descriptor {
     /// Hamming distance to another descriptor.
     #[inline]
     #[must_use]
     pub fn distance(&self, other: &Self) -> u32 {
         self.0.iter().zip(&other.0).map(|(a, b)| (a ^ b).count_ones()).sum()
-    }
-
-    /// Fully unrolled 4-word XOR+popcount — the same sum as
-    /// [`Descriptor::distance`] (integer ops, so bit-identical), with the
-    /// word loop flattened into four independent chains.
-    #[inline]
-    fn distance_unrolled(&self, other: &Self) -> u32 {
-        let a = &self.0;
-        let b = &other.0;
-        (a[0] ^ b[0]).count_ones()
-            + (a[1] ^ b[1]).count_ones()
-            + (a[2] ^ b[2]).count_ones()
-            + (a[3] ^ b[3]).count_ones()
-    }
-
-    /// Batched Hamming distances: fills `out` with the distance from
-    /// `query` to every descriptor in `set`, in order.
-    ///
-    /// The sweep runs [`HAMMING_CHUNK`] descriptors per step with the
-    /// 256-bit XOR+popcount fully unrolled, and reuses `out`'s allocation
-    /// across calls. Distances are integers, so the buffer is bit-identical
-    /// to calling [`Descriptor::distance`] per element.
-    pub fn distances_into(query: &Self, set: &[Self], out: &mut Vec<u32>) {
-        out.clear();
-        out.reserve(set.len());
-        let mut chunks = set.chunks_exact(HAMMING_CHUNK);
-        for c in chunks.by_ref() {
-            out.push(query.distance_unrolled(&c[0]));
-            out.push(query.distance_unrolled(&c[1]));
-            out.push(query.distance_unrolled(&c[2]));
-            out.push(query.distance_unrolled(&c[3]));
-        }
-        for d in chunks.remainder() {
-            out.push(query.distance_unrolled(d));
-        }
     }
 }
 
@@ -309,26 +251,6 @@ impl FeatureFrontEnd {
         Descriptor(bits)
     }
 
-    /// Brute-force mutual-best matching with a ratio test.
-    ///
-    /// Returns index pairs `(i, j)` into the two descriptor sets.
-    ///
-    /// Dispatches at compile time: on targets with vector popcount
-    /// (AVX-512 `vpopcntq`, enabled by `-C target-cpu=native` on recent
-    /// x86), the word-plane lane kernel
-    /// ([`FeatureFrontEnd::match_descriptors_planes`]) wins; everywhere
-    /// else its two branch-free sweeps cost more than they save over the
-    /// interleaved scalar loop, so the scalar path is kept. Both paths
-    /// produce bit-identical matches, so the dispatch is unobservable.
-    #[must_use]
-    pub fn match_descriptors(a: &[Descriptor], b: &[Descriptor]) -> Vec<(usize, usize)> {
-        if cfg!(target_feature = "avx512vpopcntdq") {
-            Self::match_descriptors_planes(a, b)
-        } else {
-            Self::match_descriptors_scalar(a, b)
-        }
-    }
-
     /// The lane matcher: word-plane layout, packed-key `min` reductions.
     ///
     /// The candidate set is first transposed into four word planes
@@ -401,7 +323,7 @@ impl FeatureFrontEnd {
     /// Scalar-reference matcher: interleaved distance + selection per
     /// candidate, no chunking, no distance buffer. Kept public as the
     /// property-tested reference for
-    /// [`FeatureFrontEnd::match_descriptors`].
+    /// [`FeatureFrontEnd::match_descriptors_planes`].
     #[must_use]
     pub fn match_descriptors_scalar(a: &[Descriptor], b: &[Descriptor]) -> Vec<(usize, usize)> {
         let mut matches = Vec::new();
@@ -429,6 +351,30 @@ impl FeatureFrontEnd {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Image {
+        /// Translates the image content by integer offsets, filling vacated
+        /// pixels with 0. Used to synthesize camera motion between frames.
+        #[must_use]
+        fn shifted(&self, dx: isize, dy: isize) -> Self {
+            let mut out = vec![0u8; self.pixels.len()];
+            for y in 0..self.height {
+                for x in 0..self.width {
+                    let sx = x as isize - dx;
+                    let sy = y as isize - dy;
+                    if sx >= 0
+                        && sy >= 0
+                        && (sx as usize) < self.width
+                        && (sy as usize) < self.height
+                    {
+                        out[y * self.width + x] =
+                            self.pixels[sy as usize * self.width + sx as usize];
+                    }
+                }
+            }
+            Self { width: self.width, height: self.height, pixels: out }
+        }
+    }
 
     #[test]
     fn synthetic_image_is_deterministic() {
@@ -474,7 +420,7 @@ mod tests {
         let fe = FeatureFrontEnd::new(80, 7);
         let (ka, da) = fe.extract(&img);
         let (kb, db) = fe.extract(&moved);
-        let matches = FeatureFrontEnd::match_descriptors(&da, &db);
+        let matches = FeatureFrontEnd::match_descriptors_scalar(&da, &db);
         assert!(!matches.is_empty(), "shifted frame should still match");
         // Most matches should be consistent with the (3, 1) shift.
         let consistent = matches
@@ -497,20 +443,6 @@ mod tests {
         (0..n).map(|_| Descriptor([rng.gen(), rng.gen(), rng.gen(), rng.gen()])).collect()
     }
 
-    /// Chunked distance sweep is bit-identical to per-element `distance`
-    /// at every remainder length (`len % HAMMING_CHUNK ∈ {0..CHUNK-1}`).
-    #[test]
-    fn chunked_distances_match_scalar_at_every_remainder() {
-        let query = random_descriptors(1, 1)[0];
-        let mut buf = Vec::new();
-        for n in 0..=2 * HAMMING_CHUNK + 1 {
-            let set = random_descriptors(n, n as u64 + 10);
-            Descriptor::distances_into(&query, &set, &mut buf);
-            let expected: Vec<u32> = set.iter().map(|d| query.distance(d)).collect();
-            assert_eq!(buf, expected, "divergence at set length {n}");
-        }
-    }
-
     /// Buffered matcher is bit-identical to the scalar reference,
     /// including duplicate-distance tie-breaking and ratio-test edges.
     #[test]
@@ -529,11 +461,6 @@ mod tests {
                 FeatureFrontEnd::match_descriptors_planes(&a, &b),
                 FeatureFrontEnd::match_descriptors_scalar(&a, &b),
                 "lane matcher divergence at sizes {na}x{nb}"
-            );
-            assert_eq!(
-                FeatureFrontEnd::match_descriptors(&a, &b),
-                FeatureFrontEnd::match_descriptors_scalar(&a, &b),
-                "dispatcher divergence at sizes {na}x{nb}"
             );
         }
     }

@@ -31,7 +31,7 @@ pub trait Obstacle: core::fmt::Debug + Send + Sync {
 
 /// A circular obstacle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Circle {
+pub(crate) struct Circle {
     /// Center position.
     pub center: Vec2,
     /// Radius (meters).
@@ -55,7 +55,7 @@ impl Obstacle for Circle {
 
 /// An axis-aligned rectangular obstacle.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct Rect {
+pub(crate) struct Rect {
     /// Minimum corner.
     pub min: Vec2,
     /// Maximum corner.
@@ -282,7 +282,7 @@ impl CollisionWorld {
 /// register (or two NEON registers). The inner loops below are written as
 /// fixed-width chunks of this size so the autovectorizer can prove the
 /// trip count and emit packed mul-add chains.
-pub const COLLISION_LANES: usize = 4;
+pub(crate) const COLLISION_LANES: usize = 4;
 
 /// Obstacles tested branch-free between early-exit checks. A multiple of
 /// [`COLLISION_LANES`]; large enough that the per-block branch is
@@ -515,35 +515,6 @@ impl BatchChecker {
         true
     }
 
-    /// Scalar point predicate over the flat SoA arrays: no virtual
-    /// dispatch, no per-obstacle pointer chase, square-distance arithmetic
-    /// only, and an early exit once any obstacle claims the point.
-    ///
-    /// Kept as the property-tested reference for the lane path; exposed
-    /// through [`BatchChecker::points_free_scalar`].
-    fn point_free_one_scalar(&self, p: Vec2) -> bool {
-        if p.x < 0.0 || p.y < 0.0 || p.x > self.width || p.y > self.height {
-            return false;
-        }
-        for ((cx, cy), r2) in self.circles.cx.iter().zip(&self.circles.cy).zip(&self.circles.r2) {
-            let dx = p.x - cx;
-            let dy = p.y - cy;
-            if dx * dx + dy * dy <= *r2 {
-                return false;
-            }
-        }
-        for i in 0..self.rects.min_x.len() {
-            if p.x >= self.rects.min_x[i]
-                && p.x <= self.rects.max_x[i]
-                && p.y >= self.rects.min_y[i]
-                && p.y <= self.rects.max_y[i]
-            {
-                return false;
-            }
-        }
-        true
-    }
-
     /// Scalar segment predicate: edge geometry hoisted into registers once,
     /// straight-line closest-point test per circle with early exit.
     ///
@@ -586,28 +557,19 @@ impl BatchChecker {
     /// Batched point query: one boolean per input point.
     ///
     /// Point-major iteration over the flat SoA arrays, each point running
-    /// the [`COLLISION_LANES`]-wide branch-free sweep; see
-    /// [`BatchChecker::points_free_scalar`] for the scalar reference.
+    /// the [`COLLISION_LANES`]-wide branch-free sweep; the tests diff it
+    /// against a scalar early-exit reference.
     #[must_use]
-    pub fn points_free(&self, points: &[Vec2]) -> Vec<bool> {
+    pub(crate) fn points_free(&self, points: &[Vec2]) -> Vec<bool> {
         points.iter().map(|&p| self.point_free_one(p)).collect()
-    }
-
-    /// Scalar-reference [`BatchChecker::points_free`]: per-obstacle early
-    /// exit, no lane restructuring. Bit-identical output; kept public so
-    /// benchmarks and property tests can diff the two paths.
-    #[must_use]
-    pub fn points_free_scalar(&self, points: &[Vec2]) -> Vec<bool> {
-        points.iter().map(|&p| self.point_free_one_scalar(p)).collect()
     }
 
     /// Batched segment query: one boolean per input edge.
     ///
-    /// Same layout strategy as [`BatchChecker::points_free`]: the obstacle
-    /// set lives in contiguous arrays that stay cache-resident across the
-    /// whole edge batch, each edge's geometry is hoisted into registers
-    /// once, and the inner loop is a fixed-width branch-free closest-point
-    /// sweep ([`COLLISION_LANES`] circles per step).
+    /// The obstacle set lives in contiguous arrays that stay
+    /// cache-resident across the whole edge batch, each edge's geometry is
+    /// hoisted into registers once, and the inner loop is a fixed-width
+    /// branch-free closest-point sweep (four circles per step).
     #[must_use]
     pub fn segments_free(&self, edges: &[(Vec2, Vec2)]) -> Vec<bool> {
         edges.iter().map(|&(a, b)| self.segment_free_one(a, b)).collect()
@@ -626,6 +588,43 @@ impl BatchChecker {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    impl BatchChecker {
+        /// Scalar point predicate over the flat SoA arrays: no virtual
+        /// dispatch, no per-obstacle pointer chase, square-distance arithmetic
+        /// only, and an early exit once any obstacle claims the point.
+        ///
+        /// The reference the lane path is property-tested against.
+        fn point_free_one_scalar(&self, p: Vec2) -> bool {
+            if p.x < 0.0 || p.y < 0.0 || p.x > self.width || p.y > self.height {
+                return false;
+            }
+            for ((cx, cy), r2) in self.circles.cx.iter().zip(&self.circles.cy).zip(&self.circles.r2)
+            {
+                let dx = p.x - cx;
+                let dy = p.y - cy;
+                if dx * dx + dy * dy <= *r2 {
+                    return false;
+                }
+            }
+            for i in 0..self.rects.min_x.len() {
+                if p.x >= self.rects.min_x[i]
+                    && p.x <= self.rects.max_x[i]
+                    && p.y >= self.rects.min_y[i]
+                    && p.y <= self.rects.max_y[i]
+                {
+                    return false;
+                }
+            }
+            true
+        }
+
+        /// Scalar-reference [`BatchChecker::points_free`]: per-obstacle
+        /// early exit, no lane restructuring, bit-identical output.
+        fn points_free_scalar(&self, points: &[Vec2]) -> Vec<bool> {
+            points.iter().map(|&p| self.point_free_one_scalar(p)).collect()
+        }
+    }
 
     fn demo_world() -> CollisionWorld {
         let mut w = CollisionWorld::new(20.0, 20.0);

@@ -9,21 +9,8 @@ use crate::geometry::Vec2;
 /// Points are inserted incrementally without rebalancing; for the randomized
 /// insertion order of sampling-based planners the expected depth stays
 /// logarithmic.
-///
-/// # Examples
-///
-/// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::KdTree;
-///
-/// let mut tree = KdTree::new();
-/// tree.insert(Vec2::new(1.0, 1.0), 0);
-/// tree.insert(Vec2::new(5.0, 5.0), 1);
-/// let (idx, _dist2) = tree.nearest(Vec2::new(4.0, 4.5)).unwrap();
-/// assert_eq!(idx, 1);
-/// ```
 #[derive(Debug, Clone, Default)]
-pub struct KdTree {
+pub(crate) struct KdTree {
     nodes: Vec<Node>,
 }
 
@@ -40,18 +27,6 @@ impl KdTree {
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Number of stored points.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Returns `true` if the tree is empty.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Inserts a point with its payload.
@@ -93,7 +68,7 @@ impl KdTree {
     /// The payload and squared distance of the stored point nearest to
     /// `query`, or `None` if the tree is empty.
     #[must_use]
-    pub fn nearest(&self, query: Vec2) -> Option<(usize, f64)> {
+    pub(crate) fn nearest(&self, query: Vec2) -> Option<(usize, f64)> {
         if self.nodes.is_empty() {
             return None;
         }
@@ -122,7 +97,7 @@ impl KdTree {
 
     /// Payloads of all stored points within `radius` of `query`.
     #[must_use]
-    pub fn within_radius(&self, query: Vec2, radius: f64) -> Vec<usize> {
+    pub(crate) fn within_radius(&self, query: Vec2, radius: f64) -> Vec<usize> {
         let mut out = Vec::new();
         if !self.nodes.is_empty() && radius >= 0.0 {
             self.radius_rec(0, 0, query, radius * radius, &mut out);

@@ -33,7 +33,7 @@ mod rrt_star;
 
 pub use astar::{astar, AstarConfig};
 pub use collision::{BatchChecker, CollisionWorld, Obstacle};
-pub use kdtree::KdTree;
+pub(crate) use kdtree::KdTree;
 pub use path::Path;
 pub use prm::{Prm, PrmConfig};
 pub use rrt::{Rrt, RrtConfig};

@@ -105,18 +105,6 @@ impl Rrt {
     pub fn plan(&self, world: &CollisionWorld, start: Vec2, goal: Vec2) -> Option<Path> {
         plan_impl(&self.config, self.seed, world, start, goal, false)
     }
-
-    /// Plans and reports the number of collision-checked edges, for
-    /// workload profiling by `m7-arch`.
-    #[must_use]
-    pub fn plan_counted(
-        &self,
-        world: &CollisionWorld,
-        start: Vec2,
-        goal: Vec2,
-    ) -> (Option<Path>, usize) {
-        plan_counted_impl(&self.config, self.seed, world, start, goal, false)
-    }
 }
 
 pub(super) fn plan_impl(
@@ -127,25 +115,13 @@ pub(super) fn plan_impl(
     goal: Vec2,
     star: bool,
 ) -> Option<Path> {
-    plan_counted_impl(config, seed, world, start, goal, star).0
-}
-
-pub(super) fn plan_counted_impl(
-    config: &RrtConfig,
-    seed: u64,
-    world: &CollisionWorld,
-    start: Vec2,
-    goal: Vec2,
-    star: bool,
-) -> (Option<Path>, usize) {
     if !world.point_free(start) || !world.point_free(goal) {
-        return (None, 0);
+        return None;
     }
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
     let mut nodes = vec![TreeNode { point: start, parent: None, cost: 0.0 }];
     let mut tree = KdTree::new();
     tree.insert(start, 0);
-    let mut checks = 0usize;
     let mut best_goal: Option<usize> = None;
 
     for _ in 0..config.max_iterations {
@@ -166,7 +142,6 @@ pub(super) fn plan_counted_impl(
         } else {
             from + to_sample * (config.step_size / dist)
         };
-        checks += 1;
         if !world.segment_free(from, new_point) {
             continue;
         }
@@ -178,12 +153,9 @@ pub(super) fn plan_counted_impl(
             let neighbors = tree.within_radius(new_point, config.rewire_radius);
             for &nb in &neighbors {
                 let c = nodes[nb].cost + nodes[nb].point.distance(new_point);
-                if c < cost {
-                    checks += 1;
-                    if world.segment_free(nodes[nb].point, new_point) {
-                        parent = nb;
-                        cost = c;
-                    }
+                if c < cost && world.segment_free(nodes[nb].point, new_point) {
+                    parent = nb;
+                    cost = c;
                 }
             }
             let new_index = nodes.len();
@@ -192,12 +164,11 @@ pub(super) fn plan_counted_impl(
             // Rewire: reroute neighbors through the new node when cheaper.
             for &nb in &neighbors {
                 let through = cost + new_point.distance(nodes[nb].point);
-                if through + 1e-12 < nodes[nb].cost {
-                    checks += 1;
-                    if world.segment_free(new_point, nodes[nb].point) {
-                        nodes[nb].parent = Some(new_index);
-                        nodes[nb].cost = through;
-                    }
+                if through + 1e-12 < nodes[nb].cost
+                    && world.segment_free(new_point, nodes[nb].point)
+                {
+                    nodes[nb].parent = Some(new_index);
+                    nodes[nb].cost = through;
                 }
             }
             if new_point.distance(goal) <= config.goal_tolerance {
@@ -211,11 +182,11 @@ pub(super) fn plan_counted_impl(
             nodes.push(TreeNode { point: new_point, parent: Some(parent), cost });
             tree.insert(new_point, new_index);
             if new_point.distance(goal) <= config.goal_tolerance {
-                return (Some(extract_path(&nodes, new_index)), checks);
+                return Some(extract_path(&nodes, new_index));
             }
         }
     }
-    (best_goal.map(|g| extract_path(&nodes, g)), checks)
+    best_goal.map(|g| extract_path(&nodes, g))
 }
 
 #[cfg(test)]
@@ -277,17 +248,5 @@ mod tests {
         let a = plan(42);
         let b = plan(42);
         assert_eq!(a.map(|p| p.waypoints().to_vec()), b.map(|p| p.waypoints().to_vec()));
-    }
-
-    #[test]
-    fn counted_checks_are_positive() {
-        let world = CollisionWorld::new(10.0, 10.0);
-        let (p, checks) = Rrt::new(RrtConfig::default(), 2).plan_counted(
-            &world,
-            Vec2::new(1.0, 1.0),
-            Vec2::new(9.0, 9.0),
-        );
-        assert!(p.is_some());
-        assert!(checks > 0);
     }
 }

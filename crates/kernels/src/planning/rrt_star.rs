@@ -2,7 +2,7 @@
 
 use super::collision::CollisionWorld;
 use super::path::Path;
-use super::rrt::{plan_counted_impl, plan_impl, RrtConfig};
+use super::rrt::{plan_impl, RrtConfig};
 use crate::geometry::Vec2;
 
 /// The RRT* planner: RRT plus choose-parent and rewiring steps, converging
@@ -46,17 +46,6 @@ impl RrtStar {
     #[must_use]
     pub fn plan(&self, world: &CollisionWorld, start: Vec2, goal: Vec2) -> Option<Path> {
         plan_impl(&self.config, self.seed, world, start, goal, true)
-    }
-
-    /// Plans and reports the number of collision-checked edges.
-    #[must_use]
-    pub fn plan_counted(
-        &self,
-        world: &CollisionWorld,
-        start: Vec2,
-        goal: Vec2,
-    ) -> (Option<Path>, usize) {
-        plan_counted_impl(&self.config, self.seed, world, start, goal, true)
     }
 }
 

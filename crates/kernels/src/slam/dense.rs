@@ -58,9 +58,6 @@ pub struct DenseScanSlam {
     config: DenseSlamConfig,
     grid: OccupancyGrid,
     pose: Pose2,
-    /// Cumulative count of pose-hypothesis × beam evaluations (the
-    /// correlation inner loop), the quantity an accelerator would target.
-    correlation_evals: u64,
 }
 
 impl DenseScanSlam {
@@ -73,7 +70,6 @@ impl DenseScanSlam {
             config,
             grid: OccupancyGrid::new(width, height, resolution),
             pose: Pose2::identity(),
-            correlation_evals: 0,
         }
     }
 
@@ -95,12 +91,6 @@ impl DenseScanSlam {
         &self.grid
     }
 
-    /// Cumulative correlation-loop evaluations (pose hypotheses × beams).
-    #[must_use]
-    pub fn correlation_evals(&self) -> u64 {
-        self.correlation_evals
-    }
-
     /// Number of pose hypotheses scored per scan with the current config.
     #[must_use]
     pub fn hypotheses_per_scan(&self) -> usize {
@@ -120,10 +110,8 @@ impl DenseScanSlam {
     }
 
     /// Brute-force correlation search: the kernel E2's "widget" accelerates.
-    fn correlate(&mut self, prior: Pose2, scan: &Scan) -> Pose2 {
-        let (best_pose, evals) = self.match_scan(prior, scan);
-        self.correlation_evals += evals;
-        best_pose
+    fn correlate(&self, prior: Pose2, scan: &Scan) -> Pose2 {
+        self.match_scan(prior, scan).0
     }
 
     /// The correlation search, restructured for the hardware: beam
@@ -337,7 +325,6 @@ mod tests {
         }
         let err = slam.pose().position.distance(truth.position);
         assert!(err < 0.5, "dense matcher drifted {err} m");
-        assert!(slam.correlation_evals() > 0);
     }
 
     /// Hoisted-trig matcher is bit-identical to the per-beam-trig

@@ -129,12 +129,6 @@ impl PoseGraph {
         &self.nodes
     }
 
-    /// The constraints.
-    #[must_use]
-    pub fn constraints(&self) -> &[PoseConstraint] {
-        &self.constraints
-    }
-
     /// The residual of one constraint at the current estimates:
     /// `(to ⊖ from) ⊖ measurement` expressed as `(dx, dy, dθ)`.
     #[must_use]
@@ -148,7 +142,7 @@ impl PoseGraph {
 
     /// Total weighted squared error over all constraints.
     #[must_use]
-    pub fn total_error(&self) -> f64 {
+    pub(crate) fn total_error(&self) -> f64 {
         self.constraints
             .iter()
             .map(|c| {

@@ -25,4 +25,4 @@ pub use dense::{synthetic_room_scan, DenseScanSlam, DenseSlamConfig, Scan};
 pub use ekf::{EkfSlam, EkfSlamConfig, LandmarkObservation};
 pub use graph::{PoseConstraint, PoseGraph, PoseGraphError};
 pub use icp::{icp_align, IcpConfig, IcpResult};
-pub use particle::{Particle, ParticleFilter, ParticleFilterConfig};
+pub use particle::{ParticleFilter, ParticleFilterConfig};

@@ -52,12 +52,6 @@ impl SystemDesign {
         }
     }
 
-    /// Number of dies.
-    #[must_use]
-    pub fn chiplet_count(&self) -> usize {
-        self.chiplet_count
-    }
-
     /// Embodied carbon of the full system (all dies + integration).
     #[must_use]
     pub fn embodied_carbon(&self) -> KilogramsCo2e {

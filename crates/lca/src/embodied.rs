@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// kgCO₂e/cm² — representative of published ACT-class figures: newer nodes
 /// need more lithography passes and energy per area.
 #[must_use]
-pub fn fab_intensity_kg_per_cm2(node_nm: f64) -> f64 {
+pub(crate) fn fab_intensity_kg_per_cm2(node_nm: f64) -> f64 {
     // Piecewise-linear fit through representative points:
     // 28 nm → 1.0, 14 nm → 1.4, 7 nm → 2.1, 3 nm → 2.9 kgCO2e/cm².
     let anchors = [(3.0, 2.9), (7.0, 2.1), (14.0, 1.4), (28.0, 1.0), (65.0, 0.7)];
@@ -29,7 +29,7 @@ pub fn fab_intensity_kg_per_cm2(node_nm: f64) -> f64 {
 
 /// Poisson (Murphy) die-yield model for a defect density in defects/cm².
 #[must_use]
-pub fn poisson_yield(area: SquareMillimeters, defect_density_per_cm2: f64) -> f64 {
+pub(crate) fn poisson_yield(area: SquareMillimeters, defect_density_per_cm2: f64) -> f64 {
     let area_cm2 = area.value() / 100.0;
     (-defect_density_per_cm2 * area_cm2).exp()
 }
@@ -52,11 +52,14 @@ pub fn poisson_yield(area: SquareMillimeters, defect_density_per_cm2: f64) -> f6
 pub struct DieSpec {
     area: SquareMillimeters,
     node_nm: f64,
-    defect_density_per_cm2: f64,
-    packaging_kg: f64,
 }
 
 impl DieSpec {
+    /// Representative defect density (defects/cm²).
+    const DEFECT_DENSITY_PER_CM2: f64 = 0.1;
+    /// Representative packaging overhead (kgCO₂e).
+    const PACKAGING_KG: f64 = 0.15;
+
     /// Creates a die at the given area and process node with representative
     /// defect density (0.1 /cm²) and packaging overhead (0.15 kgCO₂e).
     ///
@@ -67,26 +70,7 @@ impl DieSpec {
     pub fn new(area: SquareMillimeters, node_nm: f64) -> Self {
         assert!(area.value() > 0.0 && area.is_finite(), "die area must be positive");
         assert!(node_nm > 0.0 && node_nm.is_finite(), "process node must be positive");
-        Self { area, node_nm, defect_density_per_cm2: 0.1, packaging_kg: 0.15 }
-    }
-
-    /// Overrides the defect density (defects/cm²).
-    ///
-    /// # Panics
-    ///
-    /// Panics if negative.
-    #[must_use]
-    pub fn with_defect_density(mut self, d0: f64) -> Self {
-        assert!(d0 >= 0.0, "defect density must be non-negative");
-        self.defect_density_per_cm2 = d0;
-        self
-    }
-
-    /// Overrides the packaging carbon (kgCO₂e).
-    #[must_use]
-    pub fn with_packaging(mut self, kg: f64) -> Self {
-        self.packaging_kg = kg;
-        self
+        Self { area, node_nm }
     }
 
     /// Die area.
@@ -95,16 +79,10 @@ impl DieSpec {
         self.area
     }
 
-    /// Process node in nanometers.
-    #[must_use]
-    pub fn node_nm(&self) -> f64 {
-        self.node_nm
-    }
-
     /// Expected die yield under the Poisson model.
     #[must_use]
     pub fn yield_fraction(&self) -> f64 {
-        poisson_yield(self.area, self.defect_density_per_cm2)
+        poisson_yield(self.area, Self::DEFECT_DENSITY_PER_CM2)
     }
 
     /// Embodied manufacturing carbon per *good* die: fab intensity × area /
@@ -113,7 +91,7 @@ impl DieSpec {
     pub fn embodied_carbon(&self) -> KilogramsCo2e {
         let area_cm2 = self.area.value() / 100.0;
         let fab = fab_intensity_kg_per_cm2(self.node_nm) * area_cm2 / self.yield_fraction();
-        KilogramsCo2e::new(fab + self.packaging_kg)
+        KilogramsCo2e::new(fab + Self::PACKAGING_KG)
     }
 }
 
@@ -157,14 +135,6 @@ mod tests {
         let soc = DieSpec::new(SquareMillimeters::new(100.0), 7.0);
         let kg = soc.embodied_carbon().value();
         assert!(kg > 1.0 && kg < 10.0, "got {kg}");
-    }
-
-    #[test]
-    fn defect_density_override_raises_carbon() {
-        let base = DieSpec::new(SquareMillimeters::new(200.0), 7.0);
-        let dirty = base.with_defect_density(0.5);
-        assert!(dirty.embodied_carbon() > base.embodied_carbon());
-        assert!(dirty.yield_fraction() < base.yield_fraction());
     }
 
     proptest! {

@@ -29,10 +29,12 @@ pub struct FleetModel {
     vehicles: u64,
     compute_power: Watts,
     duty_hours_per_day: f64,
-    grid: GridIntensity,
 }
 
 impl FleetModel {
+    /// The grid every vehicle charges from.
+    const GRID: GridIntensity = GridIntensity::WorldAverage;
+
     /// Creates a fleet of `vehicles` each drawing `compute_power` for
     /// `duty_hours_per_day`, on the world-average grid.
     ///
@@ -42,14 +44,7 @@ impl FleetModel {
     #[must_use]
     pub fn new(vehicles: u64, compute_power: Watts, duty_hours_per_day: f64) -> Self {
         assert!((0.0..=24.0).contains(&duty_hours_per_day), "duty hours must be within a day");
-        Self { vehicles, compute_power, duty_hours_per_day, grid: GridIntensity::WorldAverage }
-    }
-
-    /// Overrides the charging grid.
-    #[must_use]
-    pub fn with_grid(mut self, grid: GridIntensity) -> Self {
-        self.grid = grid;
-        self
+        Self { vehicles, compute_power, duty_hours_per_day }
     }
 
     /// Number of vehicles.
@@ -66,7 +61,7 @@ impl FleetModel {
 
     /// Annual per-vehicle compute energy duty time.
     #[must_use]
-    pub fn annual_duty(&self) -> Seconds {
+    pub(crate) fn annual_duty(&self) -> Seconds {
         Seconds::from_hours(self.duty_hours_per_day * 365.0)
     }
 
@@ -74,7 +69,7 @@ impl FleetModel {
     #[must_use]
     pub fn annual_emissions(&self) -> KilogramsCo2e {
         let per_vehicle =
-            operational_carbon(self.compute_power, self.annual_duty(), self.grid, 1.0);
+            operational_carbon(self.compute_power, self.annual_duty(), Self::GRID, 1.0);
         per_vehicle * self.vehicles as f64
     }
 
@@ -85,7 +80,7 @@ impl FleetModel {
         let dc = operational_carbon(
             Watts::new(100e6),
             Seconds::from_hours(24.0 * 365.0),
-            self.grid,
+            Self::GRID,
             1.2,
         );
         self.annual_emissions() / dc
@@ -124,17 +119,6 @@ mod tests {
         let hungry = FleetModel::new(1_000_000, Watts::new(1000.0), 8.0).annual_emissions();
         let lean = FleetModel::new(1_000_000, Watts::new(100.0), 8.0).annual_emissions();
         assert!((hungry.value() / lean.value() - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cleaner_grid_helps() {
-        let dirty = FleetModel::new(1000, Watts::new(500.0), 8.0)
-            .with_grid(GridIntensity::CoalHeavy)
-            .annual_emissions();
-        let clean = FleetModel::new(1000, Watts::new(500.0), 8.0)
-            .with_grid(GridIntensity::LowCarbon)
-            .annual_emissions();
-        assert!(dirty.value() / clean.value() > 10.0);
     }
 
     #[test]

@@ -33,6 +33,5 @@
 pub mod carbon;
 pub mod chiplet;
 pub mod embodied;
-pub mod endoflife;
 pub mod fleet;
 pub mod training;

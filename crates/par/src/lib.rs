@@ -73,7 +73,7 @@ static WORKER_ITEMS: TraceHistogram =
 
 /// Hard ceiling on the pool size; protects against pathological
 /// `M7_THREADS` values.
-pub const MAX_THREADS: usize = 256;
+pub(crate) const MAX_THREADS: usize = 256;
 
 /// Upper bound on how many items a worker claims per visit to the
 /// shared cursor; amortizes counter traffic on large fine-grained
@@ -108,7 +108,7 @@ impl Default for ParConfig {
 }
 
 impl ParConfig {
-    /// A pool of exactly `threads` workers (clamped to `1..=`[`MAX_THREADS`]).
+    /// A pool of exactly `threads` workers (clamped to `1..=256`).
     #[must_use]
     pub fn with_threads(threads: usize) -> Self {
         Self { threads: threads.clamp(1, MAX_THREADS) }
@@ -258,7 +258,7 @@ impl<'a, U> SlotWriter<'a, U> {
 /// Resolves the default worker count: `M7_THREADS` env override, else
 /// available parallelism.
 #[must_use]
-pub fn default_threads() -> usize {
+pub(crate) fn default_threads() -> usize {
     if let Ok(raw) = std::env::var(THREADS_ENV) {
         if let Ok(n) = raw.trim().parse::<usize>() {
             if n >= 1 {

@@ -153,12 +153,12 @@ fn float_in(
 /// # Examples
 ///
 /// ```
-/// use m7_scen::{generate, dsl};
+/// use m7_scen::{generate, parse_scenario, render_scenario};
 ///
 /// let s = generate(m7_scen::Family::Corridor, 0.4, 11);
-/// let text = dsl::render_scenario(&s);
-/// assert_eq!(dsl::parse_scenario(&text)?, s);
-/// # Ok::<(), m7_scen::dsl::ParseScenarioError>(())
+/// let text = render_scenario(&s);
+/// assert_eq!(parse_scenario(&text)?, s);
+/// # Ok::<(), m7_scen::ParseScenarioError>(())
 /// ```
 pub fn parse_scenario(input: &str) -> Result<Scenario, ParseScenarioError> {
     let mut family: Option<Family> = None;

@@ -23,13 +23,13 @@ use m7_units::Meters;
 
 /// Reference ground speed (m/s) that sets the UAV mission deadline:
 /// `deadline = mission distance / UAV_DEADLINE_SPEED`.
-pub const UAV_DEADLINE_SPEED: f64 = 4.5;
+pub(crate) const UAV_DEADLINE_SPEED: f64 = 4.5;
 /// Traversals of the world tile that make up one UAV mission (a survey
 /// pattern over the scenario, not a single crossing).
-pub const UAV_LAPS: f64 = 30.0;
+pub(crate) const UAV_LAPS: f64 = 30.0;
 /// Reference speed (m/s) over the straight-line start→goal distance
 /// that sets the rover deadline.
-pub const ROVER_DEADLINE_SPEED: f64 = 1.1;
+pub(crate) const ROVER_DEADLINE_SPEED: f64 = 1.1;
 
 static EVALUATE: SpanSite = SpanSite::new("scen.evaluate", MetricClass::Deterministic);
 static EVALUATIONS: TraceCounter =
@@ -58,7 +58,7 @@ pub struct ScenOutcome {
 /// tile stretched by a detour factor from obstacle density, carrying
 /// the scenario payload through its gust field.
 #[must_use]
-pub fn uav_mission(s: &Scenario) -> MissionSpec {
+pub(crate) fn uav_mission(s: &Scenario) -> MissionSpec {
     let detour = 1.0 + 2.0 * s.occupancy_fraction();
     let distance = s.straight_line() * detour * UAV_LAPS;
     MissionSpec::delivery(distance, s.payload_grams).with_gusts(s.gust_std)
@@ -68,7 +68,7 @@ pub fn uav_mission(s: &Scenario) -> MissionSpec {
 /// airframe with its sensing range derated by the scenario's
 /// visibility profile.
 #[must_use]
-pub fn uav_config(s: &Scenario, tier: ComputeTier) -> UavConfig {
+pub(crate) fn uav_config(s: &Scenario, tier: ComputeTier) -> UavConfig {
     let base = UavConfig::default();
     UavConfig {
         sensor_range: Meters::new(base.sensor_range.value() * s.sensor_derate),
@@ -99,7 +99,7 @@ pub fn evaluate_uav(s: &Scenario, tier: ComputeTier, seed: u64) -> ScenOutcome {
 
 /// Drives the scenario start→goal with the RRT-in-the-loop rover on
 /// `tier`, deterministic in `seed`. The deadline charges planning
-/// stalls and detours against [`ROVER_DEADLINE_SPEED`] over the
+/// stalls and detours against a 1.1 m/s average speed over the
 /// straight-line distance.
 #[must_use]
 pub fn evaluate_rover(s: &Scenario, tier: ComputeTier, seed: u64) -> ScenOutcome {

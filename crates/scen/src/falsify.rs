@@ -4,9 +4,8 @@
 //! of searching designs that perform well, it searches for the **easiest
 //! scenario that makes a platform tier fail** its mission deadline. The
 //! objective rewards failing scenarios by their difficulty (lower is an
-//! easier falsifier) and pushes surviving scenarios above
-//! [`SURVIVED_OFFSET`], so any failure — however hard — outranks every
-//! survival. Evaluations are memoized through an `m7-serve`
+//! easier falsifier) and pushes surviving scenarios above a fixed
+//! offset, so any failure — however hard — outranks every survival. Evaluations are memoized through an `m7-serve`
 //! [`EvalCache`] and fanned out by the deterministic `m7-par` pool, so
 //! results are bit-identical at any thread count.
 
@@ -29,7 +28,7 @@ use m7_trace::{MetricClass, TraceCounter};
 /// falsifier; survivors sort above the offset by *descending*
 /// difficulty, steering the search toward the frontier even before the
 /// first failure is found.
-pub const SURVIVED_OFFSET: f64 = 10.0;
+pub(crate) const SURVIVED_OFFSET: f64 = 10.0;
 
 static FALSIFY: SpanSite = SpanSite::new("scen.falsify", MetricClass::Deterministic);
 static FALSIFICATIONS: TraceCounter =

@@ -15,10 +15,10 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Side length of every generated world (meters).
-pub const WORLD_SIZE: f64 = 40.0;
+pub(crate) const WORLD_SIZE: f64 = 40.0;
 /// Free-space disk kept around the start and goal when placing
 /// randomized obstacles.
-pub const ENDPOINT_CLEARANCE: f64 = 1.5;
+pub(crate) const ENDPOINT_CLEARANCE: f64 = 1.5;
 
 // Scenario observability (no-ops until `m7_trace::enable()`).
 static GENERATE: SpanSite = SpanSite::new("scen.generate", MetricClass::Deterministic);
@@ -40,8 +40,8 @@ fn family_salt(family: Family) -> u64 {
 
 /// Generates a scenario: pure in `(family, level, seed)`.
 ///
-/// `level` is clamped to `[0, 1]`. Randomized obstacles keep
-/// [`ENDPOINT_CLEARANCE`] meters clear of the start and goal, and every
+/// `level` is clamped to `[0, 1]`. Randomized obstacles keep 1.5 m
+/// clear of the start and goal, and every
 /// obstacle footprint (movers at their inflated radius) stays inside
 /// the `[0, WORLD_SIZE]²` world.
 ///

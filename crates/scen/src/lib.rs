@@ -9,12 +9,13 @@
 //!   typed [`Scenario`] with
 //!   an occupancy grid, start/goal, an environment profile (gusts,
 //!   payload, sensor derate), and a computed difficulty score.
-//! - [`dsl`] — a compact textual DSL mirroring `m7_arch::spec`, so
-//!   scenarios round-trip to and from text bit-exactly.
+//! - [`render_scenario`] / [`parse_scenario`] — a compact textual DSL
+//!   mirroring `m7_arch::spec`, so scenarios round-trip to and from text
+//!   bit-exactly.
 //! - [`eval`] — couplings into the existing `m7-sim` closed loops: the
 //!   UAV mission loop and the RRT-in-the-loop rover, each with a
 //!   mission deadline that makes "failure" crisp.
-//! - [`falsify`] — adversarial search that reuses the `m7-dse` explorer
+//! - [`falsify`](mod@falsify) — adversarial search that reuses the `m7-dse` explorer
 //!   over scenario-parameter space to find the *easiest* scenario that
 //!   breaks a platform tier, memoized via `m7-serve` and fanned out by
 //!   the deterministic `m7-par` pool.
@@ -36,14 +37,14 @@
 
 #![warn(missing_docs)]
 
-pub mod dsl;
+pub(crate) mod dsl;
 pub mod eval;
 pub mod falsify;
 pub mod generator;
 pub mod scenario;
 
 pub use dsl::{parse_scenario, render_scenario, ParseScenarioError, ScenErrorKind};
-pub use eval::{evaluate_rover, evaluate_uav, uav_config, uav_mission, ScenOutcome};
+pub use eval::{evaluate_rover, evaluate_uav, ScenOutcome};
 pub use falsify::{falsify, falsify_memo, Falsification, FalsifyConfig, FrontierPoint};
-pub use generator::{generate, obstacles_in_bounds, ENDPOINT_CLEARANCE, WORLD_SIZE};
-pub use scenario::{CircleObs, Family, Mover, RectObs, Scenario};
+pub use generator::{generate, obstacles_in_bounds};
+pub use scenario::{Family, Scenario};

@@ -3,9 +3,9 @@
 //!
 //! A scenario owns its obstacle *primitives* (circles, axis-aligned
 //! rects, and moving circles) rather than a built
-//! [`CollisionWorld`](m7_kernels::planning::CollisionWorld), so it is
+//! [`m7_kernels::planning::CollisionWorld`], so it is
 //! cheap to clone, serialize, compare bit-for-bit, and round-trip
-//! through the textual DSL ([`crate::dsl`]). The collision world — with
+//! through the textual DSL ([`crate::parse_scenario`]). The collision world — with
 //! moving obstacles conservatively inflated by their motion over a
 //! short planning horizon — is built on demand.
 
@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// Planning horizon (seconds) by which a moving obstacle is inflated
 /// when the scenario is flattened into a static [`CollisionWorld`]: the
 /// swept disk a conservative planner must avoid.
-pub const MOVER_HORIZON_S: f64 = 1.5;
+pub(crate) const MOVER_HORIZON_S: f64 = 1.5;
 
 /// The procedural generator families.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -115,33 +115,8 @@ impl Mover {
     /// The conservative static footprint: body radius plus the distance
     /// covered over [`MOVER_HORIZON_S`].
     #[must_use]
-    pub fn inflated_radius(&self) -> f64 {
+    pub(crate) fn inflated_radius(&self) -> f64 {
         self.radius + self.speed() * MOVER_HORIZON_S
-    }
-
-    /// Position at time `t`, bouncing elastically off the walls of a
-    /// `width × height` world.
-    #[must_use]
-    pub fn position_at(&self, t: f64, width: f64, height: f64) -> Vec2 {
-        let fold = |p: f64, lo: f64, hi: f64| -> f64 {
-            let span = hi - lo;
-            if span <= 0.0 {
-                return lo.max(hi.min(p));
-            }
-            let mut q = (p - lo) % (2.0 * span);
-            if q < 0.0 {
-                q += 2.0 * span;
-            }
-            if q > span {
-                q = 2.0 * span - q;
-            }
-            lo + q
-        };
-        let raw = self.center + self.velocity * t;
-        Vec2::new(
-            fold(raw.x, self.radius, width - self.radius),
-            fold(raw.y, self.radius, height - self.radius),
-        )
     }
 }
 
@@ -203,7 +178,7 @@ impl Scenario {
 
     /// Straight-line start→goal distance (meters).
     #[must_use]
-    pub fn straight_line(&self) -> f64 {
+    pub(crate) fn straight_line(&self) -> f64 {
         self.start.distance(self.goal)
     }
 
@@ -224,7 +199,7 @@ impl Scenario {
 
     /// Builds the static [`CollisionWorld`] the planners consume:
     /// circles and rects verbatim, movers as circles inflated by their
-    /// motion over [`MOVER_HORIZON_S`].
+    /// motion over a 1.5 s horizon.
     #[must_use]
     pub fn collision_world(&self) -> CollisionWorld {
         let mut world = CollisionWorld::new(self.width, self.height);
@@ -243,7 +218,7 @@ impl Scenario {
     /// Rasterizes the world into a `cols × rows` boolean occupancy
     /// grid (row-major, row 0 at `y = 0`), sampling cell centers.
     #[must_use]
-    pub fn rasterize(&self, cols: usize, rows: usize) -> Vec<bool> {
+    pub(crate) fn rasterize(&self, cols: usize, rows: usize) -> Vec<bool> {
         assert!(cols > 0 && rows > 0, "raster needs at least one cell");
         let mut cells = Vec::with_capacity(cols * rows);
         for row in 0..rows {
@@ -262,7 +237,7 @@ impl Scenario {
     /// 1-meter sampling grid — the geometric load behind
     /// [`Scenario::difficulty`].
     #[must_use]
-    pub fn occupancy_fraction(&self) -> f64 {
+    pub(crate) fn occupancy_fraction(&self) -> f64 {
         let cols = (self.width.ceil() as usize).max(1);
         let rows = (self.height.ceil() as usize).max(1);
         let cells = self.rasterize(cols, rows);
@@ -397,16 +372,6 @@ mod tests {
     fn mover_inflation_covers_the_horizon() {
         let m = tiny().movers[0];
         assert!((m.inflated_radius() - (0.5 + MOVER_HORIZON_S)).abs() < 1e-12);
-    }
-
-    #[test]
-    fn mover_reflects_off_bounds() {
-        let m = tiny().movers[0];
-        // After 10 s at 1 m/s in a 10 m world the mover has bounced but
-        // stayed inside.
-        let p = m.position_at(10.0, 10.0, 10.0);
-        assert!(p.x >= m.radius && p.x <= 10.0 - m.radius);
-        assert_eq!(m.position_at(0.0, 10.0, 10.0), m.center);
     }
 
     #[test]

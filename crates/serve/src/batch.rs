@@ -110,7 +110,7 @@ where
 /// *its* evaluation was avoided (`true` for a cache hit or a request
 /// coalesced onto another slot's evaluation; `false` for the slot that
 /// actually computed).
-pub fn evaluate_batch_memo_flagged<S, T, V, K, E>(
+pub(crate) fn evaluate_batch_memo_flagged<S, T, V, K, E>(
     cache: &S,
     par: ParConfig,
     items: &[T],

@@ -1,5 +1,5 @@
 //! A sharded, bounded, memoizing result store addressed by
-//! [`CacheKey`](crate::key::CacheKey).
+//! [`crate::key::CacheKey`].
 //!
 //! The cache holds *pure-function results*: because every cached value is
 //! a deterministic function of its key, eviction and cross-thread races

@@ -87,7 +87,7 @@ macro_rules! stats_pairs {
             /// Rebuilds from wire pairs: unknown names are ignored,
             /// missing ones stay zero — `from_pairs(x.pairs()) == x`.
             #[must_use]
-            pub fn from_pairs<'a, I>(pairs: I) -> Self
+            pub(crate) fn from_pairs<'a, I>(pairs: I) -> Self
             where
                 I: IntoIterator<Item = (&'a str, u64)>,
             {

@@ -55,7 +55,7 @@ impl KeyHasher {
     }
 
     /// Hashes raw bytes.
-    pub fn write_bytes(&mut self, bytes: &[u8]) {
+    pub(crate) fn write_bytes(&mut self, bytes: &[u8]) {
         for &b in bytes {
             self.state ^= u64::from(b);
             self.state = self.state.wrapping_mul(Self::PRIME);

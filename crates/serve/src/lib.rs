@@ -27,7 +27,7 @@
 //! - [`frame`] — the versioned length-prefixed binary protocol: an
 //!   incremental decoder that validates before it allocates and never
 //!   panics on adversarial bytes.
-//! - [`introspect`] — the live-telemetry payload: per-phase latency
+//! - [`ServerStats`] — the live-telemetry payload: per-phase latency
 //!   quantiles, connection/pending gauges, shed/reap counters, and tier
 //!   and recovery stats, answered inline from the readiness loop over
 //!   both protocols.
@@ -77,7 +77,7 @@
 pub mod batch;
 pub mod cache;
 pub mod frame;
-pub mod introspect;
+pub(crate) mod introspect;
 pub mod journal;
 pub mod key;
 pub mod segment;
@@ -85,12 +85,12 @@ pub mod server;
 pub mod tier;
 pub mod wire;
 
-pub use batch::{evaluate_batch_memo, BatchOutcome};
+pub use batch::evaluate_batch_memo;
 pub use cache::{CacheStats, EvalCache};
 pub use frame::{FrameDecoder, FrameError};
 pub use introspect::{PhaseStats, ServerStats};
 pub use journal::{recover_snapshot, FlightJournal, TelemetryPump};
 pub use key::{CacheKey, EvalRequest, KeyHasher};
-pub use segment::{DiskCodec, RecoveryReport, SegmentConfig, SegmentStore};
+pub use segment::{DiskCodec, SegmentConfig, SegmentStore};
 pub use server::{EvalClient, EvalServer, Evaluator, FramedClient, ServeConfig, ServerHandle};
-pub use tier::{ResultStore, TierConfig, TierStats, TieredCache};
+pub use tier::{ResultStore, TierConfig, TieredCache};

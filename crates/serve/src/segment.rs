@@ -59,7 +59,7 @@ pub const RECORD_TRAILER_BYTES: u64 = 4;
 
 /// Hard bound on one record's payload; longer announced lengths are
 /// treated as corruption.
-pub const MAX_RECORD_PAYLOAD: usize = 1024 * 1024;
+pub(crate) const MAX_RECORD_PAYLOAD: usize = 1024 * 1024;
 
 /// The default segment file name inside a cache directory.
 pub const SEGMENT_FILE: &str = "segment.m7seg";
@@ -67,7 +67,7 @@ pub const SEGMENT_FILE: &str = "segment.m7seg";
 /// IEEE 802.3 CRC-32 (the zlib/PNG polynomial), bitwise — fast enough
 /// for cache records, and dependency-free.
 #[must_use]
-pub fn crc32(bytes: &[u8]) -> u32 {
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
     const TABLE: [u32; 256] = {
         let mut table = [0u32; 256];
         let mut i = 0;
@@ -313,7 +313,7 @@ impl SegmentStore {
     ///
     /// # Errors
     ///
-    /// `InvalidInput` for payloads over [`MAX_RECORD_PAYLOAD`];
+    /// `InvalidInput` for payloads over 1 MiB;
     /// otherwise the underlying I/O error (the in-memory index is not
     /// updated on failure, so a failed append is invisible).
     pub fn append(&self, key: u64, payload: &[u8]) -> io::Result<()> {
@@ -397,7 +397,7 @@ impl SegmentStore {
 
     /// Compactions performed over this store's lifetime.
     #[must_use]
-    pub fn compactions(&self) -> u64 {
+    pub(crate) fn compactions(&self) -> u64 {
         self.compactions.get()
     }
 
@@ -421,7 +421,7 @@ impl SegmentStore {
     ///
     /// The underlying I/O error; on failure the old file remains
     /// authoritative.
-    pub fn maybe_compact(&self) -> io::Result<bool> {
+    pub(crate) fn maybe_compact(&self) -> io::Result<bool> {
         let mut s = self.state.lock().expect("segment state poisoned");
         if s.tail < self.config.compact_min_bytes {
             return Ok(false);

@@ -333,13 +333,6 @@ impl ServerHandle {
         self.shared.shed.get()
     }
 
-    /// The full live-telemetry snapshot — the same payload the
-    /// `telemetry` request answers on the wire.
-    #[must_use]
-    pub fn server_stats(&self) -> ServerStats {
-        server_stats(&self.shared)
-    }
-
     /// Stops the server and joins the event thread. The disk tier (if
     /// any) is synced by the event loop on the way out.
     pub fn shutdown(mut self) {
@@ -1177,7 +1170,6 @@ mod tests {
         // The framed query itself parses but never dispatches.
         assert_eq!(over_frames.requests, 4);
         assert!(over_frames.parse.count >= over_text.parse.count);
-        assert_eq!(server.server_stats().requests, 4);
         server.shutdown();
     }
 

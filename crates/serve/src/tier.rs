@@ -191,8 +191,8 @@ impl<V: Clone + DiskCodec> TieredCache<V> {
         Self::open(hot_capacity, TierConfig::MemoryOnly).expect("memory-only open cannot fail")
     }
 
-    /// The hot tier, with its own exact [`CacheStats`]
-    /// (`crate::cache::CacheStats`) counters.
+    /// The hot tier, with its own exact
+    /// [`CacheStats`](crate::cache::CacheStats) counters.
     #[must_use]
     pub fn hot(&self) -> &EvalCache<V> {
         &self.hot
@@ -202,12 +202,6 @@ impl<V: Clone + DiskCodec> TieredCache<V> {
     #[must_use]
     pub fn recovery(&self) -> Option<RecoveryReport> {
         self.disk.as_ref().map(SegmentStore::recovery)
-    }
-
-    /// `true` when a disk tier is attached.
-    #[must_use]
-    pub fn has_disk(&self) -> bool {
-        self.disk.is_some()
     }
 
     /// Forces the disk tier to media (no-op without one).
@@ -345,7 +339,6 @@ mod tests {
         assert_eq!(cache.get(key(1)), Some(2.5));
         let s = cache.stats();
         assert_eq!((s.hot_hits, s.disk_hits, s.misses, s.insertions), (1, 0, 1, 1));
-        assert!(!cache.has_disk());
     }
 
     #[test]

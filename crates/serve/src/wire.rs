@@ -146,19 +146,7 @@ fn parse_u64(line: usize, key: &str, value: &str) -> Result<u64, WireError> {
 ///
 /// Returns a positioned [`WireError`] on malformed lines, unknown keys
 /// or ops, bad numbers, or missing mandatory fields.
-///
-/// # Examples
-///
-/// ```
-/// use m7_serve::wire::{parse_request, Request};
-///
-/// let req = parse_request("op = eval\nvalues = 1 2\nseed = 7\n")?;
-/// let Request::Eval(eval) = req else { panic!() };
-/// assert_eq!(eval.values, vec![1.0, 2.0]);
-/// assert_eq!(eval.seed, 7);
-/// # Ok::<(), m7_serve::wire::WireError>(())
-/// ```
-pub fn parse_request(text: &str) -> Result<Request, WireError> {
+pub(crate) fn parse_request(text: &str) -> Result<Request, WireError> {
     let mut op: Option<(usize, String)> = None;
     let mut workload = String::from("mission");
     let mut values: Option<Vec<f64>> = None;
@@ -300,7 +288,7 @@ pub fn parse_response(text: &str) -> Result<Response, WireError> {
 /// Renders a response, blank-line terminated. Error text is flattened to
 /// one line so it cannot forge extra protocol lines.
 #[must_use]
-pub fn format_response(response: &Response) -> String {
+pub(crate) fn format_response(response: &Response) -> String {
     match response {
         Response::Cost { cost, cached } => {
             format!("status = ok\ncost = {cost}\ncached = {cached}\n\n")

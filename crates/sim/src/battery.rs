@@ -59,7 +59,7 @@ impl Battery {
 
     /// State of charge in `[0, 1]`.
     #[must_use]
-    pub fn state_of_charge(&self) -> f64 {
+    pub(crate) fn state_of_charge(&self) -> f64 {
         (self.remaining() / self.capacity).clamp(0.0, 1.0)
     }
 
@@ -79,21 +79,8 @@ impl Battery {
 
 /// Multirotor hover power from momentum theory:
 /// `P = (m g)^{3/2} / sqrt(2 ρ A) / η`.
-///
-/// # Examples
-///
-/// ```
-/// use m7_sim::battery::hover_power;
-/// use m7_units::Grams;
-///
-/// let light = hover_power(Grams::new(1000.0), 0.2);
-/// let heavy = hover_power(Grams::new(2000.0), 0.2);
-/// // Doubling mass costs ~2.83× the hover power.
-/// assert!(heavy.value() / light.value() > 2.7);
-/// assert!(heavy.value() / light.value() < 3.0);
-/// ```
 #[must_use]
-pub fn hover_power(total_mass: Grams, rotor_disk_area_m2: f64) -> Watts {
+pub(crate) fn hover_power(total_mass: Grams, rotor_disk_area_m2: f64) -> Watts {
     const G: f64 = 9.81;
     const AIR_DENSITY: f64 = 1.225;
     /// Electromechanical efficiency of the propulsion chain.

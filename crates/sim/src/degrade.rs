@@ -155,7 +155,7 @@ impl DegradationPolicy {
     /// Warm-restart cost of crash recovery attempt `attempt` (0-based),
     /// if retries are enabled and the attempt is within budget.
     #[must_use]
-    pub fn retry_cost(&self, attempt: u32) -> Option<Seconds> {
+    pub(crate) fn retry_cost(&self, attempt: u32) -> Option<Seconds> {
         let r = self.retry?;
         if attempt < r.max_attempts {
             Some(Seconds::new(r.backoff_base.value() * f64::from(1u32 << attempt.min(16))))

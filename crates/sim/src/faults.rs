@@ -247,8 +247,7 @@ impl FaultProfile {
 ///     start: Seconds::new(10.0),
 ///     duration: Seconds::new(5.0),
 /// }]);
-/// assert_eq!(schedule.dropout_since(Seconds::new(12.0)), Some(Seconds::new(10.0)));
-/// assert_eq!(schedule.dropout_since(Seconds::new(20.0)), None);
+/// assert_eq!(schedule.merged_sensor_outages(), vec![(Seconds::new(10.0), Seconds::new(15.0))]);
 /// ```
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct FaultSchedule {
@@ -388,14 +387,14 @@ impl FaultSchedule {
 
     /// Whether any fault is active at time `t` (point events never are).
     #[must_use]
-    pub fn any_active(&self, t: Seconds) -> bool {
+    pub(crate) fn any_active(&self, t: Seconds) -> bool {
         self.faults.iter().any(|f| f.active_at(t))
     }
 
     /// The onset of the dropout outage covering `t`, if any (the earliest
     /// start among active dropouts — what a watchdog would know).
     #[must_use]
-    pub fn dropout_since(&self, t: Seconds) -> Option<Seconds> {
+    pub(crate) fn dropout_since(&self, t: Seconds) -> Option<Seconds> {
         self.faults
             .iter()
             .filter(|f| matches!(f, Fault::SensorDropout { .. }) && f.active_at(t))
@@ -416,7 +415,7 @@ impl FaultSchedule {
     /// Total sensing-range error at time `t` (sum of active biases,
     /// meters).
     #[must_use]
-    pub fn sensor_bias(&self, t: Seconds) -> f64 {
+    pub(crate) fn sensor_bias(&self, t: Seconds) -> f64 {
         self.faults
             .iter()
             .filter_map(|f| match f {
@@ -429,7 +428,7 @@ impl FaultSchedule {
     /// The compute latency multiplier at time `t` (product of active
     /// brownouts; 1.0 nominal).
     #[must_use]
-    pub fn compute_slowdown(&self, t: Seconds) -> f64 {
+    pub(crate) fn compute_slowdown(&self, t: Seconds) -> f64 {
         self.faults
             .iter()
             .filter_map(|f| match f {
@@ -443,7 +442,7 @@ impl FaultSchedule {
     /// 1.0 nominal). Energy drawn from the pack is `power * dt /
     /// efficiency`.
     #[must_use]
-    pub fn battery_efficiency(&self, t: Seconds) -> f64 {
+    pub(crate) fn battery_efficiency(&self, t: Seconds) -> f64 {
         self.faults
             .iter()
             .filter_map(|f| match f {

@@ -106,19 +106,10 @@ impl PipelineStats {
         }
         self.frames_dropped as f64 / self.frames_in as f64
     }
-
-    /// Fraction of produced frames lost in transport before the queue.
-    #[must_use]
-    pub fn loss_rate(&self) -> f64 {
-        if self.frames_in == 0 {
-            return 0.0;
-        }
-        self.frames_lost as f64 / self.frames_in as f64
-    }
 }
 
 /// A degenerate pipeline configuration, reported by
-/// [`Pipeline::try_simulate`] instead of panicking or hanging.
+/// [`Pipeline::try_simulate_with_faults`] instead of panicking or hanging.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum PipelineConfigError {
@@ -287,21 +278,11 @@ impl Pipeline {
     /// # Panics
     ///
     /// Panics on a degenerate configuration (zero queue capacity,
-    /// non-finite or negative duration); use [`Pipeline::try_simulate`]
-    /// for a typed error instead.
+    /// non-finite or negative duration); use
+    /// [`Pipeline::try_simulate_with_faults`] for a typed error instead.
     #[must_use]
     pub fn simulate(&self, duration: Seconds) -> PipelineStats {
         self.simulate_with_faults(duration, &FaultSchedule::none(), 0)
-    }
-
-    /// Fallible form of [`Pipeline::simulate`].
-    ///
-    /// # Errors
-    ///
-    /// [`PipelineConfigError`] on a zero-capacity queue or a
-    /// non-finite/negative duration.
-    pub fn try_simulate(&self, duration: Seconds) -> Result<PipelineStats, PipelineConfigError> {
-        self.try_simulate_with_faults(duration, &FaultSchedule::none(), 0)
     }
 
     /// Simulates `duration` of operation under a fault schedule,
@@ -460,6 +441,13 @@ mod tests {
     use super::*;
     use m7_arch::platform::PlatformKind;
 
+    impl Pipeline {
+        /// Fallible form of [`Pipeline::simulate`].
+        fn try_simulate(&self, duration: Seconds) -> Result<PipelineStats, PipelineConfigError> {
+            self.try_simulate_with_faults(duration, &FaultSchedule::none(), 0)
+        }
+    }
+
     fn vga_pipeline(kind: PlatformKind) -> Pipeline {
         Pipeline::new(
             SensorSpec::camera_vga(30.0),
@@ -549,7 +537,6 @@ mod tests {
             throughput: Hertz::new(0.0),
         };
         assert_eq!(stats.drop_rate(), 0.0);
-        assert_eq!(stats.loss_rate(), 0.0);
     }
 
     #[test]
@@ -562,7 +549,7 @@ mod tests {
             drop_rate: 0.5,
         }]);
         let stats = p.simulate_with_faults(Seconds::new(10.0), &schedule, 1);
-        let rate = stats.loss_rate();
+        let rate = stats.frames_lost as f64 / stats.frames_in as f64;
         assert!(
             (0.35..0.65).contains(&rate),
             "half the frames should die in transport, got {rate}"

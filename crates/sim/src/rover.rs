@@ -122,7 +122,7 @@ impl Rover {
 
     /// Drive power at speed `v`: rolling resistance plus drivetrain base.
     #[must_use]
-    pub fn drive_power(&self, v: MetersPerSecond) -> Watts {
+    pub(crate) fn drive_power(&self, v: MetersPerSecond) -> Watts {
         const G: f64 = 9.81;
         let mass_kg = (self.config.chassis_mass + self.config.tier.mass()).to_kilograms().value();
         Watts::new(self.config.rolling_resistance * mass_kg * G * v.value())
@@ -132,7 +132,8 @@ impl Rover {
     /// Patrols from `start` through every goal in order, planning each leg
     /// with RRT and tracking it with pure pursuit. Deterministic in `seed`.
     ///
-    /// [`Rover::patrol_degraded`] with an empty schedule and
+    /// This is the fault-free case of the one patrol loop that fault
+    /// campaigns also drive: an empty schedule and
     /// [`DegradationPolicy::none`], where every fault factor is exactly 1.
     #[must_use]
     pub fn patrol(
@@ -164,7 +165,7 @@ impl Rover {
     /// safe-stop policy parks the rover once the reserve is reached
     /// instead of stranding it mid-leg.
     #[must_use]
-    pub fn patrol_degraded(
+    pub(crate) fn patrol_degraded(
         &self,
         world: &CollisionWorld,
         start: Vec2,
@@ -322,7 +323,7 @@ impl Rover {
 /// Outcome of a fault-injected, policy-mediated patrol
 /// ([`Rover::patrol_degraded`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DegradedPatrolOutcome {
+pub(crate) struct DegradedPatrolOutcome {
     /// The usual patrol metrics.
     pub outcome: RoverOutcome,
     /// The rover parked on reserve charge instead of stranding mid-leg.

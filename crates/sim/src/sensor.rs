@@ -97,12 +97,6 @@ impl SensorSpec {
         self.payload
     }
 
-    /// Measurement noise standard deviation.
-    #[must_use]
-    pub fn noise_std(&self) -> f64 {
-        self.noise_std
-    }
-
     /// Average data rate produced by the sensor.
     #[must_use]
     pub fn data_rate(&self) -> BytesPerSecond {
@@ -112,19 +106,8 @@ impl SensorSpec {
 
 /// A deterministic Gaussian noise source (Box-Muller over a seeded
 /// ChaCha RNG).
-///
-/// # Examples
-///
-/// ```
-/// use m7_sim::sensor::NoiseSource;
-///
-/// let mut n = NoiseSource::new(1.0, 7);
-/// let samples: Vec<f64> = (0..100).map(|_| n.sample()).collect();
-/// let mean = samples.iter().sum::<f64>() / 100.0;
-/// assert!(mean.abs() < 0.5);
-/// ```
 #[derive(Debug, Clone)]
-pub struct NoiseSource {
+pub(crate) struct NoiseSource {
     std: f64,
     rng: rand_chacha::ChaCha8Rng,
     spare: Option<f64>,

@@ -90,12 +90,6 @@ impl ThermalState {
         Seconds::new(self.throttled_time)
     }
 
-    /// Steady-state temperature under sustained `power`.
-    #[must_use]
-    pub fn steady_state_c(&self, power: Watts) -> f64 {
-        self.config.ambient_c + power.value() * self.config.resistance_c_per_w
-    }
-
     /// The performance multiplier at the current temperature: 1.0 below the
     /// throttle point, ramping linearly down to `floor_fraction` at the
     /// critical temperature.
@@ -152,12 +146,14 @@ mod tests {
 
     #[test]
     fn converges_to_steady_state() {
-        let mut t = ThermalState::new(ThermalConfig::default());
+        let config = ThermalConfig::default();
+        let mut t = ThermalState::new(config);
         let power = Watts::new(20.0);
         for _ in 0..5000 {
             t.step(power, Seconds::new(1.0));
         }
-        let expected = t.steady_state_c(power); // 25 + 40 = 65 °C
+        // Steady state: ambient + P·R = 25 + 40 = 65 °C.
+        let expected = config.ambient_c + power.value() * config.resistance_c_per_w;
         assert!((t.temperature_c() - expected).abs() < 0.5, "got {}", t.temperature_c());
         assert_eq!(t.performance_scale(), 1.0, "65 °C is below the throttle point");
     }

@@ -80,7 +80,7 @@ impl ComputeTier {
 
     /// End-to-end perceive-and-plan latency.
     #[must_use]
-    pub fn plan_latency(self) -> Seconds {
+    pub(crate) fn plan_latency(self) -> Seconds {
         Seconds::new(match self {
             Self::Micro => 0.9,
             Self::Embedded => 0.15,
@@ -92,7 +92,7 @@ impl ComputeTier {
 
     /// Replanning rate implied by the planning latency.
     #[must_use]
-    pub fn plan_rate(self) -> Hertz {
+    pub(crate) fn plan_rate(self) -> Hertz {
         self.plan_latency().rate()
     }
 }
@@ -145,13 +145,6 @@ impl UavConfig {
     #[must_use]
     pub fn with_tier(mut self, tier: ComputeTier) -> Self {
         self.tier = tier;
-        self
-    }
-
-    /// Returns the config with a different battery capacity.
-    #[must_use]
-    pub fn with_battery(mut self, capacity: Joules) -> Self {
-        self.battery = capacity;
         self
     }
 }
@@ -884,7 +877,7 @@ mod tests {
         use crate::faults::Fault;
         // A battery too small for the mission plus a deep sag: the blind
         // vehicle falls out of the sky; the aware one lands on purpose.
-        let cfg = UavConfig::default().with_battery(Joules::from_watt_hours(4.0));
+        let cfg = UavConfig { battery: Joules::from_watt_hours(4.0), ..UavConfig::default() };
         let uav = Uav::new(cfg);
         let mission = MissionSpec::survey(4000.0).with_gusts(0.0);
         let schedule = FaultSchedule::new(vec![Fault::BatterySag {

@@ -55,7 +55,7 @@ impl Challenge {
 
     /// The paper's title for the challenge.
     #[must_use]
-    pub fn title(self) -> &'static str {
+    pub(crate) fn title(self) -> &'static str {
         match self {
             Self::BuildBridges => "Build Bridges: Engage with Domain Experts",
             Self::MetricsMatter => "Measure Twice, Cut Once: Metrics Matter",
@@ -64,23 +64,6 @@ impl Challenge {
             Self::ChipsAndSalsa => "Chips and Salsa: Acceleration Beyond ASICs",
             Self::ForestVsTrees => "Forest vs. Trees: Take an End-to-End View",
             Self::DesignGlobal => "Design Global: Sustainability and Impact",
-        }
-    }
-
-    /// The paper's one-line pitfall statement.
-    #[must_use]
-    pub fn pitfall(self) -> &'static str {
-        match self {
-            Self::BuildBridges => {
-                "interact with domains exclusively through benchmarks published in computer \
-                 systems, without input from domain experts"
-            }
-            Self::MetricsMatter => "only focus on improving throughput or energy-delay product",
-            Self::Widgetism => "a cycle of pick one slow algorithm, lower it to an ASIC, repeat",
-            Self::PumpTheBrakes => "assume accelerators always improve total system performance",
-            Self::ChipsAndSalsa => "focus on ASICs, leaving software, GPUs, and FPGAs behind",
-            Self::ForestVsTrees => "a narrow scope: acceleration begins and ends with compute",
-            Self::DesignGlobal => "design compute in isolation from its global and societal impact",
         }
     }
 
@@ -96,12 +79,6 @@ impl Challenge {
             Self::ForestVsTrees => &[ExperimentId::E7EndToEnd, ExperimentId::E11Robustness],
             Self::DesignGlobal => &[ExperimentId::E8Global],
         }
-    }
-
-    /// The challenge (if any) an experiment evidences.
-    #[must_use]
-    pub fn of_experiment(id: ExperimentId) -> Option<Self> {
-        Self::ALL.into_iter().find(|c| c.experiments().contains(&id))
     }
 }
 
@@ -129,20 +106,7 @@ mod tests {
     fn every_challenge_has_evidence() {
         for c in Challenge::ALL {
             assert!(!c.experiments().is_empty(), "{c} has no experiment");
-            assert!(!c.pitfall().is_empty());
         }
-    }
-
-    #[test]
-    fn experiment_lookup_is_consistent() {
-        for c in Challenge::ALL {
-            for &e in c.experiments() {
-                assert_eq!(Challenge::of_experiment(e), Some(c));
-            }
-        }
-        // E1 (Fig. 1) and E9 (§3.1) are not challenge sections.
-        assert_eq!(Challenge::of_experiment(ExperimentId::E1Growth), None);
-        assert_eq!(Challenge::of_experiment(ExperimentId::E9Dse), None);
     }
 
     #[test]

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 
 /// The E10 result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ContentionResult {
+pub(crate) struct ContentionResult {
     /// `(number of accelerators, per-unit scale, aggregate scale)`.
     pub scaling_rows: Vec<(usize, f64, f64)>,
     /// `(platform, drop rate, mean latency ms)` for the fixed camera.

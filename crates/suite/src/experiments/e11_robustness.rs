@@ -69,7 +69,7 @@ impl RobustnessResult {
     /// Fractional nominal-mission-time cost of carrying the degradation
     /// machinery (aware vs. blind in the fault-free environment).
     #[must_use]
-    pub fn nominal_latency_cost(&self) -> f64 {
+    pub(crate) fn nominal_latency_cost(&self) -> f64 {
         let blind = self.arm("nominal").mean_time_s;
         let aware = self.arm("nominal-aware").mean_time_s;
         aware / blind - 1.0
@@ -132,13 +132,13 @@ fn campaign_uav() -> Uav {
 
 /// Runs E11 with `runs` Monte-Carlo draws per arm.
 #[must_use]
-pub fn run_with_runs(seed: u64, runs: usize) -> RobustnessResult {
+pub(crate) fn run_with_runs(seed: u64, runs: usize) -> RobustnessResult {
     run_with_runs_par(seed, runs, ParConfig::default())
 }
 
-/// [`run_with_runs`] with an explicit parallel-execution configuration.
-/// The result is bit-identical for any `par` — threads change only
-/// wall-clock time.
+/// Runs E11 with `runs` Monte-Carlo draws per arm on an explicit
+/// parallel-execution configuration. The result is bit-identical for any
+/// `par` — threads change only wall-clock time.
 #[must_use]
 pub fn run_with_runs_par(seed: u64, runs: usize, par: ParConfig) -> RobustnessResult {
     let mission = MissionSpec::survey(1500.0);

@@ -25,17 +25,17 @@ use serde::{Deserialize, Serialize};
 type UavCombo = (Family, f64, u64, ComputeTier);
 
 /// The two platform tiers under test: under-provisioned vs. adequate.
-pub const TIERS: [ComputeTier; 2] = [ComputeTier::Micro, ComputeTier::Embedded];
+pub(crate) const TIERS: [ComputeTier; 2] = [ComputeTier::Micro, ComputeTier::Embedded];
 /// Difficulty levels swept in the per-generator table.
-pub const LEVELS: [f64; 3] = [0.2, 0.5, 0.8];
+pub(crate) const LEVELS: [f64; 3] = [0.2, 0.5, 0.8];
 /// World-seed variants per (family, level) cell.
-pub const VARIANTS: u64 = 2;
+pub(crate) const VARIANTS: u64 = 2;
 /// Difficulty level for the rover (RRT-in-the-loop) spot checks.
-pub const ROVER_LEVEL: f64 = 0.35;
+pub(crate) const ROVER_LEVEL: f64 = 0.35;
 
 /// Aggregate UAV outcome of one tier on one generator family.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FamilyTierStat {
+pub(crate) struct FamilyTierStat {
     /// The tier flown.
     pub tier: ComputeTier,
     /// Missions that met their deadline.
@@ -48,7 +48,7 @@ pub struct FamilyTierStat {
 
 /// One row of the per-generator table.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FamilyRow {
+pub(crate) struct FamilyRow {
     /// Generator family.
     pub family: Family,
     /// Mean difficulty score of the swept scenarios.
@@ -59,7 +59,7 @@ pub struct FamilyRow {
 
 /// One rover spot check: a start→goal patrol with RRT in the loop.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoverRow {
+pub(crate) struct RoverRow {
     /// Generator family of the world.
     pub family: Family,
     /// The tier driving.
@@ -70,7 +70,7 @@ pub struct RoverRow {
 
 /// The E12 result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScenariosResult {
+pub(crate) struct ScenariosResult {
     /// Per-generator UAV success/latency rows, one per family.
     pub families: Vec<FamilyRow>,
     /// Rover spot checks (corridor and forest, both tiers).
@@ -162,7 +162,7 @@ impl ScenariosResult {
     /// The crossover statement: where the under-provisioned tier breaks
     /// versus how far the adequate tier survives.
     #[must_use]
-    pub fn crossover_note(&self) -> String {
+    pub(crate) fn crossover_note(&self) -> String {
         let micro = &self.falsifications[0];
         let adequate = &self.falsifications[1];
         match (&micro.frontier, &adequate.frontier) {
@@ -191,12 +191,6 @@ impl ScenariosResult {
             ),
         }
     }
-}
-
-/// Runs E12, deterministic in `seed` and invariant to `M7_THREADS`.
-#[must_use]
-pub fn run(seed: u64) -> ScenariosResult {
-    run_in(seed, &super::fresh_store()).0
 }
 
 /// Runs E12 with the two falsification searches memoized through one
@@ -287,6 +281,12 @@ pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (ScenariosResult, u6
 mod tests {
     use super::*;
     use m7_serve::tier::TieredCache;
+
+    /// Runs E12, deterministic in `seed` and invariant to `M7_THREADS`.
+    #[must_use]
+    fn run(seed: u64) -> ScenariosResult {
+        run_in(seed, &crate::experiments::fresh_store()).0
+    }
 
     #[test]
     fn deterministic() {

@@ -52,7 +52,7 @@ static DNN_SPEEDUP: TraceGauge =
 
 /// Modeled roofline placement of one kernel on both CPU presets.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RooflineRow {
+pub(crate) struct RooflineRow {
     /// Kernel profile name (e.g. `collision-batch-2048x256`).
     pub kernel: String,
     /// Kernel family label.
@@ -73,7 +73,7 @@ pub struct RooflineRow {
 
 /// One measured lane-vs-scalar timing (wall clock, nondeterministic).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MeasuredRow {
+pub(crate) struct MeasuredRow {
     /// Kernel label.
     pub kernel: String,
     /// Lane-path wall time (ms).
@@ -94,7 +94,7 @@ impl MeasuredRow {
 
 /// The E13 result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RooflineResult {
+pub(crate) struct RooflineResult {
     /// Where the measured table (if any) came from.
     pub timing: Timing,
     /// Modeled placement of the four vectorized kernels.
@@ -332,12 +332,6 @@ fn measure_host(seed: u64) -> Vec<MeasuredRow> {
     rows
 }
 
-/// Runs E13 with host timings for the measured table (library default).
-#[must_use]
-pub fn run(seed: u64) -> RooflineResult {
-    run_with(seed, Timing::Measured)
-}
-
 /// Runs E13. With [`Timing::Modeled`] the result is a pure function of
 /// the kernel profiles — the seed only feeds the measured workloads, so
 /// modeled output is identical for every seed and thread count.
@@ -361,6 +355,12 @@ pub fn run_with(seed: u64, timing: Timing) -> RooflineResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs E13 with host timings for the measured table.
+    #[must_use]
+    fn run(seed: u64) -> RooflineResult {
+        run_with(seed, Timing::Measured)
+    }
 
     #[test]
     fn modeled_half_is_seed_free_and_deterministic() {

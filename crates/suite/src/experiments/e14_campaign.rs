@@ -20,16 +20,17 @@ use serde::{Deserialize, Serialize};
 
 /// The two platform tiers campaigned: under-provisioned vs. adequate —
 /// the same pair E12 falsifies, now measured across the whole envelope.
-pub const TIERS: [ComputeTier; 2] = [ComputeTier::Micro, ComputeTier::Embedded];
+pub(crate) const TIERS: [ComputeTier; 2] = [ComputeTier::Micro, ComputeTier::Embedded];
 /// Closed-loop evaluation budget per tier's campaign.
 pub const BUDGET: usize = 600;
 /// Most-sampled strata shown per tier in the importance table.
-pub const TOP_STRATA: usize = 8;
+pub(crate) const TOP_STRATA: usize = 8;
 
-/// The E14 result: one finished campaign per tier, in [`TIERS`] order.
+/// The E14 result: one finished campaign per tier, under-provisioned
+/// ([`ComputeTier::Micro`]) first, then adequate ([`ComputeTier::Embedded`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CampaignResult {
-    /// Campaign outcomes, one per tier in [`TIERS`] order.
+    /// Campaign outcomes, one per tier: Micro, then Embedded.
     pub outcomes: Vec<CampaignOutcome>,
 }
 
@@ -141,7 +142,7 @@ impl CampaignResult {
 
     /// The coverage statement the campaign exists to make.
     #[must_use]
-    pub fn coverage_note(&self) -> String {
+    pub(crate) fn coverage_note(&self) -> String {
         let micro = &self.outcomes[0];
         let adequate = &self.outcomes[1];
         format!(

@@ -31,7 +31,7 @@ use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// Simulated horizon in seconds.
-pub const DURATION_S: f64 = 2.0;
+pub(crate) const DURATION_S: f64 = 2.0;
 /// Camera rate.
 pub const CAMERA_HZ: f64 = 30.0;
 /// IMU rate.
@@ -212,7 +212,8 @@ fn summarize(label: &str, r: &GraphReport) -> DeploymentOutcome {
 pub struct FusionResult {
     /// Simulated horizon, seconds.
     pub duration_s: f64,
-    /// One outcome per deployment, in [`deployments`] order.
+    /// One outcome per deployment: unified SoC, heterogeneous, then
+    /// heterogeneous under DVFS.
     pub outcomes: Vec<DeploymentOutcome>,
 }
 

@@ -12,13 +12,13 @@ use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 
 /// First year of the modeled window (matching Fig. 1's x-axis).
-pub const FIRST_YEAR: u32 = 2014;
+pub(crate) const FIRST_YEAR: u32 = 2014;
 /// Last year of the modeled window.
-pub const LAST_YEAR: u32 = 2023;
+pub(crate) const LAST_YEAR: u32 = 2023;
 
 /// Parameters of the bibliometric model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct GrowthModel {
+pub(crate) struct GrowthModel {
     /// Carrying capacity: mentions per year once the field matures.
     pub capacity: f64,
     /// Logistic growth rate per year.
@@ -46,7 +46,7 @@ impl GrowthModel {
 
     /// Draws the yearly counts, deterministic in `seed`.
     #[must_use]
-    pub fn sample_series(&self, seed: u64) -> Vec<(u32, u64)> {
+    pub(crate) fn sample_series(&self, seed: u64) -> Vec<(u32, u64)> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         (FIRST_YEAR..=LAST_YEAR)
             .map(|year| {
@@ -78,7 +78,7 @@ fn poisson(rng: &mut impl Rng, lambda: f64) -> u64 {
 
 /// The E1 result: the yearly publication-mention series.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GrowthResult {
+pub(crate) struct GrowthResult {
     /// Yearly `(year, mentions)` counts.
     pub series: Vec<(u32, u64)>,
     /// Ratio of the last to the first nonzero year's count.

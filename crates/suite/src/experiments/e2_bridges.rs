@@ -16,7 +16,7 @@ use serde::{Deserialize, Serialize};
 
 /// The legacy (benchmark-era) SLAM pipeline: correlation dominates.
 #[must_use]
-pub fn legacy_pipeline() -> Vec<KernelProfile> {
+pub(crate) fn legacy_pipeline() -> Vec<KernelProfile> {
     vec![
         // A 21×21×21-hypothesis window over a 90-beam scan, per update.
         KernelProfile::correlation_scan(9261, 90),
@@ -27,7 +27,7 @@ pub fn legacy_pipeline() -> Vec<KernelProfile> {
 
 /// The deployed (modern) pipeline: sparse filters and geometry.
 #[must_use]
-pub fn deployed_pipeline() -> Vec<KernelProfile> {
+pub(crate) fn deployed_pipeline() -> Vec<KernelProfile> {
     vec![
         KernelProfile::feature_extract(640, 480),
         KernelProfile::ekf_update(43),
@@ -39,7 +39,7 @@ pub fn deployed_pipeline() -> Vec<KernelProfile> {
 /// The benchmark-driven design: a widget hardwired to the correlation
 /// kernel shape.
 #[must_use]
-pub fn correlation_widget() -> Platform {
+pub(crate) fn correlation_widget() -> Platform {
     Platform::builder(PlatformKind::Asic)
         .name("correlation-widget")
         // The whole occupancy grid is pinned in on-chip SRAM — which is
@@ -60,7 +60,7 @@ pub fn correlation_widget() -> Platform {
 /// The expert-informed design: a cross-cutting accelerator for the
 /// families the deployed stack actually exercises.
 #[must_use]
-pub fn expert_accelerator() -> Platform {
+pub(crate) fn expert_accelerator() -> Platform {
     Platform::builder(PlatformKind::Asic)
         .name("expert-crosscutting")
         .specialization(Specialization::Families {
@@ -82,12 +82,6 @@ pub struct BridgesResult {
 }
 
 impl BridgesResult {
-    /// Speedup of `design` on the deployed pipeline.
-    #[must_use]
-    pub fn deployed_speedup(&self, design: &str) -> Option<f64> {
-        self.rows.iter().find(|(n, _, _)| n == design).map(|&(_, _, s)| s)
-    }
-
     /// Renders the report.
     #[must_use]
     pub fn report(&self) -> Report {
@@ -145,6 +139,14 @@ pub fn run() -> BridgesResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BridgesResult {
+        /// Speedup of `design` on the deployed pipeline.
+        #[must_use]
+        fn deployed_speedup(&self, design: &str) -> Option<f64> {
+            self.rows.iter().find(|(n, _, _)| n == design).map(|&(_, _, s)| s)
+        }
+    }
 
     #[test]
     fn widget_wins_legacy_loses_deployed() {

@@ -13,7 +13,7 @@ use serde::{Deserialize, Serialize};
 
 /// The six-task autonomy suite (name, kernel pipeline).
 #[must_use]
-pub fn task_suite() -> Vec<(String, Vec<KernelProfile>)> {
+pub(crate) fn task_suite() -> Vec<(String, Vec<KernelProfile>)> {
     vec![
         (
             "uav-obstacle-avoidance".to_string(),
@@ -36,7 +36,7 @@ pub fn task_suite() -> Vec<(String, Vec<KernelProfile>)> {
 /// The widget under test: hardwired to the warehouse PRM's exact batch
 /// shape.
 #[must_use]
-pub fn prm_widget() -> Platform {
+pub(crate) fn prm_widget() -> Platform {
     Platform::builder(PlatformKind::Asic)
         .name("widget-prm-asic")
         .specialization(Specialization::Widget {
@@ -51,7 +51,7 @@ pub fn prm_widget() -> Platform {
 /// The cross-cutting design: accelerates the two families that dominate
 /// the suite (batched geometry + dense linear algebra).
 #[must_use]
-pub fn crosscutting_accelerator() -> Platform {
+pub(crate) fn crosscutting_accelerator() -> Platform {
     Platform::builder(PlatformKind::Asic)
         .name("crosscutting-asic")
         .specialization(Specialization::Families {

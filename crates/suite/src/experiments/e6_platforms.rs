@@ -39,7 +39,7 @@ pub enum Timing {
 
 /// The E6 result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PlatformsResult {
+pub(crate) struct PlatformsResult {
     /// Where the build times came from.
     pub timing: Timing,
     /// Scalar PRM build time (ms).
@@ -99,12 +99,6 @@ impl PlatformsResult {
         ));
         report
     }
-}
-
-/// Runs E6 with wall-clock timing (the library default).
-#[must_use]
-pub fn run(seed: u64) -> PlatformsResult {
-    run_with(seed, Timing::Measured)
 }
 
 /// Runs E6: a cluttered 60×60 m warehouse with a dense roadmap.
@@ -195,6 +189,12 @@ pub fn run_with(seed: u64, timing: Timing) -> PlatformsResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Runs E6 with wall-clock timing.
+    #[must_use]
+    fn run(seed: u64) -> PlatformsResult {
+        run_with(seed, Timing::Measured)
+    }
 
     #[test]
     fn batched_build_is_faster() {

@@ -15,7 +15,7 @@ use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
 use serde::{Deserialize, Serialize};
 
 /// Kernel-speedup sweep points.
-pub const SPEEDUPS: [f64; 7] = [1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];
+pub(crate) const SPEEDUPS: [f64; 7] = [1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];
 
 /// The E7 result.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]

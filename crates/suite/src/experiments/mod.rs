@@ -18,18 +18,18 @@
 //! | E14 | §2.1 + §3.1 | streaming campaigns: stratified coverage with importance splitting |
 //! | E15 | §2.5 + §2.6 | multi-rate fusion graph: placement, DVFS, and backpressure tradeoffs |
 
-pub mod e10_contention;
+pub(crate) mod e10_contention;
 pub mod e11_robustness;
-pub mod e12_scenarios;
-pub mod e13_roofline;
+pub(crate) mod e12_scenarios;
+pub(crate) mod e13_roofline;
 pub mod e14_campaign;
 pub mod e15_fusion;
-pub mod e1_growth;
+pub(crate) mod e1_growth;
 pub mod e2_bridges;
 pub mod e3_metrics;
 pub mod e4_widgetism;
 pub mod e5_brakes;
-pub mod e6_platforms;
+pub(crate) mod e6_platforms;
 pub mod e7_endtoend;
 pub mod e8_global;
 pub mod e9_dse;

@@ -42,7 +42,7 @@ impl Table {
 
     /// Table title.
     #[must_use]
-    pub fn title(&self) -> &str {
+    pub(crate) fn title(&self) -> &str {
         &self.title
     }
 
@@ -120,12 +120,6 @@ impl Report {
         Self { title: title.into(), tables: Vec::new(), notes: Vec::new() }
     }
 
-    /// Report title.
-    #[must_use]
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     /// The tables.
     #[must_use]
     pub fn tables(&self) -> &[Table] {
@@ -144,7 +138,7 @@ impl Report {
     }
 
     /// Appends a note.
-    pub fn push_note(&mut self, note: impl Into<String>) {
+    pub(crate) fn push_note(&mut self, note: impl Into<String>) {
         self.notes.push(note.into());
     }
 

@@ -60,7 +60,7 @@ impl BenchmarkWorkload {
 
     /// Required input rate.
     #[must_use]
-    pub fn input_rate(&self) -> Hertz {
+    pub(crate) fn input_rate(&self) -> Hertz {
         self.input_rate
     }
 

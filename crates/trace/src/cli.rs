@@ -2,9 +2,10 @@
 //! example binary accepts: `--threads N`, `--trace FILE`, `--metrics`,
 //! `--stats-interval MS`, `--journal DIR`.
 //!
-//! Each binary used to hand-roll the same three match arms; this module
+//! Each binary used to hand-roll the same match arms; this module
 //! centralizes them while leaving usage messages and unknown-argument
-//! handling to the binary. [`ObsFlags::consume`] slots into an argument
+//! handling to the binary. [`flag_value`] parses one flag value with the
+//! shared diagnostic, and [`ObsFlags::consume`] slots into an argument
 //! loop as a guard arm, claiming exactly the shared flags:
 //!
 //! ```
@@ -21,6 +22,30 @@
 //! assert_eq!(obs.threads, Some(4));
 //! assert!(obs.metrics);
 //! ```
+
+/// Pulls the value of `flag` from `rest` and parses it as `T`. On a
+/// missing, empty or unparsable value, prints `"{flag} needs {what}"` to
+/// stderr and exits with status 2 — the one diagnostic every example
+/// binary gives for a bad flag value.
+///
+/// ```
+/// use m7_trace::cli::flag_value;
+///
+/// let mut rest = ["7".to_string()].into_iter();
+/// let seed: u64 = flag_value(&mut rest, "--seed", "an integer");
+/// assert_eq!(seed, 7);
+/// ```
+pub fn flag_value<T: std::str::FromStr>(
+    rest: &mut dyn Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    let Some(v) = rest.next().filter(|v| !v.is_empty()).and_then(|v| v.parse().ok()) else {
+        eprintln!("{flag} needs {what}");
+        std::process::exit(2);
+    };
+    v
+}
 
 /// The observability flags shared by the example binaries.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -47,11 +72,7 @@ impl ObsFlags {
     pub fn consume(&mut self, arg: &str, rest: &mut dyn Iterator<Item = String>) -> bool {
         match arg {
             "--threads" => {
-                let v = rest.next().and_then(|v| v.parse().ok());
-                let Some(v) = v else {
-                    eprintln!("--threads needs a positive integer");
-                    std::process::exit(2);
-                };
+                let v = flag_value(rest, "--threads", "a positive integer");
                 if v == 0 {
                     eprintln!("--threads must be at least 1");
                     std::process::exit(2);
@@ -72,11 +93,7 @@ impl ObsFlags {
                 true
             }
             "--stats-interval" => {
-                let v = rest.next().and_then(|v| v.parse().ok());
-                let Some(v) = v else {
-                    eprintln!("--stats-interval needs a positive integer (milliseconds)");
-                    std::process::exit(2);
-                };
+                let v = flag_value(rest, "--stats-interval", "a positive integer (milliseconds)");
                 if v == 0 {
                     eprintln!("--stats-interval must be at least 1 millisecond");
                     std::process::exit(2);
@@ -85,11 +102,7 @@ impl ObsFlags {
                 true
             }
             "--journal" => {
-                let Some(dir) = rest.next().filter(|d| !d.is_empty()) else {
-                    eprintln!("--journal needs a directory path");
-                    std::process::exit(2);
-                };
-                self.journal = Some(dir);
+                self.journal = Some(flag_value(rest, "--journal", "a directory path"));
                 true
             }
             _ => false,

@@ -64,18 +64,15 @@ pub mod span;
 
 pub use cli::ObsFlags;
 pub use export::{
-    chrome_trace_json, kv_dump, parse_json, text_report, validate_chrome_trace, Json, TraceSummary,
+    chrome_trace_json, kv_dump, parse_json, text_report, validate_chrome_trace, Json,
 };
 pub use hub::{HubConfig, SnapshotSink, TelemetryHub};
 pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricEntry, MetricValue,
     MetricsSnapshot, TraceCounter, TraceGauge, TraceHistogram, HISTOGRAM_BUCKETS,
 };
-pub use snapshot::{
-    decode_record, DeltaEntry, DeltaValue, Snapshot, SnapshotDelta, SnapshotRecord,
-    SNAPSHOT_VERSION,
-};
-pub use span::{span_dyn, SpanGuard, SpanSite};
+pub use snapshot::{decode_record, Snapshot, SnapshotDelta, SnapshotRecord};
+pub use span::{span_dyn, SpanSite};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

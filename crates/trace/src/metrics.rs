@@ -139,8 +139,8 @@ impl Gauge {
 /// }
 /// assert_eq!(h.count(), 4);
 /// assert_eq!(h.sum(), 204);
-/// assert_eq!(h.bucket_count(0), 1); // the zero
-/// assert_eq!(h.bucket_count(m7_trace::Histogram::bucket_index(200)), 1);
+/// // 200 lands in the [128, 256) bucket, whose upper edge is 255.
+/// assert_eq!(h.quantile_upper_bound(1.0), 255);
 /// ```
 #[derive(Debug)]
 pub struct Histogram {
@@ -231,7 +231,7 @@ impl Histogram {
     ///
     /// Panics if `i >= HISTOGRAM_BUCKETS`.
     #[must_use]
-    pub fn bucket_count(&self, i: usize) -> u64 {
+    pub(crate) fn bucket_count(&self, i: usize) -> u64 {
         self.buckets[i].load(Ordering::Relaxed)
     }
 

@@ -1,7 +1,7 @@
 //! The flight recorder: lock-free per-thread ring buffers of span
 //! events, merged at export time.
 //!
-//! Each thread that records events owns a [`ThreadBuffer`] — a
+//! Each thread that records events owns a buffer — a
 //! fixed-capacity ring of packed atomic slots written with relaxed
 //! stores and never locked on the hot path. Buffers are registered
 //! globally so [`drain`] can merge events across every thread the
@@ -13,7 +13,7 @@
 //! When a ring fills, the oldest events are overwritten
 //! (flight-recorder semantics) and a dropped-event counter is bumped;
 //! exporters report the drop count so truncation is never silent. The
-//! default capacity is [`DEFAULT_CAPACITY`] events per thread,
+//! default capacity is 32768 events per thread,
 //! overridable with the `M7_TRACE_EVENTS` environment variable.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -21,7 +21,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Default per-thread ring capacity in events.
-pub const DEFAULT_CAPACITY: usize = 1 << 15;
+pub(crate) const DEFAULT_CAPACITY: usize = 1 << 15;
 
 /// Which clock stamped an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -81,7 +81,7 @@ struct Slot {
 
 /// One thread's event ring. Created through the global pool; public so
 /// `drain` results can reference thread ids, not for direct use.
-pub struct ThreadBuffer {
+pub(crate) struct ThreadBuffer {
     tid: u64,
     slots: Box<[Slot]>,
     /// Total events ever pushed (head position = head % capacity).

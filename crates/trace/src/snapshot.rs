@@ -18,8 +18,8 @@
 //!   high-water value — so deltas can be folded in any order.
 //! - **Bounded decode:** every length field is validated against a hard
 //!   cap *before* any allocation, so a corrupt or adversarial record can
-//!   never balloon memory ([`MAX_SNAPSHOT_ENTRIES`],
-//!   [`MAX_METRIC_NAME_LEN`], [`HISTOGRAM_BUCKETS`]).
+//!   never balloon memory (at most 4096 entries, 256-byte metric names,
+//!   and [`HISTOGRAM_BUCKETS`] buckets).
 //!
 //! The deterministic-vs-diagnostic split survives encoding: each entry
 //! carries its [`MetricClass`], and [`Snapshot::deterministic_only`]
@@ -30,12 +30,12 @@ use crate::metrics::{
 };
 
 /// Wire version of the snapshot record format.
-pub const SNAPSHOT_VERSION: u8 = 1;
+pub(crate) const SNAPSHOT_VERSION: u8 = 1;
 /// Hard cap on entries per record — far above any real registry, low
 /// enough that a corrupt length cannot cause a large allocation.
-pub const MAX_SNAPSHOT_ENTRIES: usize = 4096;
+pub(crate) const MAX_SNAPSHOT_ENTRIES: usize = 4096;
 /// Hard cap on a metric name's encoded length in bytes.
-pub const MAX_METRIC_NAME_LEN: usize = 256;
+pub(crate) const MAX_METRIC_NAME_LEN: usize = 256;
 
 const KIND_FULL: u8 = 0x00;
 const KIND_DELTA: u8 = 0x01;

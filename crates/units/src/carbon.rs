@@ -31,7 +31,7 @@ quantity! {
     /// use m7_units::{GramsCo2e, KilogramsCo2e};
     ///
     /// let embodied = KilogramsCo2e::new(15.0);
-    /// assert_eq!(embodied.to_grams(), GramsCo2e::new(15000.0));
+    /// assert_eq!(GramsCo2e::from(embodied), GramsCo2e::new(15000.0));
     /// ```
     KilogramsCo2e, "kgCO2e"
 }
@@ -58,20 +58,13 @@ impl GramsCo2e {
     pub fn to_kilograms(self) -> KilogramsCo2e {
         KilogramsCo2e::new(self.value() / 1e3)
     }
-
-    /// This emission mass expressed in metric tonnes CO₂e.
-    #[inline]
-    #[must_use]
-    pub fn as_tonnes(self) -> f64 {
-        self.value() / 1e6
-    }
 }
 
 impl KilogramsCo2e {
     /// This emission mass expressed in grams CO₂e.
     #[inline]
     #[must_use]
-    pub fn to_grams(self) -> GramsCo2e {
+    pub(crate) fn to_grams(self) -> GramsCo2e {
         GramsCo2e::new(self.value() * 1e3)
     }
 }
@@ -111,7 +104,6 @@ mod tests {
         assert_eq!(kg, KilogramsCo2e::new(2.5));
         let back: GramsCo2e = kg.into();
         assert_eq!(back, g);
-        assert!((GramsCo2e::new(3e6).as_tonnes() - 3.0).abs() < 1e-12);
     }
 
     #[test]

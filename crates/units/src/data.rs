@@ -34,32 +34,11 @@ quantity! {
 relate!(Bytes, Seconds, BytesPerSecond);
 
 impl Bytes {
-    /// Creates a data amount from kibibytes (1024 B).
-    #[inline]
-    #[must_use]
-    pub fn from_kibibytes(kib: f64) -> Self {
-        Self::new(kib * 1024.0)
-    }
-
     /// Creates a data amount from mebibytes (1024² B).
     #[inline]
     #[must_use]
     pub fn from_mebibytes(mib: f64) -> Self {
         Self::new(mib * 1024.0 * 1024.0)
-    }
-
-    /// Creates a data amount from decimal gigabytes (10⁹ B).
-    #[inline]
-    #[must_use]
-    pub fn from_gigabytes(gb: f64) -> Self {
-        Self::new(gb * 1e9)
-    }
-
-    /// The amount expressed in mebibytes.
-    #[inline]
-    #[must_use]
-    pub fn as_mebibytes(self) -> f64 {
-        self.value() / (1024.0 * 1024.0)
     }
 }
 
@@ -85,16 +64,12 @@ mod tests {
 
     #[test]
     fn unit_constructors() {
-        assert_eq!(Bytes::from_kibibytes(1.0), Bytes::new(1024.0));
         assert_eq!(Bytes::from_mebibytes(1.0), Bytes::new(1048576.0));
-        assert_eq!(Bytes::from_gigabytes(1.0), Bytes::new(1e9));
-        assert!((Bytes::from_mebibytes(3.5).as_mebibytes() - 3.5).abs() < 1e-12);
     }
 
     #[test]
     fn transfer_time() {
-        let t: Seconds =
-            Bytes::from_gigabytes(1.0) / BytesPerSecond::from_gigabytes_per_second(4.0);
+        let t: Seconds = Bytes::new(1e9) / BytesPerSecond::from_gigabytes_per_second(4.0);
         assert!((t.value() - 0.25).abs() < 1e-12);
         let moved: Bytes = BytesPerSecond::new(100.0) * Seconds::new(2.0);
         assert_eq!(moved, Bytes::new(200.0));

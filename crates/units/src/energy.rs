@@ -13,7 +13,7 @@ quantity! {
     /// let battery = Joules::from_watt_hours(50.0);
     /// let draw = Watts::new(100.0);
     /// let endurance: Seconds = battery / draw;
-    /// assert!((endurance.as_hours() - 0.5).abs() < 1e-9);
+    /// assert!((endurance - Seconds::from_hours(0.5)).value().abs() < 1e-9);
     /// ```
     Joules, "J"
 }
@@ -41,7 +41,7 @@ quantity! {
     /// use m7_units::{MilliWatts, Watts};
     ///
     /// let mcu = MilliWatts::new(250.0);
-    /// assert_eq!(mcu.to_watts(), Watts::new(0.25));
+    /// assert_eq!(Watts::from(mcu), Watts::new(0.25));
     /// ```
     MilliWatts, "mW"
 }
@@ -66,32 +66,25 @@ impl Joules {
     /// The energy expressed in watt-hours.
     #[inline]
     #[must_use]
-    pub fn as_watt_hours(self) -> f64 {
+    pub(crate) fn as_watt_hours(self) -> f64 {
         self.value() / 3600.0
     }
 
     /// The energy expressed in kilowatt-hours.
     #[inline]
     #[must_use]
-    pub fn as_kilowatt_hours(self) -> f64 {
+    pub(crate) fn as_kilowatt_hours(self) -> f64 {
         self.as_watt_hours() / 1e3
     }
 }
 
-impl Watts {
-    /// This power expressed in milliwatts.
-    #[inline]
-    #[must_use]
-    pub fn to_milliwatts(self) -> MilliWatts {
-        MilliWatts::new(self.value() * 1e3)
-    }
-}
+impl Watts {}
 
 impl MilliWatts {
     /// This power expressed in watts.
     #[inline]
     #[must_use]
-    pub fn to_watts(self) -> Watts {
+    pub(crate) fn to_watts(self) -> Watts {
         Watts::new(self.value() / 1e3)
     }
 }
@@ -130,6 +123,5 @@ mod tests {
     fn milliwatt_conversion() {
         let w: Watts = MilliWatts::new(1500.0).into();
         assert_eq!(w, Watts::new(1.5));
-        assert_eq!(w.to_milliwatts(), MilliWatts::new(1500.0));
     }
 }

@@ -26,7 +26,7 @@ quantity! {
     /// use m7_units::{Grams, Kilograms};
     ///
     /// let airframe = Kilograms::new(1.2);
-    /// assert_eq!(airframe.to_grams(), Grams::new(1200.0));
+    /// assert_eq!(Grams::from(airframe), Grams::new(1200.0));
     /// ```
     Kilograms, "kg"
 }
@@ -44,7 +44,7 @@ impl Kilograms {
     /// This mass expressed in grams.
     #[inline]
     #[must_use]
-    pub fn to_grams(self) -> Grams {
+    pub(crate) fn to_grams(self) -> Grams {
         Grams::new(self.value() * 1e3)
     }
 }

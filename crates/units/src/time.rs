@@ -43,13 +43,6 @@ impl Seconds {
         Self::new(us / 1e6)
     }
 
-    /// Creates a duration from nanoseconds.
-    #[inline]
-    #[must_use]
-    pub fn from_nanos(ns: f64) -> Self {
-        Self::new(ns / 1e9)
-    }
-
     /// Creates a duration from hours.
     #[inline]
     #[must_use]
@@ -62,13 +55,6 @@ impl Seconds {
     #[must_use]
     pub fn as_millis(self) -> f64 {
         self.value() * 1e3
-    }
-
-    /// The duration expressed in hours.
-    #[inline]
-    #[must_use]
-    pub fn as_hours(self) -> f64 {
-        self.value() / 3600.0
     }
 
     /// The rate whose period is this duration.
@@ -90,13 +76,6 @@ impl Hertz {
     pub fn period(self) -> Seconds {
         Seconds::new(1.0 / self.value())
     }
-
-    /// The number of events occurring in `window`.
-    #[inline]
-    #[must_use]
-    pub fn events_in(self, window: Seconds) -> f64 {
-        self.value() * window.value()
-    }
 }
 
 impl From<core::time::Duration> for Seconds {
@@ -114,8 +93,7 @@ mod tests {
     fn conversion_round_trips() {
         let s = Seconds::from_millis(250.0);
         assert!((s.as_millis() - 250.0).abs() < 1e-9);
-        let h = Seconds::from_hours(2.0);
-        assert!((h.as_hours() - 2.0).abs() < 1e-12);
+        assert!((Seconds::from_hours(2.0).value() - 7200.0).abs() < 1e-9);
     }
 
     #[test]
@@ -135,12 +113,6 @@ mod tests {
         assert_eq!(a / b, 3.0);
         let total: Seconds = [a, b, b].iter().sum();
         assert_eq!(total, Seconds::new(2.5));
-    }
-
-    #[test]
-    fn events_in_window() {
-        let f = Hertz::new(30.0);
-        assert!((f.events_in(Seconds::new(2.0)) - 60.0).abs() < 1e-12);
     }
 
     #[test]

@@ -34,6 +34,7 @@
 //! how many it replayed, and produces the byte-identical report the
 //! uninterrupted run would have printed.
 
+use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
@@ -45,6 +46,7 @@ use magseven::serve::segment::SEGMENT_FILE;
 use magseven::serve::tier::{TierConfig, TieredCache};
 use magseven::sim::uav::ComputeTier;
 use magseven::suite::report::{fmt_f64, Report, Table};
+use magseven::trace::cli::flag_value;
 use magseven::trace::ObsFlags;
 
 /// Parses a tier name (the `Display` form used across the suite).
@@ -253,11 +255,8 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--budget" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--budget needs a positive integer");
-                    return ExitCode::from(2);
-                };
-                budget = v;
+                budget =
+                    flag_value::<NonZeroUsize>(&mut args, "--budget", "a positive integer").get();
             }
             "--tier" => {
                 let Some(v) = args.next().as_deref().and_then(parse_tier) else {
@@ -268,19 +267,9 @@ fn main() -> ExitCode {
                 };
                 tier = v;
             }
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::from(2);
-                };
-                seed = v;
-            }
+            "--seed" => seed = flag_value(&mut args, "--seed", "an integer"),
             "--resume-dir" => {
-                let Some(v) = args.next().filter(|v| !v.is_empty()) else {
-                    eprintln!("--resume-dir needs a directory path");
-                    return ExitCode::from(2);
-                };
-                resume_dir = Some(PathBuf::from(v));
+                resume_dir = Some(flag_value(&mut args, "--resume-dir", "a directory path"));
             }
             "--self-test" => selftest = true,
             s if obs.consume(s, &mut args) => {}

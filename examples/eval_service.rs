@@ -45,6 +45,7 @@
 //! values = 2 40 0.25 12
 //! ```
 
+use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -54,6 +55,7 @@ use magseven::serve::key::EvalRequest;
 use magseven::serve::server::{EvalClient, EvalServer, Evaluator, ServeConfig};
 use magseven::serve::wire::Response;
 use magseven::suite::experiments::e9_dse;
+use magseven::trace::cli::flag_value;
 use magseven::trace::ObsFlags;
 
 /// The served objective: E9's mission-level cost over (tier, battery_wh,
@@ -265,33 +267,14 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--serve" | "--client" | "--self-test" => mode = arg,
-            "--port" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--port needs a port number");
-                    return ExitCode::from(2);
-                };
-                port = v;
-            }
+            "--port" => port = flag_value(&mut args, "--port", "a port number"),
             "--requests" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()).filter(|&v| v > 0) else {
-                    eprintln!("--requests needs a positive integer");
-                    return ExitCode::from(2);
-                };
-                requests = v;
+                requests =
+                    flag_value::<NonZeroUsize>(&mut args, "--requests", "a positive integer").get();
             }
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    return ExitCode::from(2);
-                };
-                seed = v;
-            }
+            "--seed" => seed = flag_value(&mut args, "--seed", "an integer"),
             "--cache-dir" => {
-                let Some(v) = args.next().filter(|v| !v.is_empty()) else {
-                    eprintln!("--cache-dir needs a directory path");
-                    return ExitCode::from(2);
-                };
-                cache_dir = Some(PathBuf::from(v));
+                cache_dir = Some(flag_value(&mut args, "--cache-dir", "a directory path"));
             }
             s if obs.consume(s, &mut args) => {}
             other => {

@@ -15,6 +15,7 @@
 
 use magseven::par::ParConfig;
 use magseven::suite::experiments::e11_robustness;
+use magseven::trace::cli::flag_value;
 use magseven::trace::ObsFlags;
 
 fn main() {
@@ -24,22 +25,8 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--runs" => {
-                let v = args.next().and_then(|v| v.parse().ok());
-                let Some(v) = v else {
-                    eprintln!("--runs needs a positive integer");
-                    std::process::exit(2);
-                };
-                runs = v;
-            }
-            "--seed" => {
-                let v = args.next().and_then(|v| v.parse().ok());
-                let Some(v) = v else {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                };
-                seed = v;
-            }
+            "--runs" => runs = flag_value(&mut args, "--runs", "a positive integer"),
+            "--seed" => seed = flag_value(&mut args, "--seed", "an integer"),
             s if obs.consume(s, &mut args) => {}
             other => {
                 eprintln!(

@@ -11,6 +11,7 @@
 //! world through `render_scenario`/`parse_scenario`.
 
 use magseven::scen::{generate, parse_scenario, render_scenario, Family};
+use magseven::trace::cli::flag_value;
 
 fn usage() -> ! {
     eprintln!("usage: scenario_gallery [--seed S]");
@@ -22,13 +23,7 @@ fn main() {
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--seed" => {
-                let Some(v) = args.next().and_then(|v| v.parse().ok()) else {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                };
-                seed = v;
-            }
+            "--seed" => seed = flag_value(&mut args, "--seed", "an integer"),
             other => {
                 eprintln!("unknown argument {other:?}");
                 usage();

@@ -24,6 +24,7 @@ use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 use magseven::serve::recover_snapshot;
 use magseven::serve::server::{EvalClient, FramedClient};
 use magseven::serve::wire::Response;
+use magseven::trace::cli::flag_value;
 use magseven::trace::{MetricClass, MetricEntry, MetricValue, Snapshot};
 
 fn usage() -> ! {
@@ -215,13 +216,7 @@ fn main() {
                 Some(dir) => journal = Some(dir),
                 None => usage(),
             },
-            "--port" => match args.next().and_then(|v| v.parse::<u16>().ok()) {
-                Some(p) => port = Some(p),
-                None => {
-                    eprintln!("--port needs a TCP port number");
-                    std::process::exit(2);
-                }
-            },
+            "--port" => port = Some(flag_value(&mut args, "--port", "a TCP port number")),
             "--legacy" => legacy = true,
             _ => usage(),
         }
