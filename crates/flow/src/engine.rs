@@ -1,12 +1,11 @@
 //! The sealed graph and its virtual-time execution engine.
 //!
 //! [`GraphBuilder::seal`] validates the builder's topology, costs every
-//! placement (in parallel on the `m7-par` pool),
-//! applies shared-site contention, and freezes the result into a
-//! [`Graph`]. [`Graph::run_seeded`] then executes the graph on a
+//! placement, applies shared-site contention, and freezes the result
+//! into a [`Graph`]. [`Graph::run_seeded`] then executes the graph on a
 //! deterministic virtual clock, one event at a time in (time, FIFO)
-//! order. The pool is used only to cost placements at seal time, so
-//! the report is bit-identical at any thread count.
+//! order. Sealing and running are both serial, so the report is
+//! bit-identical at any thread count.
 
 use crate::graph::{
     EdgeDecl, EdgeKind, FlowError, GraphBuilder, LossModel, LossSeed, Role, Service,
@@ -14,7 +13,7 @@ use crate::graph::{
 use crate::policy::QueuePolicy;
 use crate::vtime::EventQueue;
 use m7_arch::contention::SharedBus;
-use m7_par::{derive_seed, ParConfig};
+use m7_par::derive_seed;
 use m7_trace::metrics::{registry, MetricClass};
 use m7_units::{BytesPerSecond, Hertz, Seconds};
 use rand::Rng;
@@ -645,7 +644,7 @@ fn seconds_to_ns(s: f64) -> u64 {
 
 /// Validates and freezes a builder into a runnable [`Graph`]. See
 /// [`GraphBuilder::seal`](crate::GraphBuilder::seal).
-pub(crate) fn seal(builder: GraphBuilder, par: ParConfig) -> Result<Graph, FlowError> {
+pub(crate) fn seal(builder: GraphBuilder) -> Result<Graph, FlowError> {
     let (name, decls, edge_decls, sites) = builder.into_parts();
 
     // Per-node edge topology.
@@ -690,11 +689,6 @@ pub(crate) fn seal(builder: GraphBuilder, par: ParConfig) -> Result<Graph, FlowE
         }
     }
 
-    // Cost every node's service on its placement — an independent,
-    // pure evaluation per node, fanned out on the m7-par pool.
-    let costed: Vec<(f64, f64, Option<String>)> =
-        par.par_map_indexed(decls.len(), |i| cost_node(&decls[i]));
-
     // Shared-site contention: each placed node's sustained memory
     // demand stretches every co-located service by the max-min-fair
     // bus slowdown.
@@ -721,7 +715,7 @@ pub(crate) fn seal(builder: GraphBuilder, par: ParConfig) -> Result<Graph, FlowE
         .iter()
         .enumerate()
         .map(|(i, d)| {
-            let (base_service, energy_rate, platform) = costed[i].clone();
+            let (base_service, energy_rate, platform) = cost_node(d);
             let role = match &d.role {
                 Role::Source(s) => SealedRole::Source { period: s.rate.period().value() },
                 Role::Server(s) => {
@@ -791,7 +785,7 @@ fn topo_order(n: usize, edges: &[EdgeDecl]) -> Option<Vec<usize>> {
 }
 
 /// Base service time (s), active-power energy rate (W while serving),
-/// and effective-platform label for one node. Pure — safe to fan out.
+/// and effective-platform label for one node.
 fn cost_node(d: &crate::graph::NodeDecl) -> (f64, f64, Option<String>) {
     let Role::Server(spec) = &d.role else { return (0.0, 0.0, None) };
     let platform = d.placement.as_ref().map(crate::Placement::effective_platform);
@@ -850,6 +844,7 @@ mod tests {
     use crate::message::MessageType;
     use crate::placement::Placement;
     use m7_arch::platform::PlatformKind;
+    use m7_par::ParConfig;
     use m7_units::Bytes;
 
     struct Frame;
@@ -1020,7 +1015,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_report() {
+    fn same_timestamp_handling_order_is_pinned() {
         // Twelve identical chains fire together, so every 100 Hz tick is
         // a batch of two dozen same-timestamp Fire events, and the
         // chains' Done events share timestamps too (a's 10 ms service is
@@ -1028,7 +1023,7 @@ mod tests {
         //   src --queue(2, 20% loss)--> a (10 ms)
         //       --queue(1, Block)--> b (25 ms, 75 ms deadline) --wire--> out (80 ms deadline)
         //   imu (200 Hz) --sampled--> b
-        let build = |par: ParConfig| {
+        let build = || {
             let mut g = GraphBuilder::new("det");
             for c in 0..12 {
                 let src = g
@@ -1067,7 +1062,7 @@ mod tests {
                 g.connect(imu, b, EdgeSpec::sampled()).unwrap();
                 g.connect(b, out, EdgeSpec::wire()).unwrap();
             }
-            g.seal(par).unwrap()
+            g.seal(ParConfig::serial()).unwrap()
         };
         // One line per chain: `node fired/processed/received/misses`,
         // then `edge delivered/dropped/lost/blocked/max_depth`.
@@ -1092,12 +1087,7 @@ mod tests {
                 })
                 .collect()
         };
-        let serial = build(ParConfig::serial()).run_seeded(Seconds::new(2.0), 42).unwrap();
-        let wide = build(ParConfig::with_threads(8)).run_seeded(Seconds::new(2.0), 42).unwrap();
-        for (s, w) in serial.nodes.iter().zip(&wide.nodes) {
-            assert_eq!(s.latencies, w.latencies, "{}", s.name);
-        }
-        assert_eq!(pinned(&serial), pinned(&wide));
+        let report = build().run_seeded(Seconds::new(2.0), 42).unwrap();
         // Pinned: the handling order of same-timestamp events must not
         // change any count.
         let want = [
@@ -1114,7 +1104,7 @@ mod tests {
             "src10 200/0/0/0 imu10 401/0/0/0 a10 0/82/82/0 b10 0/79/160/75 out10 0/0/79/73 src10-a10 84/80/36/0/2 a10-b10 81/0/0/80/1 imu10-b10 401/0/0/0/0 b10-out10 79/0/0/0/0",
             "src11 200/0/0/0 imu11 401/0/0/0 a11 0/81/81/0 b11 0/78/158/72 out11 0/0/78/72 src11-a11 83/83/34/0/2 a11-b11 80/0/0/76/1 imu11-b11 401/0/0/0/0 b11-out11 78/0/0/0/0",
         ];
-        assert_eq!(pinned(&serial), want);
+        assert_eq!(pinned(&report), want);
     }
 
     #[test]

@@ -706,16 +706,16 @@ impl GraphBuilder {
         Ok(EdgeId(self.edges.len() - 1))
     }
 
-    /// Validates the topology, costs every placement (in parallel on
-    /// `par`), applies shared-site contention, and returns a runnable
-    /// [`Graph`]. `par` is used only for this costing; runs are serial.
+    /// Validates the topology, costs every placement, applies
+    /// shared-site contention, and returns a runnable [`Graph`]. Sealing
+    /// is serial: `par` is ignored.
     ///
     /// # Errors
     ///
     /// Any [`FlowError`] the declarations deferred: trigger-count
     /// violations, trigger cycles, kernel services without placements.
-    pub fn seal(self, par: ParConfig) -> Result<Graph, FlowError> {
-        crate::engine::seal(self, par)
+    pub fn seal(self, _par: ParConfig) -> Result<Graph, FlowError> {
+        crate::engine::seal(self)
     }
 
     pub(crate) fn into_parts(

@@ -21,9 +21,8 @@
 //!   between co-located nodes.
 //! - **Execution** is a deterministic virtual-time event simulation:
 //!   events run one at a time in timestamp order with FIFO
-//!   tie-breaking ([`vtime::EventQueue`]). The `m7-par` pool only
-//!   costs placements at [`GraphBuilder::seal`], so reports are
-//!   **bit-identical at any thread count**.
+//!   tie-breaking ([`vtime::EventQueue`]). Sealing and running are both
+//!   serial, so reports are **bit-identical at any thread count**.
 //!
 //! # Example
 //!

@@ -9,13 +9,14 @@
 //!
 //! # Determinism contract
 //!
-//! [`par_map`] and [`par_map_indexed`] evaluate a pure function over
-//! each input and write each output into the slot owned by its input
-//! index. Scheduling decides only *who* computes a slot, never *what*
-//! is computed or *where* it lands, so for any thread count:
+//! [`ParConfig::par_map`] and [`ParConfig::par_map_indexed`] evaluate a
+//! pure function over each input and write each output into the slot
+//! owned by its input index. Scheduling decides only *who* computes a
+//! slot, never *what* is computed or *where* it lands, so for any thread
+//! count:
 //!
 //! ```text
-//! par_map(items, f) == items.iter().map(f).collect()
+//! par.par_map(items, f) == items.iter().map(f).collect()
 //! ```
 //!
 //! Functions that fold results (experiment replicates, DSE population
@@ -35,17 +36,26 @@
 //! `M7_THREADS=1` (or one available core) short-circuits to a plain
 //! serial loop on the calling thread — no pool, no atomics.
 //!
+//! # Where the pool is used
+//!
+//! Each fan-out costs a few tens of microseconds (scoped threads are
+//! spawned per batch), so the pool only serves batches whose items are
+//! whole units of work: experiments in the runner, campaign work units,
+//! closed-loop flights and rover runs, DSE objective batches, and serve
+//! batch dispatch. Finer-grained loops (costing a graph's nodes at seal,
+//! scoring surrogate candidates, scoring an NSGA-II generation) run
+//! serially.
+//!
 //! # Examples
 //!
 //! ```
-//! // Deterministic parallel map: order of results always matches input.
-//! let squares = m7_par::par_map(&[1u64, 2, 3, 4], |&x| x * x);
-//! assert_eq!(squares, vec![1, 4, 9, 16]);
-//!
-//! // Identical output at any thread count.
 //! use m7_par::ParConfig;
-//! let serial = ParConfig::serial().par_map(&[1.0f64, 2.0, 3.0], |x| x.sqrt());
-//! let wide = ParConfig::with_threads(8).par_map(&[1.0f64, 2.0, 3.0], |x| x.sqrt());
+//!
+//! // Results are in input order and identical at any thread count.
+//! let items = [1u64, 2, 3, 4];
+//! let serial = ParConfig::serial().par_map(&items, |&x| x * x);
+//! let wide = ParConfig::with_threads(8).par_map(&items, |&x| x * x);
+//! assert_eq!(serial, vec![1, 4, 9, 16]);
 //! assert_eq!(serial, wide);
 //! ```
 
@@ -270,26 +280,6 @@ pub(crate) fn default_threads() -> usize {
     std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
 }
 
-/// [`ParConfig::par_map`] with the default configuration
-/// (`M7_THREADS` / available parallelism).
-pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    ParConfig::default().par_map(items, f)
-}
-
-/// [`ParConfig::par_map_indexed`] with the default configuration.
-pub fn par_map_indexed<U, F>(len: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    ParConfig::default().par_map_indexed(len, f)
-}
-
 /// Derives a statistically independent child seed from a root seed and
 /// a task index (SplitMix64 over the pair).
 ///
@@ -333,9 +323,10 @@ mod tests {
     #[test]
     fn empty_and_single_inputs() {
         let empty: Vec<u32> = Vec::new();
-        assert!(par_map(&empty, |&x| x).is_empty());
-        assert_eq!(par_map(&[7u32], |&x| x + 1), vec![8]);
-        assert_eq!(par_map_indexed(0, |i| i), Vec::<usize>::new());
+        let par = ParConfig::with_threads(4);
+        assert!(par.par_map(&empty, |&x| x).is_empty());
+        assert_eq!(par.par_map(&[7u32], |&x| x + 1), vec![8]);
+        assert_eq!(par.par_map_indexed(0, |i| i), Vec::<usize>::new());
     }
 
     #[test]

@@ -6,7 +6,6 @@
 //! physical vehicle, so that kernel-level accelerator decisions can be
 //! judged by *mission-level* outcomes.
 //!
-//! - [`des`] — a small deterministic discrete-event engine.
 //! - [`sensor`] — rate/payload/noise models for cameras, lidars, IMUs.
 //! - [`battery`] — energy storage and the mass-dependent hover-power model.
 //! - [`pipeline`] — the sensor → marshalling → kernel → actuation pipeline
@@ -35,7 +34,6 @@
 pub mod battery;
 pub mod campaign;
 pub mod degrade;
-pub mod des;
 pub mod faults;
 pub mod mission;
 pub mod pipeline;

@@ -106,7 +106,7 @@ fn deployments() -> Vec<Deployment> {
 }
 
 /// Builds the canonical E15 graph under one deployment.
-fn build(dep: &Deployment, par: ParConfig) -> Result<Graph, FlowError> {
+fn build(dep: &Deployment) -> Result<Graph, FlowError> {
     let mut g = GraphBuilder::new("e15");
     if let Some((name, capacity)) = &dep.site {
         g.shared_site(*name, *capacity);
@@ -136,7 +136,7 @@ fn build(dep: &Deployment, par: ParConfig) -> Result<Graph, FlowError> {
     g.connect(imu, fusion, EdgeSpec::sampled())?;
     g.connect(fusion, planner, EdgeSpec::queue(1).policy(QueuePolicy::Block))?;
     g.connect(planner, control, EdgeSpec::wire().latency(Seconds::from_millis(2.0)))?;
-    g.seal(par)
+    g.seal(ParConfig::serial())
 }
 
 /// What one deployment did with the multi-rate traffic.
@@ -303,16 +303,14 @@ impl FusionResult {
 
 /// Runs E15: the three deployments of the canonical fusion graph.
 ///
-/// `seed` drives the camera-link loss draws; `par` sizes the pool that
-/// costs placements when the graph seals (runs are serial). The result
-/// is bit-identical for a given seed at any thread count.
+/// `seed` drives the camera-link loss draws.
 #[must_use]
-pub fn run(seed: u64, par: ParConfig) -> FusionResult {
+pub fn run(seed: u64) -> FusionResult {
     let duration = Seconds::new(DURATION_S);
     let outcomes = deployments()
         .into_iter()
         .map(|dep| {
-            let graph = build(&dep, par).expect("e15 graph is statically valid");
+            let graph = build(&dep).expect("e15 graph is statically valid");
             let report = graph.run_seeded(duration, seed).expect("duration is valid");
             summarize(dep.label, &report)
         })
@@ -326,7 +324,7 @@ mod tests {
 
     #[test]
     fn three_deployments_of_one_graph() {
-        let r = run(7, ParConfig::serial());
+        let r = run(7);
         assert_eq!(r.outcomes.len(), 3);
         for o in &r.outcomes {
             assert_eq!(o.frames_fired, 60, "{}: 2 s of 30 Hz", o.label);
@@ -337,7 +335,7 @@ mod tests {
 
     #[test]
     fn unified_soc_pays_contention_and_drops_frames() {
-        let r = run(7, ParConfig::serial());
+        let r = run(7);
         let soc = &r.outcomes[0];
         let hetero = &r.outcomes[1];
         assert!(soc.fusion_slowdown > 1.0, "shared bus must stretch fusion");
@@ -348,7 +346,7 @@ mod tests {
 
     #[test]
     fn dvfs_trades_energy_for_deadline_slack() {
-        let r = run(7, ParConfig::serial());
+        let r = run(7);
         let hetero = &r.outcomes[1];
         let dvfs = &r.outcomes[2];
         assert!(dvfs.compute_energy_j < hetero.compute_energy_j);
@@ -358,7 +356,7 @@ mod tests {
 
     #[test]
     fn sampled_imu_never_backpressures() {
-        let r = run(7, ParConfig::serial());
+        let r = run(7);
         for o in &r.outcomes {
             assert!(o.imu_superseded > 0, "{}: fast sensor must supersede", o.label);
             assert!(
@@ -370,15 +368,8 @@ mod tests {
     }
 
     #[test]
-    fn result_is_thread_count_invariant() {
-        let serial = run(11, ParConfig::serial());
-        let wide = run(11, ParConfig::with_threads(8));
-        assert_eq!(serial, wide);
-    }
-
-    #[test]
     fn report_renders_all_deployments() {
-        let text = run(7, ParConfig::serial()).report().to_string();
+        let text = run(7).report().to_string();
         assert!(text.contains("unified SoC"));
         assert!(text.contains("planner-asic"));
         assert!(text.contains("DVFS"));

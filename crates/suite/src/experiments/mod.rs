@@ -226,7 +226,7 @@ impl ExperimentId {
                 let (result, saved) = e14_campaign::run_in(seed, store);
                 (result.report(), saved)
             }
-            Self::E15Fusion => plain(e15_fusion::run(seed, ParConfig::default()).report()),
+            Self::E15Fusion => plain(e15_fusion::run(seed).report()),
         }
     }
 

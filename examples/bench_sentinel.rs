@@ -15,6 +15,10 @@
 //!   exits non-zero unless both injected regressions are caught.
 
 use magseven::bench::sentinel::{compare_json, SentinelConfig, DEFAULT_DIAG_RATIO};
+use magseven::trace::cli::flag_value;
+
+/// What `--ratio` accepts.
+const RATIO: &str = "a finite non-negative number";
 
 fn usage() -> ! {
     eprintln!("usage: bench_sentinel --check BASELINE CANDIDATE [--ratio R] | --self-test");
@@ -70,15 +74,11 @@ fn main() {
                 check = Some((base, cand));
             }
             "--ratio" => {
-                let Some(value) = args.next().and_then(|v| v.parse::<f64>().ok()) else {
-                    eprintln!("--ratio needs a non-negative number");
-                    std::process::exit(2);
-                };
-                if value.is_nan() || value < 0.0 {
-                    eprintln!("--ratio needs a non-negative number");
+                ratio = flag_value(&mut args, "--ratio", RATIO);
+                if !(ratio.is_finite() && ratio >= 0.0) {
+                    eprintln!("--ratio needs {RATIO}");
                     std::process::exit(2);
                 }
-                ratio = value;
             }
             "--self-test" => run_self_test = true,
             _ => usage(),

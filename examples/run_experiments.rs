@@ -7,14 +7,16 @@
 //! The fifteen experiments run **concurrently** on the deterministic
 //! pool (thread count from `M7_THREADS`, else all cores) with
 //! cost-modeled E6 and E13 numbers, so the output is byte-identical at any
-//! thread count for the same seed; `--threads 1` runs them one at a
-//! time. E9, E12, and E14 memoize their objective evaluations; the
+//! thread count for the same seed; `--threads 1` runs everything on one
+//! thread. E9, E12, and E14 memoize their objective evaluations; the
 //! evaluations each one saved are printed to stderr. Flags:
 //!
 //! - `--measured` — time E6's roadmap builds and E13's kernels on the
 //!   host wall clock instead of the cost models (numbers vary run to run).
-//! - `--threads N` — size the deterministic pool explicitly (overrides
-//!   `M7_THREADS`; the reports do not change, only wall-clock time).
+//! - `--threads N` — size every pool in the process explicitly: the
+//!   runner's and those E9, E11, E12 and E14 fan their own work out on
+//!   (overrides `M7_THREADS`; the reports do not change, only wall-clock
+//!   time).
 //! - `--trace FILE` — enable tracing and write a chrome://tracing JSON
 //!   trace to FILE (load it in Perfetto or `chrome://tracing`).
 //! - `--metrics` — enable tracing and dump all metrics as `key=value`
@@ -29,7 +31,7 @@
 //! `-`-prefixed flags and a second positional argument are errors, as is
 //! a prefix that matches nothing.
 
-use magseven::par::ParConfig;
+use magseven::par::{ParConfig, THREADS_ENV};
 use magseven::suite::experiments::{run, select, Timing};
 use magseven::trace::ObsFlags;
 
@@ -63,6 +65,11 @@ fn main() {
             }
         }
     }
+    if let Some(threads) = obs.threads {
+        // Experiments that fan out build their own pools from the
+        // environment, so the flag sets it for the whole process.
+        std::env::set_var(THREADS_ENV, threads.to_string());
+    }
     obs.activate();
     let _pump = match magseven::serve::TelemetryPump::from_flags(&obs) {
         Ok(pump) => pump,
@@ -72,7 +79,6 @@ fn main() {
         }
     };
     let seed = 42;
-    let par = obs.threads.map_or_else(ParConfig::default, ParConfig::with_threads);
 
     // An experiment always runs on the seed of its paper-order position,
     // so a filtered run reproduces the corresponding full-run reports.
@@ -84,7 +90,7 @@ fn main() {
         }
     };
 
-    let reports = match run(&ids, seed, timing, par) {
+    let reports = match run(&ids, seed, timing, ParConfig::default()) {
         Ok(reports) => reports,
         Err(err) => {
             eprintln!("{err}");

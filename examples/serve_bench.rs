@@ -28,11 +28,14 @@ use magseven::par::ParConfig;
 use magseven::serve::key::EvalRequest;
 use magseven::serve::wire::Response;
 use magseven::serve::{EvalServer, FramedClient, ServeConfig};
+use magseven::trace::cli::flag_value;
 use magseven::trace::Histogram;
 
 const SEED: u64 = 42;
 const REQUESTS: usize = 512;
 const UNIQUE: usize = 64;
+/// What `--ratio` accepts.
+const RATIO: &str = "a finite non-negative number";
 
 fn evaluator(request: &EvalRequest) -> Result<f64, String> {
     // A small but non-trivial deterministic cost: a short logistic-map
@@ -64,13 +67,13 @@ fn main() {
                 }
                 check = Some(explicit);
             }
-            "--ratio" => match args.next().and_then(|v| v.parse::<f64>().ok()) {
-                Some(value) if value >= 0.0 => ratio = value,
-                _ => {
-                    eprintln!("--ratio needs a non-negative number");
+            "--ratio" => {
+                ratio = flag_value(&mut args, "--ratio", RATIO);
+                if !(ratio.is_finite() && ratio >= 0.0) {
+                    eprintln!("--ratio needs {RATIO}");
                     std::process::exit(2);
                 }
-            },
+            }
             _ => die_usage(),
         }
     }

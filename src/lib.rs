@@ -38,6 +38,11 @@
 //! assert!(cost.latency > Seconds::ZERO);
 //! ```
 
+/// The README's Rust examples, compiled and run as doctests.
+#[cfg(doctest)]
+#[doc = include_str!("../README.md")]
+pub struct ReadmeDoctests;
+
 pub use m7_arch as arch;
 pub use m7_bench as bench;
 pub use m7_camp as camp;

@@ -1,7 +1,7 @@
 //! Equivalence oracle for the dataflow backend of `m7_sim::Pipeline`.
 //!
 //! `Pipeline::simulate_with_faults` now runs on the `m7-flow` graph
-//! engine. This suite pins that migration three ways:
+//! engine. This suite pins that migration two ways:
 //!
 //! 1. **Oracle equivalence** — the pre-migration event loop (arrival /
 //!    done on a hand-rolled queue, reproduced verbatim below) must
@@ -10,15 +10,11 @@
 //!    queue capacities, durations, fault schedules, and seeds.
 //! 2. **Legacy-vs-Result API** — `try_simulate_with_faults` agrees with
 //!    the panicking wrapper on every valid configuration.
-//! 3. **Thread-count invariance** — the E15 fusion report renders
-//!    byte-identically on 1 and 8 threads.
 
-use magseven::par::ParConfig;
-use magseven::sim::des::EventQueue;
+use magseven::flow::vtime::EventQueue;
 use magseven::sim::faults::{Fault, FaultSchedule};
 use magseven::sim::pipeline::{Pipeline, PipelineStats};
 use magseven::sim::sensor::{SensorKind, SensorSpec};
-use magseven::suite::experiments::e15_fusion;
 use magseven::units::{Bytes, BytesPerSecond, Hertz, Seconds};
 use magseven::{
     arch::platform::{Platform, PlatformKind},
@@ -257,13 +253,4 @@ proptest! {
         let legacy = pipeline.simulate_with_faults(duration, &faults, c.seed);
         prop_assert_eq!(fallible, legacy);
     }
-}
-
-/// E15's report is a pure function of the seed — 1 thread and 8 threads
-/// must render byte-identical text.
-#[test]
-fn e15_report_is_thread_count_invariant() {
-    let narrow = e15_fusion::run(42, ParConfig::with_threads(1)).report().to_string();
-    let wide = e15_fusion::run(42, ParConfig::with_threads(8)).report().to_string();
-    assert_eq!(narrow, wide);
 }

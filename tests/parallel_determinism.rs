@@ -4,7 +4,6 @@
 
 use magseven::dse::explorer::{Explorer, SearchBudget};
 use magseven::dse::memo::EvalMemo;
-use magseven::dse::moga::{nsga2, nsga2_with};
 use magseven::dse::space::{DesignSpace, Dimension};
 use magseven::par::ParConfig;
 use magseven::serve::cache::EvalCache;
@@ -64,15 +63,4 @@ fn dse_strategies_identical_at_1_vs_8_threads() {
         let bitwise = one.trace.iter().zip(&eight.trace).all(|(a, b)| a.to_bits() == b.to_bits());
         assert!(bitwise, "{}: traces must match bit for bit", strategy.name());
     }
-}
-
-#[test]
-fn moga_front_identical_at_1_vs_8_threads() {
-    let space = rugged_space();
-    let objective = |v: &[f64]| vec![v[0] + 0.2 * v[2], (23.0 - v[0]) + 0.1 * v[1]];
-    let default = nsga2(&space, &objective, 12, 16, 3);
-    let one = nsga2_with(&space, &objective, 12, 16, 3, ParConfig::with_threads(1));
-    let eight = nsga2_with(&space, &objective, 12, 16, 3, ParConfig::with_threads(8));
-    assert_eq!(one, eight);
-    assert_eq!(default, one, "the default config must agree with explicit threads");
 }
