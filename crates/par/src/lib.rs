@@ -3,17 +3,16 @@
 //! The paper's Challenge 5 ("Chips and Salsa", §2.5) argues that
 //! batched, parallel *software* execution is itself a first-class
 //! accelerator. This crate is the workspace's software accelerator: a
-//! small scoped thread pool with work-stealing-style dynamic chunk
-//! claiming, exposing data-parallel maps whose **results are
+//! small scoped thread pool whose workers claim one index at a time from
+//! a shared counter, exposing data-parallel maps whose **results are
 //! bit-identical regardless of thread count or scheduling order**.
 //!
 //! # Determinism contract
 //!
 //! [`ParConfig::par_map`] and [`ParConfig::par_map_indexed`] evaluate a
-//! pure function over each input and write each output into the slot
-//! owned by its input index. Scheduling decides only *who* computes a
-//! slot, never *what* is computed or *where* it lands, so for any thread
-//! count:
+//! pure function over each input and return the outputs in input order.
+//! Scheduling decides only *who* computes an output, never *what* is
+//! computed or *where* it lands, so for any thread count:
 //!
 //! ```text
 //! par.par_map(items, f) == items.iter().map(f).collect()
@@ -26,12 +25,16 @@
 //!
 //! # Thread-count control
 //!
-//! The pool size is chosen per call:
+//! A pool's width is, in order of precedence:
 //!
-//! 1. an explicit [`ParConfig`] wins,
+//! 1. an explicit [`ParConfig::with_threads`] or [`ParConfig::serial`],
 //! 2. else the `M7_THREADS` environment variable (clamped to
 //!    `1..=256`),
 //! 3. else [`std::thread::available_parallelism`].
+//!
+//! [`ParConfig::default`] resolves 2 and 3 once per process, at its
+//! first call: a binary that sets `M7_THREADS` must do so before it
+//! builds a pool, and an invalid value is warned about once.
 //!
 //! `M7_THREADS=1` (or one available core) short-circuits to a plain
 //! serial loop on the calling thread — no pool, no atomics.
@@ -60,45 +63,29 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceHistogram};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 // Observability (no-ops until `m7_trace::enable()`): batch/item totals
 // are pure functions of the work submitted, so they are classed
 // deterministic and recorded identically on the serial and pooled
-// paths. Everything scheduling-dependent — who claimed, who stole, how
-// deep the remaining queue was — lives under the `sched.` prefix as
+// paths. How many items each worker ran depends on scheduling, so the
+// worker span and its item histogram live under the `sched.` prefix as
 // diagnostic-class metrics.
 static BATCH_SPAN: SpanSite = SpanSite::new("par.batch", MetricClass::Deterministic);
 static WORKER_SPAN: SpanSite = SpanSite::new("sched.par.worker", MetricClass::Diagnostic);
 static BATCHES: TraceCounter = TraceCounter::new("par.batches", MetricClass::Deterministic);
 static ITEMS: TraceCounter = TraceCounter::new("par.items", MetricClass::Deterministic);
-static CLAIMS: TraceCounter = TraceCounter::new("sched.par.claims", MetricClass::Diagnostic);
-static STEALS: TraceCounter = TraceCounter::new("sched.par.steals", MetricClass::Diagnostic);
-static QUEUE_DEPTH: TraceHistogram =
-    TraceHistogram::new("sched.par.queue_depth", MetricClass::Diagnostic);
 static WORKER_ITEMS: TraceHistogram =
     TraceHistogram::new("sched.par.worker_items", MetricClass::Diagnostic);
 
 /// Hard ceiling on the pool size; protects against pathological
 /// `M7_THREADS` values.
-pub(crate) const MAX_THREADS: usize = 256;
-
-/// Upper bound on how many items a worker claims per visit to the
-/// shared cursor; amortizes counter traffic on large fine-grained
-/// batches. Small batches drop to one-item claims (see [`claim_chunk`])
-/// so a handful of coarse tasks — e.g. ten whole experiments — still
-/// spread across all workers.
-const MAX_CLAIM_CHUNK: usize = 4;
-
-/// Chunk size for a batch: one item per claim until the batch is large
-/// enough that every worker gets several chunks, then up to
-/// [`MAX_CLAIM_CHUNK`]. Purely a scheduling knob — results never depend
-/// on it.
-fn claim_chunk(len: usize, workers: usize) -> usize {
-    (len / (workers * 8).max(1)).clamp(1, MAX_CLAIM_CHUNK)
-}
+const MAX_THREADS: usize = 256;
 
 /// Environment variable overriding the pool width.
 pub const THREADS_ENV: &str = "M7_THREADS";
@@ -110,8 +97,8 @@ pub struct ParConfig {
 }
 
 impl Default for ParConfig {
-    /// Reads `M7_THREADS`, falling back to the host's available
-    /// parallelism.
+    /// Reads `M7_THREADS` once per process, falling back to the host's
+    /// available parallelism.
     fn default() -> Self {
         Self { threads: default_threads() }
     }
@@ -150,134 +137,72 @@ impl ParConfig {
     /// Maps `f` over `0..len` in parallel; results are in index order
     /// and bit-identical to the serial map for any thread count.
     ///
-    /// This is the primitive the rest of the crate builds on: workers
-    /// dynamically claim small index chunks from a shared atomic cursor
-    /// (the scheduling is self-balancing like a work-stealing deque,
-    /// without per-worker queues to rebalance) and write each result
-    /// into the uniquely owned slot for its index.
+    /// This is the primitive the rest of the crate builds on: each
+    /// worker claims one index at a time from a shared counter, so a
+    /// slow item never holds back the rest, and keeps its own
+    /// `(index, result)` pairs, which are sorted back into index order
+    /// once every worker is done. A panic in `f` reaches the caller after
+    /// the other workers have drained the range.
     pub fn par_map_indexed<U, F>(&self, len: usize, f: F) -> Vec<U>
     where
         U: Send,
         F: Fn(usize) -> U + Sync,
     {
-        let workers = self.threads.min(len).max(1);
+        let workers = self.threads.min(len);
         let _span = BATCH_SPAN.enter();
         BATCHES.incr();
         ITEMS.add(len as u64);
-        if workers == 1 || len <= 1 {
+        if workers <= 1 {
             return (0..len).map(f).collect();
         }
-        let chunk = claim_chunk(len, workers);
 
-        let mut results: Vec<Option<U>> = Vec::with_capacity(len);
-        results.resize_with(len, || None);
-        let slots = SlotWriter::new(&mut results);
-        let cursor = AtomicUsize::new(0);
-
-        let (cursor_ref, f_ref, slots_ref) = (&cursor, &f, &slots);
-        std::thread::scope(|scope| {
+        let next = AtomicUsize::new(0);
+        let work = || {
+            let _span = WORKER_SPAN.enter();
+            let mut done = Vec::new();
+            loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= len {
+                    break;
+                }
+                done.push((i, f(i)));
+            }
+            WORKER_ITEMS.record(done.len() as u64);
+            done
+        };
+        let mut pairs = std::thread::scope(|scope| {
             // The calling thread is worker 0; spawn the remaining ones.
-            for worker in 1..workers {
-                scope.spawn(move || worker_loop(cursor_ref, len, chunk, worker, f_ref, slots_ref));
+            let spawned: Vec<_> = (1..workers).map(|_| scope.spawn(work)).collect();
+            let mut pairs = work();
+            for worker in spawned {
+                pairs.extend(worker.join().unwrap_or_else(|panic| resume_unwind(panic)));
             }
-            worker_loop(cursor_ref, len, chunk, 0, f_ref, slots_ref);
+            pairs
         });
-
-        results.into_iter().map(|slot| slot.expect("every index claimed exactly once")).collect()
+        pairs.sort_unstable_by_key(|&(i, _)| i);
+        pairs.into_iter().map(|(_, result)| result).collect()
     }
 }
 
-/// Dynamic-chunk worker: claim `chunk` indices at a time until the
-/// range is exhausted.
-fn worker_loop<U, F>(
-    cursor: &AtomicUsize,
-    len: usize,
-    chunk: usize,
-    worker: usize,
-    f: &F,
-    slots: &SlotWriter<'_, U>,
-) where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    // Hoisted so the disabled path stays one load + branch per claim.
-    let tracing = m7_trace::enabled();
-    let _span = if tracing { Some(WORKER_SPAN.enter()) } else { None };
-    let mut processed = 0u64;
-    loop {
-        let start = cursor.fetch_add(chunk, Ordering::Relaxed);
-        if start >= len {
-            break;
-        }
-        if tracing {
-            CLAIMS.incr();
-            if worker != 0 {
-                // A spawned worker pulling work the caller would
-                // otherwise run — the pool's analogue of a steal.
-                STEALS.incr();
+/// The width [`ParConfig::default`] uses, resolved at its first call:
+/// `M7_THREADS` if it parses, else available parallelism.
+fn default_threads() -> usize {
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        if let Ok(raw) = std::env::var(THREADS_ENV) {
+            if let Some(n) = parse_threads(&raw) {
+                return n;
             }
-            QUEUE_DEPTH.record((len - start) as u64);
+            eprintln!("warning: ignoring invalid {THREADS_ENV}={raw:?} (want 1..={MAX_THREADS})");
         }
-        let end = (start + chunk).min(len);
-        processed += (end - start) as u64;
-        for i in start..end {
-            // SAFETY (upheld here): `i` comes from a unique fetch_add
-            // claim, so no other worker touches slot `i`.
-            unsafe { slots.write(i, f(i)) };
-        }
-    }
-    if tracing {
-        WORKER_ITEMS.record(processed);
-    }
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    })
 }
 
-/// Shared mutable access to the result buffer with index-disjoint
-/// writes.
-///
-/// Each index is claimed exactly once through the atomic cursor, so
-/// writes never alias; the scope guarantees workers end before the
-/// buffer is read.
-struct SlotWriter<'a, U> {
-    base: *mut Option<U>,
-    len: usize,
-    _lifetime: std::marker::PhantomData<&'a mut [Option<U>]>,
-}
-
-// SAFETY: the raw pointer is only dereferenced at indices uniquely
-// claimed via the atomic cursor (see `worker_loop`), so concurrent use
-// from multiple threads never aliases.
-unsafe impl<U: Send> Sync for SlotWriter<'_, U> {}
-
-impl<'a, U> SlotWriter<'a, U> {
-    fn new(buffer: &'a mut Vec<Option<U>>) -> Self {
-        Self { base: buffer.as_mut_ptr(), len: buffer.len(), _lifetime: std::marker::PhantomData }
-    }
-
-    /// Writes `value` into slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// Callers must guarantee `i < len` and that no other thread writes
-    /// slot `i` (both hold for indices claimed from the shared cursor).
-    unsafe fn write(&self, i: usize, value: U) {
-        debug_assert!(i < self.len);
-        unsafe { *self.base.add(i) = Some(value) };
-    }
-}
-
-/// Resolves the default worker count: `M7_THREADS` env override, else
-/// available parallelism.
-#[must_use]
-pub(crate) fn default_threads() -> usize {
-    if let Ok(raw) = std::env::var(THREADS_ENV) {
-        if let Ok(n) = raw.trim().parse::<usize>() {
-            if n >= 1 {
-                return n.min(MAX_THREADS);
-            }
-        }
-        eprintln!("warning: ignoring invalid {THREADS_ENV}={raw:?} (want 1..={MAX_THREADS})");
-    }
-    std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+/// Parses an `M7_THREADS` value: a positive integer, surrounding
+/// whitespace allowed, clamped to [`MAX_THREADS`].
+fn parse_threads(raw: &str) -> Option<usize> {
+    raw.trim().parse::<usize>().ok().filter(|&n| n >= 1).map(|n| n.min(MAX_THREADS))
 }
 
 /// Derives a statistically independent child seed from a root seed and
@@ -338,9 +263,8 @@ mod tests {
 
     #[test]
     fn uneven_work_is_balanced() {
-        // Last items are 100x more expensive; dynamic claiming must not
-        // serialize on a single unlucky worker (correctness check only —
-        // timing is asserted in the bench suite).
+        // Last items are 100x more expensive; whichever workers draw
+        // them, the results must still land in index order.
         let items: Vec<usize> = (0..64).collect();
         let got = ParConfig::with_threads(4).par_map(&items, |&i| {
             let reps = if i > 56 { 200_000 } else { 2_000 };
@@ -368,6 +292,16 @@ mod tests {
     fn with_threads_clamps() {
         assert_eq!(ParConfig::with_threads(0).threads(), 1);
         assert_eq!(ParConfig::with_threads(100_000).threads(), MAX_THREADS);
+    }
+
+    #[test]
+    fn threads_env_parse_rule() {
+        for bad in ["abc", "0", "", "-3", "2.5"] {
+            assert_eq!(parse_threads(bad), None, "{bad:?} must be rejected");
+        }
+        assert_eq!(parse_threads(" 4 "), Some(4));
+        assert_eq!(parse_threads("1"), Some(1));
+        assert_eq!(parse_threads("100000"), Some(MAX_THREADS));
     }
 
     #[test]

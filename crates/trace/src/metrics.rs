@@ -36,8 +36,8 @@ pub enum MetricClass {
     /// Value depends only on inputs and seeds — identical at
     /// `M7_THREADS=1` and `M7_THREADS=8` for the same run.
     Deterministic,
-    /// Value depends on scheduling, wall-clock time, or load (steal
-    /// counts, queue waits, latency histograms). Excluded from
+    /// Value depends on scheduling, wall-clock time, or load (per-worker
+    /// item counts, queue waits, latency histograms). Excluded from
     /// determinism checks.
     Diagnostic,
 }

@@ -38,6 +38,8 @@
 //! assert!(cost.latency > Seconds::ZERO);
 //! ```
 
+#![forbid(unsafe_code)]
+
 /// The README's Rust examples, compiled and run as doctests.
 #[cfg(doctest)]
 #[doc = include_str!("../README.md")]
