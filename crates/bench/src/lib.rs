@@ -1,9 +1,11 @@
 //! Benchmark support crate: the roofline harness lives in [`roofline`];
 //! the Criterion kernel micro-benches live in `benches/`.
 //!
-//! - [`roofline`] — the measured-vs-modeled harness behind experiment
-//!   E13 and the repo-root `BENCH_roofline.json` (run via
-//!   `examples/roofline_report.rs`).
+//! - [`roofline`] — the measured-vs-modeled harness: the one timer and
+//!   set of workloads for the lane-vs-scalar kernel pairs. Experiment
+//!   E13's measured table is its quick mode; `examples/roofline_report.rs`
+//!   runs it at either size and writes the repo-root
+//!   `BENCH_roofline.json`.
 //! - [`sentinel`] — the regression sentinel: a per-metric-class
 //!   tolerance diff over two bench/metric JSON documents (run via
 //!   `examples/bench_sentinel.rs --check A B`; non-zero exit on

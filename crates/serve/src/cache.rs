@@ -46,16 +46,6 @@ pub struct CacheStats {
     pub entries: usize,
 }
 
-impl core::fmt::Display for CacheStats {
-    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
-        write!(
-            f,
-            "hits {} / misses {} / evictions {} / entries {}",
-            self.hits, self.misses, self.evictions, self.entries
-        )
-    }
-}
-
 struct Entry<V> {
     value: V,
     last_used: u64,

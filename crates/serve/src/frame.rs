@@ -14,9 +14,11 @@
 //! 8       len   payload
 //! ```
 //!
-//! Kinds `0x01..=0x04` are requests (eval, stats, shutdown, telemetry);
-//! kinds `0x81..=0x86` are responses (cost, stats, busy, stopping,
-//! error, telemetry).
+//! Kinds `0x01`, `0x03` and `0x04` are requests (eval, shutdown,
+//! telemetry); kinds `0x81` and `0x83..=0x86` are responses (cost, busy,
+//! stopping, error, telemetry). `0x02` and `0x82` are unassigned, so a
+//! client of the retired cache-stats request gets
+//! [`FrameError::UnknownKind`], never another message.
 //! Integers are little-endian; floats travel as [`f64::to_bits`], so a
 //! cost decoded from a frame is the server's cost bit for bit.
 //!
@@ -28,7 +30,6 @@
 //! panic — the fuzz suite in `tests/serve_frame_fuzz.rs` holds it to
 //! that.
 
-use crate::cache::CacheStats;
 use crate::key::EvalRequest;
 use crate::wire::{Request, Response};
 
@@ -48,11 +49,9 @@ pub const MAX_PAYLOAD: usize = 256 * 1024;
 pub const HEADER_BYTES: usize = 8;
 
 const KIND_REQ_EVAL: u8 = 0x01;
-const KIND_REQ_STATS: u8 = 0x02;
 const KIND_REQ_SHUTDOWN: u8 = 0x03;
 const KIND_REQ_TELEMETRY: u8 = 0x04;
 const KIND_RESP_COST: u8 = 0x81;
-const KIND_RESP_STATS: u8 = 0x82;
 const KIND_RESP_BUSY: u8 = 0x83;
 const KIND_RESP_STOPPING: u8 = 0x84;
 const KIND_RESP_ERROR: u8 = 0x85;
@@ -209,7 +208,6 @@ pub fn encode_request(request: &Request) -> Vec<u8> {
             }
             frame(KIND_REQ_EVAL, &p)
         }
-        Request::Stats => frame(KIND_REQ_STATS, &[]),
         Request::Telemetry => frame(KIND_REQ_TELEMETRY, &[]),
         Request::Shutdown => frame(KIND_REQ_SHUTDOWN, &[]),
     }
@@ -224,13 +222,6 @@ pub fn encode_response(response: &Response) -> Vec<u8> {
             p.extend_from_slice(&cost.to_bits().to_le_bytes());
             p.push(u8::from(*cached));
             frame(KIND_RESP_COST, &p)
-        }
-        Response::Stats(s) => {
-            let mut p = Vec::with_capacity(40);
-            for v in [s.hits, s.misses, s.evictions, s.insertions, s.entries as u64] {
-                p.extend_from_slice(&v.to_le_bytes());
-            }
-            frame(KIND_RESP_STATS, &p)
         }
         Response::Telemetry(stats) => {
             let pairs = stats.pairs();
@@ -278,10 +269,6 @@ fn decode_request_payload(kind: u8, payload: &[u8]) -> Result<Request, FrameErro
             r.finish()?;
             Ok(Request::Eval(EvalRequest { workload, values, seed }))
         }
-        KIND_REQ_STATS => {
-            Reader::new(payload).finish()?;
-            Ok(Request::Stats)
-        }
         KIND_REQ_TELEMETRY => {
             Reader::new(payload).finish()?;
             Ok(Request::Telemetry)
@@ -306,19 +293,6 @@ fn decode_response_payload(kind: u8, payload: &[u8]) -> Result<Response, FrameEr
             };
             r.finish()?;
             Ok(Response::Cost { cost, cached })
-        }
-        KIND_RESP_STATS => {
-            let mut r = Reader::new(payload);
-            let stats = CacheStats {
-                hits: r.u64("hits")?,
-                misses: r.u64("misses")?,
-                evictions: r.u64("evictions")?,
-                insertions: r.u64("insertions")?,
-                entries: usize::try_from(r.u64("entries")?)
-                    .map_err(|_| FrameError::BadField("entries"))?,
-            };
-            r.finish()?;
-            Ok(Response::Stats(stats))
         }
         KIND_RESP_TELEMETRY => {
             let mut r = Reader::new(payload);
@@ -419,11 +393,9 @@ impl FrameDecoder {
         if !matches!(
             kind,
             KIND_REQ_EVAL
-                | KIND_REQ_STATS
                 | KIND_REQ_SHUTDOWN
                 | KIND_REQ_TELEMETRY
                 | KIND_RESP_COST
-                | KIND_RESP_STATS
                 | KIND_RESP_BUSY
                 | KIND_RESP_STOPPING
                 | KIND_RESP_ERROR
@@ -502,7 +474,6 @@ mod tests {
         let reqs = [
             Request::Eval(EvalRequest::new("uav-mission", vec![1.0, -0.0, 1e300], 42)),
             Request::Eval(EvalRequest::new("", vec![], 0)),
-            Request::Stats,
             Request::Telemetry,
             Request::Shutdown,
         ];
@@ -517,11 +488,9 @@ mod tests {
 
     #[test]
     fn responses_round_trip_bit_exactly() {
-        let stats = CacheStats { hits: 1, misses: 2, evictions: 3, insertions: 4, entries: 5 };
         let resps = [
             Response::Cost { cost: 1.0 / 3.0, cached: true },
             Response::Cost { cost: f64::NAN, cached: false },
-            Response::Stats(stats),
             Response::Busy,
             Response::Stopping,
             Response::Error("line 2: unknown key `warp`".to_string()),
@@ -556,7 +525,7 @@ mod tests {
 
     #[test]
     fn two_frames_in_one_feed() {
-        let a = Request::Stats;
+        let a = Request::Telemetry;
         let b = Request::Eval(EvalRequest::new("w", vec![4.0], 1));
         let mut bytes = encode_request(&a);
         bytes.extend_from_slice(&encode_request(&b));
@@ -594,7 +563,7 @@ mod tests {
         assert!(matches!(d.next_request().unwrap_err(), FrameError::UnknownKind(0x7f)));
 
         let mut d = FrameDecoder::new();
-        d.feed(&[MAGIC, VERSION, KIND_REQ_STATS, 1]);
+        d.feed(&[MAGIC, VERSION, KIND_REQ_TELEMETRY, 1]);
         assert!(matches!(d.next_request().unwrap_err(), FrameError::BadReserved(1)));
     }
 
@@ -631,7 +600,7 @@ mod tests {
 
     #[test]
     fn trailing_payload_bytes_are_rejected() {
-        let mut bytes = vec![MAGIC, VERSION, KIND_REQ_STATS, 0];
+        let mut bytes = vec![MAGIC, VERSION, KIND_REQ_TELEMETRY, 0];
         bytes.extend_from_slice(&3u32.to_le_bytes());
         bytes.extend_from_slice(b"xyz");
         let mut d = FrameDecoder::new();
@@ -668,7 +637,7 @@ mod tests {
     #[test]
     fn requests_do_not_decode_as_responses() {
         let mut d = FrameDecoder::new();
-        d.feed(&encode_request(&Request::Stats));
-        assert!(matches!(d.next_response().unwrap_err(), FrameError::UnknownKind(KIND_REQ_STATS)));
+        d.feed(&encode_request(&Request::Telemetry));
+        assert_eq!(d.next_response().unwrap_err(), FrameError::UnknownKind(KIND_REQ_TELEMETRY));
     }
 }

@@ -4,9 +4,9 @@
 //! at one instant — per-phase latency quantiles (upper bounds from the
 //! 65-bucket log₂ histograms in `m7-trace`), connection/pending gauges,
 //! admission-control and reap counters, tier hit/miss stats, and what
-//! disk recovery replayed at startup. It is answered *inline* from the
-//! parse phase, exactly like the legacy cache-stats request: no
-//! dispatch, no locks beyond the cache's own counters, so querying a
+//! disk recovery replayed at startup, and the server's only
+//! introspection answer. It is answered *inline* from the parse phase:
+//! no dispatch, no locks beyond the cache's own counters, so querying a
 //! busy server never stalls evaluation traffic.
 //!
 //! On the wire the struct travels as an ordered `(name, value)` list —

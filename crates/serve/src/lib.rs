@@ -30,7 +30,8 @@
 //! - [`ServerStats`] — the live-telemetry payload: per-phase latency
 //!   quantiles, connection/pending gauges, shed/reap counters, and tier
 //!   and recovery stats, answered inline from the readiness loop over
-//!   both protocols.
+//!   both protocols. `telemetry` is the server's one introspection
+//!   request; in-process callers read [`ServerHandle::tier_stats`].
 //! - [`journal`] — the crash-safe flight journal: telemetry snapshots
 //!   streamed through the [`segment`] store so `kill -9` leaves a
 //!   recoverable record, plus the [`journal::TelemetryPump`] helper that

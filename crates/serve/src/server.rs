@@ -33,7 +33,6 @@
 //! [`crate::tier`] and [`crate::segment`] for the recovery rules.
 
 use crate::batch::evaluate_batch_memo_flagged;
-use crate::cache::CacheStats;
 use crate::frame::{encode_response, FrameDecoder};
 use crate::introspect::{PhaseStats, ServerStats};
 use crate::key::{namespace, EvalRequest};
@@ -306,14 +305,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Cache telemetry in the legacy shape: hits are hot+disk hits,
-    /// entries is the larger tier. Identical to the old in-memory
-    /// counters when no disk tier is configured.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        wire_stats(&self.shared.cache)
-    }
-
     /// Exact per-tier telemetry.
     #[must_use]
     pub fn tier_stats(&self) -> TierStats {
@@ -364,20 +355,6 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Legacy-shaped stats over the tiered cache: byte-compatible with the
-/// pre-tier wire protocol.
-fn wire_stats(cache: &TieredCache<Result<f64, String>>) -> CacheStats {
-    let tier = cache.stats();
-    let hot = cache.hot().stats();
-    CacheStats {
-        hits: tier.hits(),
-        misses: tier.misses,
-        evictions: hot.evictions,
-        insertions: tier.insertions,
-        entries: tier.hot_entries.max(tier.disk_entries),
-    }
-}
-
 /// Which protocol a connection speaks, sniffed from its first byte.
 enum Proto {
     /// No bytes yet.
@@ -393,6 +370,9 @@ struct Conn {
     proto: Proto,
     /// Unparsed legacy input (binary input lives in the decoder).
     in_buf: Vec<u8>,
+    /// Bytes of `in_buf` already searched for the blank line that ends a
+    /// legacy message.
+    scanned: usize,
     /// Bytes owed to the client, flushed as the socket drains.
     out: VecDeque<u8>,
     /// When the current partial message or unflushed output started
@@ -417,6 +397,7 @@ impl Conn {
             stream,
             proto: Proto::Unknown,
             in_buf: Vec::new(),
+            scanned: 0,
             out: VecDeque::new(),
             stuck_since: None,
             close_after_flush: false,
@@ -688,13 +669,9 @@ fn parse_conn(id: u64, conn: &mut Conn, shared: &Shared, pending: &mut VecDeque<
                     });
                 }
             }
-            Request::Stats => {
-                conn.queue_response(&Response::Stats(wire_stats(&shared.cache)));
-                end_legacy_turn(conn);
-            }
             Request::Telemetry => {
-                // Answered inline like Stats: pure atomic reads, no
-                // dispatch, so introspection never stalls the loop.
+                // Answered inline: pure atomic reads, no dispatch, so
+                // introspection never stalls the loop.
                 conn.queue_response(&Response::Telemetry(Box::new(server_stats(shared))));
                 end_legacy_turn(conn);
             }
@@ -736,15 +713,22 @@ fn next_request(conn: &mut Conn) -> Option<Request> {
         },
         Proto::Legacy => {
             // A legacy message ends at the first blank line, or at
-            // EOF (clients that close their write side).
-            let end = conn.in_buf.windows(2).position(|w| w == b"\n\n").map(|p| p + 2);
+            // EOF (clients that close their write side). The search
+            // resumes one byte before the last one stopped, so a `\n`
+            // ending one read still pairs with a `\n` starting the next.
+            let from = conn.scanned.saturating_sub(1);
+            let end =
+                conn.in_buf[from..].windows(2).position(|w| w == b"\n\n").map(|p| from + p + 2);
+            conn.scanned = conn.in_buf.len();
             match end {
                 Some(end) => {
                     let msg: Vec<u8> = conn.in_buf.drain(..end).collect();
+                    conn.scanned = 0;
                     Some(parse_legacy(conn, &msg))
                 }
                 None if conn.saw_eof && !conn.in_buf.is_empty() => {
                     let msg = std::mem::take(&mut conn.in_buf);
+                    conn.scanned = 0;
                     Some(parse_legacy(conn, &msg))
                 }
                 None => {
@@ -929,16 +913,6 @@ impl EvalClient {
         self.roundtrip(&Request::Eval(request.clone()))
     }
 
-    /// Requests the server's cache statistics.
-    ///
-    /// # Errors
-    ///
-    /// Returns the socket error, or `InvalidData` when the response does
-    /// not parse.
-    pub fn stats(&self) -> io::Result<Response> {
-        self.roundtrip(&Request::Stats)
-    }
-
     /// Requests the full live-telemetry snapshot.
     ///
     /// # Errors
@@ -1053,15 +1027,6 @@ impl FramedClient {
         self.request(&Request::Eval(request.clone()))
     }
 
-    /// Requests the server's cache statistics.
-    ///
-    /// # Errors
-    ///
-    /// See [`FramedClient::request`].
-    pub fn stats(&mut self) -> io::Result<Response> {
-        self.request(&Request::Stats)
-    }
-
     /// Requests the full live-telemetry snapshot.
     ///
     /// # Errors
@@ -1109,7 +1074,7 @@ mod tests {
         assert_eq!(first, Response::Cost { cost: 27.0, cached: false });
         let second = client.eval(&req).unwrap();
         assert_eq!(second, Response::Cost { cost: 27.0, cached: true });
-        assert_eq!(server.cache_stats().hits, 1);
+        assert_eq!(server.tier_stats().hits(), 1);
         server.shutdown();
     }
 
@@ -1126,9 +1091,11 @@ mod tests {
             }
         }
         // 20 requests over one connection: 5 unique, 15 cached.
-        assert_eq!(server.cache_stats().hits, 15);
-        let Response::Stats(stats) = client.stats().unwrap() else { panic!("want stats") };
-        assert_eq!(stats.entries, 5);
+        assert_eq!(server.tier_stats().hits(), 15);
+        let Response::Telemetry(stats) = client.telemetry().unwrap() else {
+            panic!("want telemetry")
+        };
+        assert_eq!(stats.hot_entries, 5);
         server.shutdown();
     }
 
@@ -1174,12 +1141,14 @@ mod tests {
     }
 
     #[test]
-    fn stats_and_clean_shutdown() {
+    fn telemetry_and_clean_shutdown() {
         let server = spawn_default();
         let client = EvalClient::new(server.addr());
         let _ = client.eval(&EvalRequest::new("mission", vec![1.0], 0)).unwrap();
-        let Response::Stats(stats) = client.stats().unwrap() else { panic!("want stats") };
-        assert_eq!(stats.entries, 1);
+        let Response::Telemetry(stats) = client.telemetry().unwrap() else {
+            panic!("want telemetry")
+        };
+        assert_eq!(stats.hot_entries, 1);
         assert_eq!(client.shutdown().unwrap(), Response::Stopping);
         server.wait();
     }
@@ -1198,6 +1167,39 @@ mod tests {
         let text = read_message(&mut stream).unwrap();
         let parsed = crate::wire::parse_response(&text).unwrap();
         assert!(matches!(parsed, Response::Error(ref msg) if msg.contains("unknown op")));
+        server.shutdown();
+    }
+
+    /// Sends a legacy text request in `pieces`, one `write` each with a
+    /// pause between, and reads the response.
+    fn text_request_in_pieces(server: &ServerHandle, pieces: &[&[u8]]) -> Response {
+        let mut stream = TcpStream::connect(server.addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        for piece in pieces {
+            stream.write_all(piece).unwrap();
+            stream.flush().unwrap();
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        crate::wire::parse_response(&read_message(&mut stream).unwrap()).unwrap()
+    }
+
+    #[test]
+    fn text_request_written_one_byte_at_a_time_is_answered() {
+        let server = spawn_default();
+        let text =
+            crate::wire::format_request(&Request::Eval(EvalRequest::new("mission", vec![2.0], 1)));
+        let pieces: Vec<&[u8]> = text.as_bytes().chunks(1).collect();
+        let resp = text_request_in_pieces(&server, &pieces);
+        assert_eq!(resp, Response::Cost { cost: 5.0, cached: false });
+        server.shutdown();
+    }
+
+    #[test]
+    fn text_request_with_blank_line_split_across_writes_is_answered() {
+        let server = spawn_default();
+        let resp = text_request_in_pieces(&server, &[b"op = eval\nvalues = 3\nseed = 0\n", b"\n"]);
+        assert_eq!(resp, Response::Cost { cost: 9.0, cached: false });
         server.shutdown();
     }
 
@@ -1242,7 +1244,7 @@ mod tests {
 
     #[test]
     fn framed_control_request_waits_for_earlier_evals() {
-        // Both frames arrive in one read; the stats answer must not
+        // Both frames arrive in one read; the telemetry answer must not
         // overtake the queued eval's, since frames carry no request id.
         let server = EvalServer::spawn(
             ServeConfig { max_pending: 1, par: ParConfig::serial(), ..ServeConfig::default() },
@@ -1253,7 +1255,7 @@ mod tests {
         stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
         let eval = Request::Eval(EvalRequest::new("mission", vec![3.0], 1));
         let mut bytes = crate::frame::encode_request(&eval);
-        bytes.extend(crate::frame::encode_request(&Request::Stats));
+        bytes.extend(crate::frame::encode_request(&Request::Telemetry));
         stream.write_all(&bytes).unwrap();
         let mut decoder = FrameDecoder::new();
         let mut chunk = [0u8; 256];
@@ -1268,7 +1270,8 @@ mod tests {
             decoder.feed(&chunk[..n]);
         }
         assert_eq!(responses[0], Response::Cost { cost: 10.0, cached: false });
-        assert!(matches!(responses[1], Response::Stats(_)), "{:?}", responses[1]);
+        let Response::Telemetry(stats) = &responses[1] else { panic!("{:?}", responses[1]) };
+        assert_eq!(stats.requests, 1, "the eval was dispatched before telemetry answered");
         server.shutdown();
     }
 

@@ -191,13 +191,6 @@ impl<V: Clone + DiskCodec> TieredCache<V> {
         Self::open(hot_capacity, TierConfig::MemoryOnly).expect("memory-only open cannot fail")
     }
 
-    /// The hot tier, with its own exact
-    /// [`CacheStats`](crate::cache::CacheStats) counters.
-    #[must_use]
-    pub fn hot(&self) -> &EvalCache<V> {
-        &self.hot
-    }
-
     /// The disk tier's recovery report, when a disk tier is configured.
     #[must_use]
     pub fn recovery(&self) -> Option<RecoveryReport> {
@@ -374,7 +367,7 @@ mod tests {
         for i in 0..64u32 {
             cache.insert(key(u64::from(i)), f64::from(i));
         }
-        assert!(cache.hot().len() <= 4);
+        assert!(cache.stats().hot_entries <= 4);
         // Everything is still servable — from disk.
         for i in 0..64u32 {
             assert_eq!(cache.get(key(u64::from(i))), Some(f64::from(i)), "key {i}");

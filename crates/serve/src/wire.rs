@@ -15,7 +15,6 @@
 //! cost parsed back from the wire is bit-identical to the cost computed
 //! by the server.
 
-use crate::cache::CacheStats;
 use crate::introspect::ServerStats;
 use crate::key::EvalRequest;
 
@@ -24,8 +23,6 @@ use crate::key::EvalRequest;
 pub enum Request {
     /// Evaluate one design.
     Eval(EvalRequest),
-    /// Report cache statistics.
-    Stats,
     /// Report full live server telemetry ([`ServerStats`]).
     Telemetry,
     /// Sentinel: shut the server down cleanly.
@@ -43,8 +40,6 @@ pub enum Response {
         /// Whether an evaluation was avoided.
         cached: bool,
     },
-    /// Cache statistics snapshot.
-    Stats(CacheStats),
     /// Live server telemetry snapshot (boxed: [`ServerStats`] is by far
     /// the widest payload, and responses are moved around by value).
     Telemetry(Box<ServerStats>),
@@ -179,7 +174,6 @@ pub(crate) fn parse_request(text: &str) -> Result<Request, WireError> {
                 seed.ok_or(WireError { line: 0, kind: WireErrorKind::MissingField("seed") })?;
             Ok(Request::Eval(EvalRequest { workload, values, seed }))
         }
-        "stats" => Ok(Request::Stats),
         "telemetry" => Ok(Request::Telemetry),
         "shutdown" => Ok(Request::Shutdown),
         other => {
@@ -201,7 +195,6 @@ pub fn format_request(request: &Request) -> String {
                 eval.seed
             )
         }
-        Request::Stats => "op = stats\n\n".to_string(),
         Request::Telemetry => "op = telemetry\n\n".to_string(),
         Request::Shutdown => "op = shutdown\n\n".to_string(),
     }
@@ -219,8 +212,6 @@ pub fn parse_response(text: &str) -> Result<Response, WireError> {
     let mut cached = false;
     let mut stopping = false;
     let mut error: Option<String> = None;
-    let mut stats = CacheStats::default();
-    let mut saw_stats_field = false;
     let mut telemetry: Vec<(String, u64)> = Vec::new();
     for (line, key, value) in fields(text)? {
         if let Some(name) = key.strip_prefix("telemetry.") {
@@ -233,26 +224,6 @@ pub fn parse_response(text: &str) -> Result<Response, WireError> {
             "cached" => cached = value == "true",
             "stopping" => stopping = value == "true",
             "error" => error = Some(value.to_string()),
-            "hits" => {
-                stats.hits = parse_u64(line, key, value)?;
-                saw_stats_field = true;
-            }
-            "misses" => {
-                stats.misses = parse_u64(line, key, value)?;
-                saw_stats_field = true;
-            }
-            "evictions" => {
-                stats.evictions = parse_u64(line, key, value)?;
-                saw_stats_field = true;
-            }
-            "insertions" => {
-                stats.insertions = parse_u64(line, key, value)?;
-                saw_stats_field = true;
-            }
-            "entries" => {
-                stats.entries = parse_u64(line, key, value)? as usize;
-                saw_stats_field = true;
-            }
             other => {
                 return Err(WireError { line, kind: WireErrorKind::UnknownKey(other.to_string()) })
             }
@@ -267,8 +238,6 @@ pub fn parse_response(text: &str) -> Result<Response, WireError> {
                 Ok(Response::Telemetry(Box::new(ServerStats::from_pairs(
                     telemetry.iter().map(|(k, v)| (k.as_str(), *v)),
                 ))))
-            } else if saw_stats_field {
-                Ok(Response::Stats(stats))
             } else {
                 Err(WireError { line: 0, kind: WireErrorKind::MissingField("cost") })
             }
@@ -293,11 +262,6 @@ pub(crate) fn format_response(response: &Response) -> String {
         Response::Cost { cost, cached } => {
             format!("status = ok\ncost = {cost}\ncached = {cached}\n\n")
         }
-        Response::Stats(s) => format!(
-            "status = ok\nhits = {}\nmisses = {}\nevictions = {}\ninsertions = {}\n\
-             entries = {}\n\n",
-            s.hits, s.misses, s.evictions, s.insertions, s.entries
-        ),
         Response::Telemetry(stats) => {
             let mut out = String::from("status = ok\n");
             for (name, value) in stats.pairs() {
@@ -329,7 +293,7 @@ mod tests {
 
     #[test]
     fn control_requests_round_trip() {
-        for req in [Request::Stats, Request::Telemetry, Request::Shutdown] {
+        for req in [Request::Telemetry, Request::Shutdown] {
             assert_eq!(parse_request(&format_request(&req)).unwrap(), req);
         }
     }
@@ -367,10 +331,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_busy_stopping_error_round_trip() {
-        let stats = CacheStats { hits: 3, misses: 4, evictions: 1, insertions: 5, entries: 2 };
+    fn busy_stopping_error_round_trip() {
         for resp in [
-            Response::Stats(stats),
             Response::Busy,
             Response::Stopping,
             Response::Error("line 2: unknown key `warp`".to_string()),
@@ -400,9 +362,16 @@ mod tests {
     }
 
     #[test]
+    fn retired_stats_op_is_unknown() {
+        // `telemetry` carries the cache counters `op = stats` answered.
+        let err = parse_request("op = stats\n\n").unwrap_err();
+        assert_eq!(err.kind, WireErrorKind::UnknownOp("stats".to_string()));
+    }
+
+    #[test]
     fn comments_and_blanks_are_ignored() {
-        let req = parse_request("# a comment\n\nop = stats  # trailing\n\n").unwrap();
-        assert_eq!(req, Request::Stats);
+        let req = parse_request("# a comment\n\nop = telemetry  # trailing\n\n").unwrap();
+        assert_eq!(req, Request::Telemetry);
     }
 
     #[test]

@@ -14,27 +14,22 @@
 //!    the cpu-scalar and cpu-simd presets, memory-vs-compute bound
 //!    classification, and the cost-model speedup of cpu-simd over
 //!    cpu-scalar. This is the half that lands in the golden report.
-//! 2. **Measured (wall clock, diagnostic-only).** Small lane-vs-scalar
-//!    timings of the real kernels on the host. The speedups are rendered
-//!    in an extra table and exported as *diagnostic-class* trace gauges,
-//!    so deterministic metric dumps and the golden suite never see them.
-//!    The full-size harness lives in `m7-bench` (`examples/roofline_report`
-//!    → `BENCH_roofline.json`); this section is its smoke-scale twin.
+//! 2. **Measured (wall clock, diagnostic-only).** The four rows of the
+//!    `m7-bench` roofline harness in quick mode
+//!    ([`m7_bench::roofline::run_suite`]), the same run as
+//!    `examples/roofline_report --quick`. The speedups are rendered in an
+//!    extra table and exported as *diagnostic-class* trace gauges, so
+//!    deterministic metric dumps and the golden suite never see them.
 
 use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::roofline::Roofline;
 use m7_arch::workload::KernelProfile;
-use m7_kernels::dnn::{Mlp, MlpScratch, Precision};
-use m7_kernels::geometry::{Pose2, Vec2};
-use m7_kernels::perception::{Descriptor, FeatureFrontEnd};
-use m7_kernels::planning::CollisionWorld;
-use m7_kernels::slam::{synthetic_room_scan, DenseScanSlam, DenseSlamConfig};
+use m7_bench::roofline::{run_suite, KernelMeasurement};
+use m7_kernels::dnn::{Mlp, Precision};
 use m7_trace::{MetricClass, TraceGauge};
 use m7_units::OpsPerByte;
-use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::time::Instant;
 
 use super::Timing;
 
@@ -71,29 +66,8 @@ pub(crate) struct RooflineRow {
     pub modeled_speedup: f64,
 }
 
-/// One measured lane-vs-scalar timing (wall clock, nondeterministic).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub(crate) struct MeasuredRow {
-    /// Kernel label.
-    pub kernel: String,
-    /// Lane-path wall time (ms).
-    pub lane_ms: f64,
-    /// Scalar-reference wall time (ms).
-    pub scalar_ms: f64,
-    /// Whether the lane path reproduced the scalar output bit for bit.
-    pub agrees: bool,
-}
-
-impl MeasuredRow {
-    /// Wall-clock speedup of the lane path over the scalar reference.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        self.scalar_ms / self.lane_ms
-    }
-}
-
 /// The E13 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub(crate) struct RooflineResult {
     /// Where the measured table (if any) came from.
     pub timing: Timing,
@@ -103,8 +77,9 @@ pub(crate) struct RooflineResult {
     pub ridge_scalar: f64,
     /// cpu-simd ridge point (flop per byte).
     pub ridge_simd: f64,
-    /// Host lane-vs-scalar timings; empty under [`Timing::Modeled`].
-    pub measured: Vec<MeasuredRow>,
+    /// The quick roofline harness's lane-vs-scalar rows, one per kernel;
+    /// empty under [`Timing::Modeled`].
+    pub measured: Vec<KernelMeasurement>,
 }
 
 impl RooflineResult {
@@ -148,23 +123,24 @@ impl RooflineResult {
 
         if self.timing == Timing::Measured {
             let mut m = Table::new(
-                "measured: lane vs scalar wall clock on this host (diagnostic, smoke scale)",
+                "measured: lane vs scalar wall clock on this host (diagnostic, quick harness)",
                 vec!["kernel", "lane [ms]", "scalar [ms]", "speedup", "bit-identical"],
             );
             for row in &self.measured {
                 m.push_row(vec![
                     row.kernel.clone(),
-                    fmt_f64(row.lane_ms),
-                    fmt_f64(row.scalar_ms),
+                    fmt_f64(row.lane_seconds * 1e3),
+                    fmt_f64(row.scalar_seconds * 1e3),
                     fmt_f64(row.speedup()),
-                    if row.agrees { "yes" } else { "NO" }.to_string(),
+                    if row.lane_agrees { "yes" } else { "NO" }.to_string(),
                 ]);
             }
             report.push_table(m);
             report.push_note(
                 "wall-clock rows vary run to run and are exported as diagnostic-class trace \
-                 gauges only; the full-size harness is `cargo run --release --example \
-                 roofline_report` (BENCH_roofline.json)",
+                 gauges only; they are `roofline_report --quick`'s rows, and the full-size \
+                 harness is `cargo run --release --example roofline_report` \
+                 (BENCH_roofline.json)",
             );
         }
         report
@@ -215,132 +191,23 @@ fn modeled_row(profile: &KernelProfile) -> RooflineRow {
     }
 }
 
-/// Times `f` once after one warm-up call, in milliseconds.
-fn time_ms(mut f: impl FnMut()) -> f64 {
-    f();
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// Smoke-scale host timings of the four lane kernels against their scalar
-/// references. Sizes are deliberately tiny: the point is the diagnostic
-/// signal (and the bit-identity check), not benchmark-grade numbers.
-fn measure_host(seed: u64) -> Vec<MeasuredRow> {
-    let mut rows = Vec::new();
-
-    // Batched segment collision: short PRM-style edges in a scattered world.
-    let mut world = CollisionWorld::new(40.0, 40.0);
-    world.scatter_circles(64, 0.2, 1.0, seed);
-    let checker = world.to_batch_checker();
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed ^ 0xE13);
-    let edges: Vec<(Vec2, Vec2)> = (0..128)
-        .map(|_| {
-            let from = Vec2::new(rng.gen_range(0.0..40.0), rng.gen_range(0.0..40.0));
-            (from, from + Vec2::new(rng.gen_range(-0.5..0.5), rng.gen_range(-0.5..0.5)))
-        })
-        .collect();
-    let lane_ms = time_ms(|| {
-        std::hint::black_box(checker.segments_free(std::hint::black_box(&edges)));
-    });
-    let scalar_ms = time_ms(|| {
-        std::hint::black_box(checker.segments_free_scalar(std::hint::black_box(&edges)));
-    });
-    let agrees = checker.segments_free(&edges) == checker.segments_free_scalar(&edges);
-    let row = MeasuredRow { kernel: "collision-segments".into(), lane_ms, scalar_ms, agrees };
-    COLLISION_SPEEDUP.set((row.speedup() * 1e3) as u64);
-    rows.push(row);
-
-    // BRIEF descriptor matching.
-    let mut gen_set = |n: usize| -> Vec<Descriptor> {
-        (0..n).map(|_| Descriptor([rng.gen(), rng.gen(), rng.gen(), rng.gen()])).collect()
-    };
-    let (a, b) = (gen_set(64), gen_set(64));
-    let lane_ms = time_ms(|| {
-        std::hint::black_box(FeatureFrontEnd::match_descriptors_planes(
-            std::hint::black_box(&a),
-            std::hint::black_box(&b),
-        ));
-    });
-    let scalar_ms = time_ms(|| {
-        std::hint::black_box(FeatureFrontEnd::match_descriptors_scalar(
-            std::hint::black_box(&a),
-            std::hint::black_box(&b),
-        ));
-    });
-    let agrees = FeatureFrontEnd::match_descriptors_planes(&a, &b)
-        == FeatureFrontEnd::match_descriptors_scalar(&a, &b);
-    let row = MeasuredRow { kernel: "brief-match".into(), lane_ms, scalar_ms, agrees };
-    MATCHER_SPEEDUP.set((row.speedup() * 1e3) as u64);
-    rows.push(row);
-
-    // Dense correlation scan matching in a small search window.
-    let config =
-        DenseSlamConfig { window_trans: 0.1, window_rot: 0.06, ..DenseSlamConfig::default() };
-    let room_center = Vec2::new(15.0, 15.0);
-    let mut slam = DenseScanSlam::new(config, 30.0, 30.0, 0.25);
-    let start = Pose2::new(room_center, 0.0);
-    let scan0 = synthetic_room_scan(start, room_center, 10.0, 8.0, 30);
-    slam.step(Pose2::identity(), &scan0);
-    slam.step(Pose2::identity(), &scan0);
-    let prior = Pose2::new(room_center + Vec2::new(0.05, -0.03), 0.01);
-    let scan = synthetic_room_scan(prior, room_center, 10.0, 8.0, 30);
-    let lane_ms = time_ms(|| {
-        std::hint::black_box(slam.match_scan(std::hint::black_box(prior), &scan));
-    });
-    let scalar_ms = time_ms(|| {
-        std::hint::black_box(slam.match_scan_reference(std::hint::black_box(prior), &scan));
-    });
-    let agrees = slam.match_scan(prior, &scan) == slam.match_scan_reference(prior, &scan);
-    let row = MeasuredRow { kernel: "dense-correlation".into(), lane_ms, scalar_ms, agrees };
-    CORRELATION_SPEEDUP.set((row.speedup() * 1e3) as u64);
-    rows.push(row);
-
-    // Batched MLP inference (Int8 quantized path).
-    let widths = [8usize, 32, 32, 6];
-    let mlp = Mlp::new(&widths, seed);
-    let batch = 64;
-    let inputs: Vec<f64> = (0..batch * widths[0]).map(|_| rng.gen_range(-2.0..2.0)).collect();
-    let mut scratch = MlpScratch::default();
-    let lane_ms = time_ms(|| {
-        std::hint::black_box(mlp.forward_batch_into(
-            std::hint::black_box(&inputs),
-            Precision::Int8,
-            &mut scratch,
-        ));
-    });
-    let scalar_ms = time_ms(|| {
-        for s in 0..batch {
-            std::hint::black_box(mlp.forward_reference(
-                std::hint::black_box(&inputs[s * widths[0]..(s + 1) * widths[0]]),
-                Precision::Int8,
-            ));
-        }
-    });
-    let batched = mlp.forward_batch_into(&inputs, Precision::Int8, &mut scratch).to_vec();
-    let agrees =
-        (0..batch).all(|s| {
-            batched[s * widths[3]..(s + 1) * widths[3]]
-                == mlp
-                    .forward_reference(&inputs[s * widths[0]..(s + 1) * widths[0]], Precision::Int8)
-                    [..]
-        });
-    let row = MeasuredRow { kernel: "dnn-inference".into(), lane_ms, scalar_ms, agrees };
-    DNN_SPEEDUP.set((row.speedup() * 1e3) as u64);
-    rows.push(row);
-
-    rows
-}
-
 /// Runs E13. With [`Timing::Modeled`] the result is a pure function of
-/// the kernel profiles — the seed only feeds the measured workloads, so
-/// modeled output is identical for every seed and thread count.
+/// the kernel profiles, identical on every run and at any thread count.
 #[must_use]
-pub fn run_with(seed: u64, timing: Timing) -> RooflineResult {
+pub fn run(timing: Timing) -> RooflineResult {
     let profiles = modeled_profiles();
     let rows = profiles.iter().map(modeled_row).collect();
     let measured = match timing {
-        Timing::Measured => measure_host(seed),
+        Timing::Measured => {
+            // The quick harness measures collision, matcher, correlation
+            // and DNN, one row each, in that order.
+            let rows = run_suite(true).measurements;
+            let gauges = [&COLLISION_SPEEDUP, &MATCHER_SPEEDUP, &CORRELATION_SPEEDUP, &DNN_SPEEDUP];
+            for (gauge, row) in gauges.into_iter().zip(&rows) {
+                gauge.set((row.speedup() * 1e3) as u64);
+            }
+            rows
+        }
         Timing::Modeled => Vec::new(),
     };
     RooflineResult {
@@ -356,24 +223,18 @@ pub fn run_with(seed: u64, timing: Timing) -> RooflineResult {
 mod tests {
     use super::*;
 
-    /// Runs E13 with host timings for the measured table.
-    #[must_use]
-    fn run(seed: u64) -> RooflineResult {
-        run_with(seed, Timing::Measured)
-    }
-
     #[test]
-    fn modeled_half_is_seed_free_and_deterministic() {
-        let a = run_with(1, Timing::Modeled);
-        let b = run_with(99, Timing::Modeled);
-        assert_eq!(a, b, "modeled roofline must not depend on the seed");
+    fn modeled_half_is_deterministic() {
+        let a = run(Timing::Modeled);
+        let b = run(Timing::Modeled);
+        assert_eq!(a.rows, b.rows);
         assert_eq!(a.report().to_string(), b.report().to_string());
         assert!(a.measured.is_empty(), "modeled mode must not touch the wall clock");
     }
 
     #[test]
     fn modeled_rows_cover_all_four_kernels_with_sane_ceilings() {
-        let r = run_with(42, Timing::Modeled);
+        let r = run(Timing::Modeled);
         assert_eq!(r.rows.len(), 4);
         for row in &r.rows {
             assert!(row.intensity > 0.0, "{}: intensity must be positive", row.kernel);
@@ -393,20 +254,21 @@ mod tests {
 
     #[test]
     fn measured_mode_adds_the_host_table_and_lane_paths_agree() {
-        let r = run(42);
+        let r = run(Timing::Measured);
         assert_eq!(r.measured.len(), 4);
         for row in &r.measured {
-            assert!(row.agrees, "{}: lane path diverged from scalar reference", row.kernel);
-            assert!(row.lane_ms > 0.0 && row.scalar_ms > 0.0);
+            assert!(row.lane_agrees, "{}: lane path diverged from scalar reference", row.kernel);
+            assert!(row.lane_seconds > 0.0 && row.scalar_seconds > 0.0);
         }
         let text = r.report().to_string();
-        assert!(text.contains("measured"));
+        assert!(text.contains("measured: lane vs scalar"));
         assert!(text.contains("bit-identical"));
+        assert!(!text.contains("| NO "), "{text}");
     }
 
     #[test]
     fn modeled_report_omits_wall_clock_rows() {
-        let text = run_with(42, Timing::Modeled).report().to_string();
+        let text = run(Timing::Modeled).report().to_string();
         assert!(text.contains("modeled"));
         assert!(!text.contains("on this host"));
     }

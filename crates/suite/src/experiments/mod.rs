@@ -221,7 +221,7 @@ impl ExperimentId {
                 let (result, saved) = e12_scenarios::run_in(seed, store);
                 (result.report(), saved)
             }
-            Self::E13Roofline => plain(e13_roofline::run_with(seed, timing).report()),
+            Self::E13Roofline => plain(e13_roofline::run(timing).report()),
             Self::E14Campaign => {
                 let (result, saved) = e14_campaign::run_in(seed, store);
                 (result.report(), saved)

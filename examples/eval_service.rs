@@ -10,7 +10,7 @@
 //!   bound address, and serve until a client sends `op = shutdown`.
 //! - `--client` — send `--requests` design points (with deliberate
 //!   duplicates) to a server at `--port`, print each cost, then query
-//!   `op = stats`.
+//!   `op = telemetry` and print the server's snapshot.
 //! - `--self-test` — spawn an in-process server on an ephemeral port,
 //!   run the client against it, verify every response bit-matches direct
 //!   evaluation and that duplicates hit the cache, then shut down.
@@ -160,10 +160,10 @@ fn run_client(port: u16, requests: usize, seed: u64) -> ExitCode {
             }
         }
     }
-    match client.stats() {
-        Ok(Response::Stats(stats)) => println!("server cache: {stats}"),
+    match client.telemetry() {
+        Ok(Response::Telemetry(stats)) => print!("server telemetry: {stats}"),
         other => {
-            eprintln!("stats query failed: {other:?}");
+            eprintln!("telemetry query failed: {other:?}");
             return ExitCode::from(2);
         }
     }
@@ -215,16 +215,9 @@ fn self_test(requests: usize, seed: u64, par: ParConfig, cache_dir: Option<PathB
         }
     }
 
-    let stats = handle.cache_stats();
     let tier = handle.tier_stats();
     println!("served {requests} requests, {cached_responses} answered from cache");
-    println!("server cache: {stats}");
-    if cache_dir.is_some() {
-        println!(
-            "tiers: {} hot hits / {} disk hits / {} misses / {} insertions",
-            tier.hot_hits, tier.disk_hits, tier.misses, tier.insertions
-        );
-    }
+    println!("server cache: {tier}");
     handle.shutdown();
 
     if failures > 0 {

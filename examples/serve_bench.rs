@@ -1,7 +1,7 @@
 //! Serve-latency benchmark: drives an in-process evaluation server over
 //! the framed protocol and writes `BENCH_serve_latency.json`.
 //!
-//! Run with: `cargo run --release --example serve_bench [--out PATH] [--check [BASELINE]] [--ratio R]`
+//! Run with: `cargo run --release --example serve_bench [--out PATH]`
 //!
 //! The workload is fixed — 512 framed eval requests over 64 unique
 //! designs, seed 42 — so the `deterministic` section of the document
@@ -10,32 +10,31 @@
 //! round-trip quantiles plus the server's own per-phase p99s pulled
 //! live over the new `telemetry` request.
 //!
-//! - `--out PATH` chooses the output path (default
-//!   `BENCH_serve_latency.json`).
-//! - `--check [BASELINE]` additionally diffs the fresh measurement
-//!   against BASELINE (default: the `--out` path as committed) with the
-//!   regression sentinel and exits non-zero on regression —
-//!   deterministic counts must match exactly, latencies may wander
-//!   within the ratio.
-//! - `--ratio R` overrides the sentinel's diagnostic tolerance.
+//! `--out PATH` chooses the output path (default
+//! `BENCH_serve_latency.json`). To gate a fresh measurement on the
+//! committed baseline, diff the two with the regression sentinel:
+//!
+//! ```text
+//! cargo run --release --example serve_bench -- --out bench-fresh.json
+//! cargo run --release --example bench_sentinel -- --check BENCH_serve_latency.json bench-fresh.json
+//! ```
+//!
+//! Deterministic counts must match exactly; latencies may wander within
+//! the sentinel's ratio.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
 
-use magseven::bench::sentinel::{compare_json, SentinelConfig, DEFAULT_DIAG_RATIO};
 use magseven::par::ParConfig;
 use magseven::serve::key::EvalRequest;
 use magseven::serve::wire::Response;
 use magseven::serve::{EvalServer, FramedClient, ServeConfig};
-use magseven::trace::cli::flag_value;
 use magseven::trace::Histogram;
 
 const SEED: u64 = 42;
 const REQUESTS: usize = 512;
 const UNIQUE: usize = 64;
-/// What `--ratio` accepts.
-const RATIO: &str = "a finite non-negative number";
 
 fn evaluator(request: &EvalRequest) -> Result<f64, String> {
     // A small but non-trivial deterministic cost: a short logistic-map
@@ -48,46 +47,17 @@ fn evaluator(request: &EvalRequest) -> Result<f64, String> {
 }
 
 fn main() {
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     let mut out = "BENCH_serve_latency.json".to_string();
-    let mut check: Option<Option<String>> = None;
-    let mut ratio = DEFAULT_DIAG_RATIO;
     while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => match args.next() {
-                Some(path) => out = path,
-                None => die_usage(),
-            },
-            "--check" => {
-                // Optional value: absent or next-is-a-flag means "the
-                // committed --out file".
-                let explicit = args.peek().filter(|a| !a.starts_with("--")).cloned();
-                if explicit.is_some() {
-                    args.next();
-                }
-                check = Some(explicit);
-            }
-            "--ratio" => {
-                ratio = flag_value(&mut args, "--ratio", RATIO);
-                if !(ratio.is_finite() && ratio >= 0.0) {
-                    eprintln!("--ratio needs {RATIO}");
-                    std::process::exit(2);
-                }
-            }
-            _ => die_usage(),
-        }
-    }
-
-    let baseline = check.as_ref().map(|explicit| {
-        let path = explicit.clone().unwrap_or_else(|| out.clone());
-        match std::fs::read_to_string(&path) {
-            Ok(text) => (path, text),
-            Err(err) => {
-                eprintln!("cannot read baseline {path}: {err}");
+        match (arg.as_str(), args.next()) {
+            ("--out", Some(path)) => out = path,
+            _ => {
+                eprintln!("usage: serve_bench [--out PATH]");
                 std::process::exit(2);
             }
         }
-    });
+    }
 
     let server = EvalServer::spawn(
         ServeConfig { par: ParConfig::serial(), ..ServeConfig::default() },
@@ -147,19 +117,6 @@ fn main() {
         roundtrip.quantile_upper_bound(0.99),
     );
 
-    if let Some((path, baseline_text)) = baseline {
-        let report = compare_json(&baseline_text, &json, &SentinelConfig { diag_ratio: ratio })
-            .unwrap_or_else(|err| {
-                eprintln!("sentinel: {err}");
-                std::process::exit(2);
-            });
-        print!("{}", report.render());
-        if !report.passed() {
-            eprintln!("FAIL: fresh measurement regressed against {path}");
-            std::process::exit(1);
-        }
-    }
-
     match std::fs::write(&out, &json) {
         Ok(()) => println!("wrote {out}"),
         Err(err) => {
@@ -167,9 +124,4 @@ fn main() {
             std::process::exit(1);
         }
     }
-}
-
-fn die_usage() -> ! {
-    eprintln!("usage: serve_bench [--out PATH] [--check [BASELINE]] [--ratio R]");
-    std::process::exit(2);
 }

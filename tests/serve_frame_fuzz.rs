@@ -245,7 +245,7 @@ fn adversarial_corpus_errors_cleanly() {
         (
             "eval with trailing garbage",
             {
-                let mut v = encode_request(&Request::Stats);
+                let mut v = encode_request(&Request::Telemetry);
                 let longer = 4u32;
                 v[4..8].copy_from_slice(&longer.to_le_bytes());
                 v.extend_from_slice(&[0xde, 0xad, 0xbe, 0xef]);
@@ -283,7 +283,7 @@ fn multi_frame_streams_decode_in_order_at_every_chunk_size() {
         .map(|i| {
             Request::Eval(EvalRequest::new(workload(i), vec![i as f64, -1.0 / i as f64], i as u64))
         })
-        .chain([Request::Stats, Request::Shutdown])
+        .chain([Request::Telemetry, Request::Shutdown])
         .collect();
     let stream: Vec<u8> = requests.iter().flat_map(encode_request).collect();
     for chunk in 1..=stream.len() {
@@ -301,4 +301,21 @@ fn multi_frame_streams_decode_in_order_at_every_chunk_size() {
         }
         assert_eq!(dec.pending_bytes(), 0, "chunk size {chunk}");
     }
+}
+
+/// Kinds `0x02` and `0x82` carried a retired cache-stats request and its
+/// response; both now decode as unknown kinds, never as a message.
+#[test]
+fn retired_stats_kinds_are_unknown() {
+    let mut dec = FrameDecoder::new();
+    dec.feed(&[MAGIC, VERSION, 0x02, 0, 0, 0, 0, 0]);
+    assert_eq!(dec.next_request(), Err(FrameError::UnknownKind(0x02)));
+
+    // The retired response's five u64 counters.
+    let mut bytes = vec![MAGIC, VERSION, 0x82, 0];
+    bytes.extend_from_slice(&40u32.to_le_bytes());
+    bytes.extend_from_slice(&[0; 40]);
+    let mut dec = FrameDecoder::new();
+    dec.feed(&bytes);
+    assert_eq!(dec.next_response(), Err(FrameError::UnknownKind(0x82)));
 }

@@ -6,15 +6,18 @@
 //! Network-touching tests run the client under a watchdog thread so a
 //! wedged server fails the test in seconds instead of hanging CI.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::time::Duration;
 
 use magseven::par::ParConfig;
+use magseven::serve::frame::{FrameDecoder, MAGIC, VERSION};
 use magseven::serve::key::EvalRequest;
-use magseven::serve::server::{EvalClient, EvalServer, Evaluator, ServeConfig};
-use magseven::serve::tier::TieredCache;
-use magseven::serve::wire::Response;
+use magseven::serve::server::{EvalClient, EvalServer, Evaluator, FramedClient, ServeConfig};
+use magseven::serve::tier::{TierStats, TieredCache};
+use magseven::serve::wire::{parse_response, Response};
 use magseven::suite::experiments::{e9_dse, ExperimentId};
 
 /// The watchdog budget for one whole client session against a local
@@ -70,9 +73,10 @@ fn session_requests(n: usize) -> Vec<EvalRequest> {
         .collect()
 }
 
-/// One full client session: eval every request, then fetch stats and
-/// shut the server down. Returns `(costs, cached flags, final stats)`.
-fn run_session(par: ParConfig) -> (Vec<f64>, Vec<bool>, magseven::serve::cache::CacheStats) {
+/// One full client session: eval every request, then read the tier
+/// counters and shut the server down. Returns `(costs, cached flags,
+/// final stats)`.
+fn run_session(par: ParConfig) -> (Vec<f64>, Vec<bool>, TierStats) {
     with_watchdog(move || {
         let config = ServeConfig { par, ..ServeConfig::default() };
         let handle =
@@ -90,7 +94,7 @@ fn run_session(par: ParConfig) -> (Vec<f64>, Vec<bool>, magseven::serve::cache::
                 other => panic!("unexpected response: {other:?}"),
             }
         }
-        let stats = handle.cache_stats();
+        let stats = handle.tier_stats();
         handle.shutdown();
         (costs, cached, stats)
     })
@@ -113,7 +117,7 @@ fn loopback_round_trip_serves_exact_costs_and_caches_duplicates() {
     // requests repeat an already-served point.
     let dup_count = cached.iter().filter(|&&c| c).count();
     assert_eq!(dup_count, 6, "cached flags: {cached:?}");
-    assert_eq!(stats.hits, 6, "server cache telemetry must agree: {stats}");
+    assert_eq!(stats.hits(), 6, "server cache telemetry must agree: {stats}");
     assert_eq!(stats.misses as usize, 12, "{stats}");
 }
 
@@ -128,7 +132,7 @@ fn server_responses_are_thread_count_invariant() {
         assert_eq!(a.to_bits(), b.to_bits());
     }
     assert_eq!(serial_cached, pooled_cached);
-    assert_eq!(serial_stats.hits, pooled_stats.hits);
+    assert_eq!(serial_stats.hits(), pooled_stats.hits());
     assert_eq!(serial_stats.misses, pooled_stats.misses);
 }
 
@@ -155,6 +159,54 @@ fn invalid_requests_answer_with_errors_not_hangs() {
                 assert_eq!(cost.to_bits(), direct.to_bits());
             }
             other => panic!("expected a cost, got {other:?}"),
+        }
+        handle.shutdown();
+    });
+}
+
+/// Sends raw bytes on a fresh connection and reads until the server
+/// closes it.
+fn send_and_read_to_close(handle: &magseven::serve::ServerHandle, bytes: &[u8]) -> Vec<u8> {
+    let mut stream = TcpStream::connect(handle.addr()).expect("connect");
+    stream.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    stream.write_all(bytes).expect("send");
+    let mut reply = Vec::new();
+    stream.read_to_end(&mut reply).expect("read to close");
+    reply
+}
+
+/// The retired cache-stats request gets an error over both protocols,
+/// and the server keeps serving other connections.
+#[test]
+fn retired_stats_request_gets_an_error_and_serving_continues() {
+    with_watchdog(|| {
+        let handle = EvalServer::spawn(ServeConfig::default(), Arc::new(PolyEvaluator))
+            .expect("bind loopback server");
+
+        let reply = send_and_read_to_close(&handle, b"op = stats\n\n");
+        let reply = String::from_utf8(reply).expect("text reply");
+        match parse_response(&reply).expect("parsable reply") {
+            Response::Error(msg) => assert!(msg.contains("unknown op `stats`"), "{msg}"),
+            other => panic!("expected an error response, got {other:?}"),
+        }
+
+        let reply = send_and_read_to_close(&handle, &[MAGIC, VERSION, 0x02, 0, 0, 0, 0, 0]);
+        let mut decoder = FrameDecoder::new();
+        decoder.feed(&reply);
+        match decoder.next_response().expect("framed reply") {
+            Some(Response::Error(msg)) => assert!(msg.contains("unknown frame kind 0x02"), "{msg}"),
+            other => panic!("expected an error frame, got {other:?}"),
+        }
+
+        let good = EvalRequest::new("poly", vec![2.0, 3.0], 7);
+        let direct = PolyEvaluator.evaluate(&good).expect("valid");
+        let client = EvalClient::new(handle.addr()).with_timeout(Duration::from_secs(10));
+        let mut framed = FramedClient::connect(handle.addr()).expect("connect framed");
+        for response in [client.eval(&good), framed.eval(&good)] {
+            match response.expect("round-trip") {
+                Response::Cost { cost, .. } => assert_eq!(cost.to_bits(), direct.to_bits()),
+                other => panic!("expected a cost, got {other:?}"),
+            }
         }
         handle.shutdown();
     });

@@ -157,15 +157,15 @@ fn concurrent_mixed_clients_agree_with_the_serial_oracle() {
         assert_eq!(computed, UNIQUE_KEYS, "each unique key is computed exactly once");
 
         let total = (CLIENTS * PER_CLIENT) as u64;
-        let stats = handle.cache_stats();
+        let stats = handle.tier_stats();
         assert_eq!(stats.misses, UNIQUE_KEYS as u64, "only first probes can miss");
+        // Nothing evicted: every inserted key is still in the hot tier.
         assert_eq!(stats.insertions, UNIQUE_KEYS as u64);
-        assert_eq!(stats.entries, UNIQUE_KEYS);
-        assert_eq!(stats.evictions, 0);
+        assert_eq!(stats.hot_entries, UNIQUE_KEYS);
         assert!(
-            stats.hits + stats.misses <= total,
+            stats.hits() + stats.misses <= total,
             "hits {} + misses {} cannot exceed {} requests (rest coalesced)",
-            stats.hits,
+            stats.hits(),
             stats.misses,
             total
         );
