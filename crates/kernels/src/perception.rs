@@ -251,20 +251,19 @@ impl FeatureFrontEnd {
         Descriptor(bits)
     }
 
-    /// The lane matcher: word-plane layout, packed-key `min` reductions.
+    /// The lane matcher: word-plane layout, one distance sweep per query.
     ///
     /// The candidate set is first transposed into four word planes
     /// (`plane_w[j]` = word `w` of descriptor `j`), so each query sweeps
-    /// four unit-stride `u64` arrays — the shape the auto-vectorizer turns
-    /// into vector XOR + vector popcount on targets that have them
-    /// (AVX-512 `vpopcntq` under `target-cpu=native`). Each candidate's
-    /// distance and index are packed into a single key `(d << 32) | j`;
-    /// the best match is a pure branch-free `min` reduction over keys, and
-    /// the second-best distance is a second `min` sweep with the winning
-    /// key masked out. Because `d` occupies the high bits and `j` the low
-    /// bits, the minimum key is exactly the smallest distance with the
-    /// *first* index on ties — the same first-wins rule as the scalar
-    /// reference — so match output is bit-identical to
+    /// four unit-stride `u64` arrays into a reused `u16` distance buffer —
+    /// a pure map the auto-vectorizer turns into vector XOR + vector
+    /// popcount (AVX-512 `vpopcntq` under `target-cpu=native`, a SWAR
+    /// bit count two candidates per register in a default SSE2 build).
+    /// Every distance is computed once; best and second-best are then
+    /// `min` reductions over the buffer. The best index is the *first* position holding
+    /// the minimum and the second-best distance is the minimum over every
+    /// other position, which are the scalar reference's first-wins tie and
+    /// second-best rules, so match output is bit-identical to
     /// [`FeatureFrontEnd::match_descriptors_scalar`].
     #[must_use]
     pub fn match_descriptors_planes(a: &[Descriptor], b: &[Descriptor]) -> Vec<(usize, usize)> {
@@ -284,37 +283,30 @@ impl FeatureFrontEnd {
             p2[j] = d.0[2];
             p3[j] = d.0[3];
         }
+        let mut dist = vec![0u16; n];
         for (i, da) in a.iter().enumerate() {
             let [q0, q1, q2, q3] = da.0;
-            // Pass 1: minimum packed key = (best distance, first best index).
-            let mut m1 = u64::MAX;
-            for j in 0..n {
-                let d = ((q0 ^ p0[j]).count_ones()
-                    + (q1 ^ p1[j]).count_ones()
-                    + (q2 ^ p2[j]).count_ones()
-                    + (q3 ^ p3[j]).count_ones()) as u64;
-                m1 = m1.min((d << 32) | j as u64);
+            for ((((d, &w0), &w1), &w2), &w3) in
+                dist.iter_mut().zip(&*p0).zip(&*p1).zip(&*p2).zip(&*p3)
+            {
+                // At most 256, so the narrowing is exact.
+                *d = ((q0 ^ w0).count_ones()
+                    + (q1 ^ w1).count_ones()
+                    + (q2 ^ w2).count_ones()
+                    + (q3 ^ w3).count_ones()) as u16;
             }
-            // Pass 2: minimum over the remaining keys (winner masked out,
-            // branch-free), giving the second-best distance. With a single
-            // candidate this stays `u64::MAX`, whose high word is
-            // `u32::MAX` — the same "no second" sentinel the scalar
-            // reference produces.
-            let mut m2 = u64::MAX;
-            for j in 0..n {
-                let d = ((q0 ^ p0[j]).count_ones()
-                    + (q1 ^ p1[j]).count_ones()
-                    + (q2 ^ p2[j]).count_ones()
-                    + (q3 ^ p3[j]).count_ones()) as u64;
-                let key = (d << 32) | j as u64;
-                let masked = if key == m1 { u64::MAX } else { key };
-                m2 = m2.min(masked);
-            }
-            let best = ((m1 & 0xffff_ffff) as usize, (m1 >> 32) as u32);
-            let second = (m2 >> 32) as u32;
+            let best_d = dist.iter().copied().fold(u16::MAX, u16::min);
+            let best_j = dist.iter().position(|&d| d == best_d).expect("n > 0");
+            // With a single candidate both halves are empty and `second`
+            // stays `u16::MAX` — the scalar reference's "no second".
+            let second = dist[..best_j]
+                .iter()
+                .copied()
+                .fold(u16::MAX, u16::min)
+                .min(dist[best_j + 1..].iter().copied().fold(u16::MAX, u16::min));
             // Lowe-style ratio test adapted to Hamming distances.
-            if second == u32::MAX || (best.1 as f64) < 0.8 * second as f64 {
-                matches.push((i, best.0));
+            if second == u16::MAX || f64::from(best_d) < 0.8 * f64::from(second) {
+                matches.push((i, best_j));
             }
         }
         matches

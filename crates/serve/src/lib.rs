@@ -37,11 +37,13 @@
 //!   recoverable record, plus the [`journal::TelemetryPump`] helper that
 //!   wires `--stats-interval`/`--journal` flags into a running hub.
 //! - [`server`] — a non-blocking readiness-loop service on a loopback
-//!   [`std::net::TcpListener`]: connection limits and a bounded pending
-//!   queue that shed load with an explicit `busy` response, per-protocol
-//!   connections (binary frames are persistent, legacy text is
-//!   one-request-per-connection), per-connection write backpressure, and
-//!   clean shutdown on a sentinel request.
+//!   [`std::net::TcpListener`] that sleeps in `poll(2)` when idle (woken
+//!   by a socket, a reap deadline or its handle's wake pair): connection
+//!   limits and a bounded pending queue that shed load with an explicit
+//!   `busy` response, per-protocol connections (binary frames are
+//!   persistent, legacy text is one-request-per-connection),
+//!   per-connection write backpressure, and clean shutdown on a sentinel
+//!   request.
 //!
 //! # Determinism contract
 //!
@@ -74,7 +76,9 @@
 //! ```
 
 #![warn(missing_docs)]
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: the private `sys` module, the `poll(2)` binding,
+// opts back in and is the crate's one exception.
+#![deny(unsafe_code)]
 
 pub mod batch;
 pub mod cache;
@@ -84,6 +88,7 @@ pub mod journal;
 pub mod key;
 pub mod segment;
 pub mod server;
+mod sys;
 pub mod tier;
 pub mod wire;
 

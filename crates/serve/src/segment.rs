@@ -19,7 +19,10 @@
 //!
 //! On [`SegmentStore::open`] the whole file is scanned from the header:
 //!
-//! 1. each record's length is bounds-checked, then its CRC verified;
+//! 1. each record's length is bounds-checked, then its CRC verified —
+//!    one validating pass that fixes where the intact prefix ends and
+//!    how many records it holds, so the index is sized once and filled
+//!    by a plain re-walk of that prefix;
 //! 2. the scan stops at end-of-file, at a partial record, or at the
 //!    first CRC mismatch — everything from that point on is the **torn
 //!    tail** (a crash mid-append, or corruption);
@@ -36,7 +39,8 @@
 use m7_trace::{MetricClass, SpanSite, TraceCounter};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::io::{self, Read, Write};
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Mutex;
 
@@ -64,28 +68,56 @@ pub(crate) const MAX_RECORD_PAYLOAD: usize = 1024 * 1024;
 /// The default segment file name inside a cache directory.
 pub const SEGMENT_FILE: &str = "segment.m7seg";
 
-/// IEEE 802.3 CRC-32 (the zlib/PNG polynomial), bitwise — fast enough
-/// for cache records, and dependency-free.
-#[must_use]
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    const TABLE: [u32; 256] = {
-        let mut table = [0u32; 256];
+/// Slice-by-8 lookup tables for the reflected IEEE polynomial:
+/// `CRC_TABLES[0]` is the classic bytewise table, and `CRC_TABLES[k][i]`
+/// advances `CRC_TABLES[k - 1][i]` by one more zero byte.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut k = 0;
+        while k < 8 {
+            c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
+            k += 1;
+        }
+        tables[0][i] = c;
+        i += 1;
+    }
+    let mut t = 1;
+    while t < 8 {
         let mut i = 0;
         while i < 256 {
-            let mut c = i as u32;
-            let mut k = 0;
-            while k < 8 {
-                c = if c & 1 != 0 { 0xedb8_8320 ^ (c >> 1) } else { c >> 1 };
-                k += 1;
-            }
-            table[i] = c;
+            let prev = tables[t - 1][i];
+            tables[t][i] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
             i += 1;
         }
-        table
-    };
+        t += 1;
+    }
+    tables
+};
+
+/// IEEE 802.3 CRC-32 (the zlib/PNG polynomial), slice-by-8: eight
+/// table lookups per 8-byte word, bytewise over the remainder.
+#[must_use]
+pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = !0u32;
-    for &b in bytes {
-        c = TABLE[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let lo = c ^ u32::from_le_bytes([word[0], word[1], word[2], word[3]]);
+        let hi = u32::from_le_bytes([word[4], word[5], word[6], word[7]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -207,6 +239,14 @@ fn record_bytes(payload_len: u64) -> u64 {
     RECORD_HEADER_BYTES + payload_len + RECORD_TRAILER_BYTES
 }
 
+/// The `(len, key)` header at the start of `rec` (at least
+/// [`RECORD_HEADER_BYTES`] long).
+fn record_header(rec: &[u8]) -> (u32, u64) {
+    let len = u32::from_le_bytes(rec[0..4].try_into().unwrap());
+    let key = u64::from_le_bytes(rec[4..12].try_into().unwrap());
+    (len, key)
+}
+
 impl SegmentStore {
     /// Opens (or creates) `dir/segment.m7seg`, replaying every intact
     /// record and truncating the torn tail.
@@ -231,17 +271,14 @@ impl SegmentStore {
         let mut index: HashMap<u64, (u64, u32)> = HashMap::new();
         let mut dead_bytes = 0u64;
         let good_end = if raw.is_empty() {
-            file.write_all(&FILE_HEADER)?;
-            file.flush()?;
+            file.write_all_at(&FILE_HEADER, 0)?;
             FILE_HEADER.len() as u64
         } else if raw.len() < FILE_HEADER.len() && raw == FILE_HEADER[..raw.len()] {
             // A crash tore the header itself: nothing was ever acked, so
             // rewrite it and start empty.
             recovery.torn_bytes = raw.len() as u64;
             file.set_len(0)?;
-            file.seek(SeekFrom::Start(0))?;
-            file.write_all(&FILE_HEADER)?;
-            file.flush()?;
+            file.write_all_at(&FILE_HEADER, 0)?;
             FILE_HEADER.len() as u64
         } else if raw.len() < FILE_HEADER.len() || raw[..5] != FILE_HEADER[..5] {
             return Err(io::Error::new(
@@ -254,22 +291,32 @@ impl SegmentStore {
                 format!("segment layout version {} is not supported", raw[5]),
             ));
         } else {
+            // Validate: bounds and CRC of every record up to the first
+            // bad one, which fixes the intact prefix and its size.
+            let mut end = FILE_HEADER.len();
+            while let Some(next) = Self::scan_record(&raw, end) {
+                recovery.records += 1;
+                end = next;
+            }
+            // Index: one allocation, then a plain walk of the prefix
+            // (every record in it is already known to be intact).
+            index.reserve(recovery.records);
             let mut pos = FILE_HEADER.len();
-            while let Some((key, payload_off, payload_len, next)) = Self::scan_record(&raw, pos) {
-                if let Some((_, old_len)) = index.insert(key, (payload_off as u64, payload_len)) {
+            while pos < end {
+                let (len, key) = record_header(&raw[pos..]);
+                let payload_off = (pos as u64) + RECORD_HEADER_BYTES;
+                if let Some((_, old_len)) = index.insert(key, (payload_off, len)) {
                     dead_bytes += record_bytes(u64::from(old_len));
                 }
-                recovery.records += 1;
-                pos = next;
+                pos += record_bytes(u64::from(len)) as usize;
             }
-            recovery.torn_bytes = (raw.len() - pos) as u64;
-            pos as u64
+            recovery.torn_bytes = (raw.len() - end) as u64;
+            end as u64
         };
         recovery.live_entries = index.len();
         if recovery.torn_bytes > 0 {
             file.set_len(good_end)?;
         }
-        file.seek(SeekFrom::Start(good_end))?;
 
         G_RECOVERED.add(recovery.records as u64);
         G_TORN.add(recovery.torn_bytes);
@@ -283,23 +330,19 @@ impl SegmentStore {
         })
     }
 
-    /// Validates the record at `pos`; returns
-    /// `(key, payload offset, payload len, next record offset)` or
-    /// `None` where the intact prefix ends.
-    fn scan_record(raw: &[u8], pos: usize) -> Option<(u64, usize, u32, usize)> {
-        let header = raw.get(pos..pos + RECORD_HEADER_BYTES as usize)?;
-        let len = u32::from_le_bytes(header[0..4].try_into().unwrap());
+    /// Validates the record at `pos`; returns the next record's offset,
+    /// or `None` where the intact prefix ends.
+    fn scan_record(raw: &[u8], pos: usize) -> Option<usize> {
+        let (len, _) = record_header(raw.get(pos..pos + RECORD_HEADER_BYTES as usize)?);
         if len as usize > MAX_RECORD_PAYLOAD {
             return None;
         }
-        let key = u64::from_le_bytes(header[4..12].try_into().unwrap());
-        let payload_off = pos + RECORD_HEADER_BYTES as usize;
-        let crc_off = payload_off + len as usize;
+        let crc_off = pos + RECORD_HEADER_BYTES as usize + len as usize;
         let stored_crc = u32::from_le_bytes(raw.get(crc_off..crc_off + 4)?.try_into().unwrap());
         if crc32(&raw[pos..crc_off]) != stored_crc {
             return None;
         }
-        Some((key, payload_off, len, crc_off + 4))
+        Some(crc_off + 4)
     }
 
     /// What [`SegmentStore::open`] replayed and repaired.
@@ -333,10 +376,7 @@ impl SegmentStore {
         rec.extend_from_slice(&crc.to_le_bytes());
 
         let mut s = self.state.lock().expect("segment state poisoned");
-        let tail = s.tail;
-        s.file.seek(SeekFrom::Start(tail))?;
-        s.file.write_all(&rec)?;
-        s.file.flush()?;
+        s.file.write_all_at(&rec, s.tail)?;
         if self.config.fsync_each_append {
             s.file.sync_data()?;
         }
@@ -356,18 +396,13 @@ impl SegmentStore {
     /// The underlying I/O error; a CRC mismatch on read comes back as
     /// `InvalidData` (the record is never served corrupt).
     pub fn get(&self, key: u64) -> io::Result<Option<Vec<u8>>> {
-        let mut s = self.state.lock().expect("segment state poisoned");
+        let s = self.state.lock().expect("segment state poisoned");
         let Some(&(payload_off, len)) = s.index.get(&key) else {
             return Ok(None);
         };
-        let rec_off = payload_off - RECORD_HEADER_BYTES;
         let total = record_bytes(u64::from(len)) as usize;
         let mut rec = vec![0u8; total];
-        s.file.seek(SeekFrom::Start(rec_off))?;
-        s.file.read_exact(&mut rec)?;
-        // Restore the append position invariant for the next write.
-        let tail = s.tail;
-        s.file.seek(SeekFrom::Start(tail))?;
+        s.file.read_exact_at(&mut rec, payload_off - RECORD_HEADER_BYTES)?;
         drop(s);
         let crc_off = total - RECORD_TRAILER_BYTES as usize;
         let stored = u32::from_le_bytes(rec[crc_off..].try_into().unwrap());
@@ -462,8 +497,7 @@ impl SegmentStore {
         let mut new_tail = FILE_HEADER.len() as u64;
         for (payload_off, key, len) in live {
             let mut payload = vec![0u8; len as usize];
-            s.file.seek(SeekFrom::Start(payload_off))?;
-            s.file.read_exact(&mut payload)?;
+            s.file.read_exact_at(&mut payload, payload_off)?;
             let mut rec = Vec::with_capacity(record_bytes(u64::from(len)) as usize);
             rec.extend_from_slice(&len.to_le_bytes());
             rec.extend_from_slice(&key.to_le_bytes());
@@ -478,9 +512,7 @@ impl SegmentStore {
         drop(tmp);
         std::fs::rename(&tmp_path, &self.path)?;
 
-        let mut file = OpenOptions::new().read(true).write(true).open(&self.path)?;
-        file.seek(SeekFrom::Start(new_tail))?;
-        s.file = file;
+        s.file = OpenOptions::new().read(true).write(true).open(&self.path)?;
         s.index = new_index;
         s.tail = new_tail;
         s.dead_bytes = 0;
@@ -513,12 +545,45 @@ mod tests {
         dir
     }
 
+    /// The CRC-32 the store shipped with: one table lookup per byte.
+    /// The oracle for the slice-by-8 [`crc32`].
+    fn crc32_bytewise(bytes: &[u8]) -> u32 {
+        let mut c = !0u32;
+        for &b in bytes {
+            c = CRC_TABLES[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+        }
+        !c
+    }
+
     #[test]
     fn crc32_matches_known_vectors() {
         // IEEE reference vectors.
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414f_a339);
+    }
+
+    #[test]
+    fn slice_by_8_crc32_equals_the_bytewise_reference() {
+        use rand::{Rng, RngCore, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0xc3c3);
+        // Every length across the 8-byte word boundary and remainders.
+        let mut short = [0u8; 64];
+        rng.fill_bytes(&mut short);
+        for len in 0..=64 {
+            assert_eq!(crc32(&short[..len]), crc32_bytewise(&short[..len]), "length {len}");
+        }
+        for case in 0..256 {
+            let len = rng.gen_range(0..=4096);
+            let mut bytes = vec![0u8; len];
+            rng.fill_bytes(&mut bytes);
+            assert_eq!(crc32(&bytes), crc32_bytewise(&bytes), "case {case}, length {len}");
+            // Unaligned sub-slices: start and end anywhere inside.
+            let from = rng.gen_range(0..=len);
+            let to = rng.gen_range(from..=len);
+            let sub = &bytes[from..to];
+            assert_eq!(crc32(sub), crc32_bytewise(sub), "case {case}, bytes {from}..{to}");
+        }
     }
 
     #[test]

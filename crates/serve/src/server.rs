@@ -16,7 +16,14 @@
 //! ```
 //!
 //! One thread owns every socket; nothing in the request path blocks on
-//! a client. Admission control is two-layer and explicit: a connection
+//! a client. A turn that makes no progress blocks in `poll(2)` on the
+//! listener, every connection that can still make progress (readable
+//! while it can still read, writable while it owes bytes) and the read
+//! end of a wake pair, with the earliest stuck-connection reap deadline
+//! as its timeout. [`ServerHandle::shutdown`] (and dropping the handle)
+//! writes one byte to the wake pair, so an idle server sleeps until a
+//! client, a deadline or its owner needs it — it never polls on a timer.
+//! Admission control is two-layer and explicit: a connection
 //! beyond `max_connections` and a request beyond `max_pending` both get
 //! an immediate `busy`, never an unbounded backlog. Backpressure on the
 //! wire is per-connection write buffers flushed as sockets drain; a slow
@@ -37,6 +44,7 @@ use crate::frame::{encode_response, FrameDecoder};
 use crate::introspect::{PhaseStats, ServerStats};
 use crate::key::{namespace, EvalRequest};
 use crate::segment::{RecoveryReport, SegmentConfig};
+use crate::sys::{Poller, POLLIN, POLLOUT};
 use crate::tier::{TierConfig, TierStats, TieredCache};
 use crate::wire::{format_response, parse_request, Request, Response};
 use m7_par::ParConfig;
@@ -46,6 +54,7 @@ use m7_trace::{
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -84,9 +93,6 @@ const MAX_MESSAGE_BYTES: usize = 64 * 1024;
 
 /// Nonblocking read chunk size.
 const READ_CHUNK: usize = 4096;
-
-/// How long the event loop parks when a turn made no progress.
-const IDLE_PARK: Duration = Duration::from_micros(200);
 
 /// Server configuration.
 #[derive(Debug, Clone, PartialEq)]
@@ -252,6 +258,8 @@ fn server_stats(shared: &Shared) -> ServerStats {
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
+    /// Write end of the wake pair: one byte ends the event loop's wait.
+    wake: UnixStream,
     event: Option<std::thread::JoinHandle<()>>,
 }
 
@@ -275,6 +283,9 @@ impl EvalServer {
             None => TierConfig::MemoryOnly,
         };
         let cache = TieredCache::open(config.cache_capacity.max(1), tier)?;
+        let (wake_rx, wake) = UnixStream::pair()?;
+        wake_rx.set_nonblocking(true)?;
+        wake.set_nonblocking(true)?;
         let shared = Arc::new(Shared {
             stop: AtomicBool::new(false),
             cache,
@@ -292,9 +303,9 @@ impl EvalServer {
         let event_shared = Arc::clone(&shared);
         let event = std::thread::Builder::new()
             .name("m7-serve-event".into())
-            .spawn(move || event_loop(&listener, &event_shared))?;
+            .spawn(move || event_loop(&listener, &wake_rx, &event_shared))?;
 
-        Ok(ServerHandle { addr, shared, event: Some(event) })
+        Ok(ServerHandle { addr, shared, wake, event: Some(event) })
     }
 }
 
@@ -341,6 +352,9 @@ impl ServerHandle {
 
     fn stop_and_join(&mut self) {
         self.shared.stop.store(true, Ordering::SeqCst);
+        // The byte stays queued until the loop drains it, so a loop that
+        // is about to wait still sees it. A full pair already holds one.
+        let _ = (&self.wake).write(&[1]);
         if let Some(handle) = self.event.take() {
             let _ = handle.join();
         }
@@ -407,6 +421,19 @@ impl Conn {
         }
     }
 
+    /// What this connection waits for: readable while it can still read
+    /// (never after EOF or once closing), writable while it owes bytes.
+    fn interest(&self) -> i16 {
+        let mut events = 0;
+        if !self.saw_eof && !self.close_after_flush {
+            events |= POLLIN;
+        }
+        if !self.out.is_empty() {
+            events |= POLLOUT;
+        }
+        events
+    }
+
     fn queue_response(&mut self, response: &Response) {
         let bytes = match self.proto {
             Proto::Binary(_) => encode_response(response),
@@ -424,11 +451,12 @@ struct PendingReq {
     enqueued: Instant,
 }
 
-fn event_loop(listener: &TcpListener, shared: &Shared) {
+fn event_loop(listener: &TcpListener, wake: &UnixStream, shared: &Shared) {
     let ns = namespace(shared.evaluator.namespace_tag(), 0);
     let mut conns: Vec<(u64, Conn)> = Vec::new();
     let mut next_id: u64 = 0;
     let mut pending: VecDeque<PendingReq> = VecDeque::new();
+    let mut poller = Poller::default();
 
     loop {
         let stopping = shared.stop.load(Ordering::SeqCst);
@@ -549,26 +577,46 @@ fn event_loop(listener: &TcpListener, shared: &Shared) {
         let timeout = shared.config.io_timeout;
         conns.retain_mut(|(_, conn)| retain_conn(conn, timeout, &shared.reaped));
 
-        if shared.stop.load(Ordering::SeqCst) {
+        let stop = shared.stop.load(Ordering::SeqCst);
+        if stop && stopping {
+            // Two turns with the flag up: one drain turn, then out once
+            // nothing is owed. An undrained connection is flushed on
+            // later turns, bounded by io_timeout reaping.
             let drained = pending.is_empty()
                 && conns.iter().all(|(_, c)| c.out.is_empty() && c.in_flight == 0);
-            if drained || stopping {
-                // Two passes with the flag up: one drain turn, then out.
-                if stopping && drained {
-                    let _ = shared.cache.sync();
-                    return;
-                }
-                if stopping {
-                    // Still undrained after a full turn — flush what
-                    // remains next turn; bounded by io_timeout reaping.
-                }
+            if drained {
+                let _ = shared.cache.sync();
+                return;
             }
         }
 
         if !progress {
-            std::thread::park_timeout(IDLE_PARK);
+            let deadline = reap_deadline(&conns, timeout);
+            // A stopping loop never waits without a deadline.
+            if stop && deadline.is_none() {
+                continue;
+            }
+            poller.clear();
+            poller.add(listener, POLLIN);
+            poller.add(wake, POLLIN);
+            for (_, conn) in &conns {
+                let events = conn.interest();
+                if events != 0 {
+                    poller.add(&conn.stream, events);
+                }
+            }
+            // A failed wait only costs one extra turn.
+            let _ = poller.wait(deadline.map(|d| d.saturating_duration_since(Instant::now())));
+            let mut drain = [0u8; 16];
+            while matches!((&*wake).read(&mut drain), Ok(n) if n > 0) {}
         }
     }
+}
+
+/// When the first stuck connection is due for reaping, if any is stuck
+/// (none when `timeout` is too large to add to an `Instant`).
+fn reap_deadline(conns: &[(u64, Conn)], timeout: Duration) -> Option<Instant> {
+    conns.iter().filter_map(|(_, c)| c.stuck_since?.checked_add(timeout)).min()
 }
 
 /// Answers `busy` on a just-accepted, about-to-be-dropped connection.
@@ -1204,6 +1252,24 @@ mod tests {
     }
 
     #[test]
+    fn unbounded_io_timeout_waits_for_a_split_request_without_panicking() {
+        // The half-sent request leaves the connection stuck, so the idle
+        // wait computes a reap deadline from `Duration::MAX`.
+        let server = EvalServer::spawn(
+            ServeConfig {
+                io_timeout: Duration::MAX,
+                par: ParConfig::serial(),
+                ..Default::default()
+            },
+            Arc::new(quadratic),
+        )
+        .unwrap();
+        let resp = text_request_in_pieces(&server, &[b"op = eval\nvalues = 2\n", b"seed = 1\n\n"]);
+        assert_eq!(resp, Response::Cost { cost: 5.0, cached: false });
+        server.shutdown();
+    }
+
+    #[test]
     fn garbage_binary_frames_get_an_error_not_a_hang() {
         let server = spawn_default();
         let mut stream = TcpStream::connect(server.addr()).unwrap();
@@ -1286,6 +1352,44 @@ mod tests {
         let resp = client.eval(&EvalRequest::new("mission", vec![1.0], 0)).unwrap();
         assert_eq!(resp, Response::Busy);
         server.shutdown();
+    }
+
+    #[test]
+    fn connections_poll_only_for_what_can_progress() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let _client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(listener.accept().unwrap().0);
+        assert_eq!(conn.interest(), POLLIN, "an open, idle connection waits to read");
+        conn.out.extend(b"owed");
+        assert_eq!(conn.interest(), POLLIN | POLLOUT, "owed bytes add POLLOUT");
+        // After EOF, POLLIN would report ready on every wait: an idle
+        // server holding this connection would spin.
+        conn.saw_eof = true;
+        assert_eq!(conn.interest(), POLLOUT);
+        conn.out.clear();
+        assert_eq!(conn.interest(), 0);
+        conn.saw_eof = false;
+        conn.close_after_flush = true;
+        assert_eq!(conn.interest(), 0, "a closing connection reads no more");
+    }
+
+    #[test]
+    fn reap_deadline_is_the_earliest_stuck_connection() {
+        let listener = TcpListener::bind((Ipv4Addr::LOCALHOST, 0)).unwrap();
+        let addr = listener.local_addr().unwrap();
+        let mut conns = Vec::new();
+        for id in 0..3u64 {
+            let _client = TcpStream::connect(addr).unwrap();
+            conns.push((id, Conn::new(listener.accept().unwrap().0)));
+        }
+        let timeout = Duration::from_secs(2);
+        assert_eq!(reap_deadline(&conns, timeout), None, "nothing stuck, no deadline");
+        let now = Instant::now();
+        conns[1].1.stuck_since = Some(now);
+        conns[2].1.stuck_since = Some(now + Duration::from_millis(5));
+        assert_eq!(reap_deadline(&conns, timeout), Some(now + timeout));
+        // An io_timeout past what an Instant can hold means "never".
+        assert_eq!(reap_deadline(&conns, Duration::MAX), None);
     }
 
     #[test]

@@ -18,6 +18,7 @@ use magseven::serve::segment::{
 };
 use magseven::serve::tier::{TierConfig, TieredCache};
 use proptest::prelude::*;
+use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -129,6 +130,52 @@ proptest! {
         prop_assert_eq!(store.recovery().live_entries, survivors + 1);
         let post = store.get(0xdead_beef).unwrap();
         prop_assert_eq!(post.as_deref(), Some(&b"post-crash append"[..]));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The last-write-wins property. A history that rewrites a few keys
+    /// over and over is cut at an arbitrary offset and reopened: the
+    /// record count, the live-key count and every key's payload must
+    /// equal a `HashMap` model of the complete records before the cut,
+    /// replayed in append order.
+    #[test]
+    fn repeated_keys_recover_the_last_acked_write(
+        writes in prop::collection::vec((0u64..6, 0usize..24), 1..40),
+        cut_frac in 0.0f64..=1.0,
+    ) {
+        let dir = temp_dir("rewrite");
+        let path = dir.join(SEGMENT_FILE);
+        {
+            let store = SegmentStore::open(SegmentConfig::new(&dir)).unwrap();
+            for (i, &(key, len)) in writes.iter().enumerate() {
+                store.append(key, &payload(i, len)).unwrap();
+            }
+        }
+        let full = std::fs::read(&path).unwrap().len() as u64;
+        #[allow(clippy::cast_sign_loss, clippy::cast_possible_truncation)]
+        let cut = (cut_frac * full as f64).round().min(full as f64) as u64;
+        truncate_file(&path, cut);
+
+        let mut model: HashMap<u64, Vec<u8>> = HashMap::new();
+        let mut acked = 0usize;
+        let mut end = FILE_HEADER.len() as u64;
+        for (i, &(key, len)) in writes.iter().enumerate() {
+            end += record_len(len);
+            if end > cut {
+                break;
+            }
+            model.insert(key, payload(i, len));
+            acked += 1;
+        }
+
+        let store = SegmentStore::open(SegmentConfig::new(&dir)).unwrap();
+        let rec = store.recovery();
+        prop_assert_eq!(rec.records, acked, "records before the cut");
+        prop_assert_eq!(rec.live_entries, model.len(), "distinct keys before the cut");
+        for key in 0..6u64 {
+            let got = store.get(key).unwrap();
+            prop_assert_eq!(got.as_deref(), model.get(&key).map(Vec::as_slice), "key {}", key);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 
