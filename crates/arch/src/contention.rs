@@ -7,14 +7,13 @@
 //! approaches saturation.
 
 use m7_units::BytesPerSecond;
-use serde::{Deserialize, Serialize};
 
 /// A shared memory bus with max-min fair bandwidth allocation.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_arch::contention::SharedBus;
+/// use m7_arch::SharedBus;
 /// use m7_units::BytesPerSecond;
 ///
 /// let bus = SharedBus::new(BytesPerSecond::from_gigabytes_per_second(10.0));
@@ -26,7 +25,7 @@ use serde::{Deserialize, Serialize};
 /// // Oversubscribed 16 GB/s of demand on a 10 GB/s bus: each gets 5.
 /// assert!((alloc[0].as_gigabytes_per_second() - 5.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SharedBus {
     capacity: BytesPerSecond,
 }

@@ -1,10 +1,9 @@
 //! Cost estimates produced by platform models.
 
 use m7_units::{Joules, OpsPerSecond, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Which roof limited the kernel on the platform.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Bound {
     /// Limited by peak arithmetic throughput.
     Compute,
@@ -41,7 +40,7 @@ impl core::fmt::Display for Bound {
 /// assert!(cost.latency.value() > 0.0);
 /// assert!(cost.energy.value() > 0.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostEstimate {
     /// Wall-clock latency of the invocation.
     pub latency: Seconds,

@@ -9,10 +9,9 @@
 use crate::platform::Platform;
 use crate::roofline::Roofline;
 use m7_units::{OpsPerSecond, Watts};
-use serde::{Deserialize, Serialize};
 
 /// One voltage/frequency operating point, relative to the nominal point.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OperatingPoint {
     /// Frequency as a fraction of nominal, in `(0, 1.2]`.
     pub frequency_scale: f64,

@@ -12,10 +12,9 @@ use crate::platform::{Platform, PlatformKind, Specialization};
 use crate::roofline::Roofline;
 use crate::workload::KernelFamily;
 use m7_units::{BytesPerSecond, Grams, OpsPerSecond, Seconds, SquareMillimeters, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Microarchitectural parameters of a generated accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AcceleratorConfig {
     /// Number of processing elements (MAC lanes).
     pub pe_count: usize,

@@ -6,13 +6,13 @@
 //! - [`workload`] — [`workload::KernelProfile`]: the op/byte footprint of
 //!   one kernel invocation, with constructors for every `m7-kernels`
 //!   workload.
-//! - [`roofline`] — the classic roofline model.
+//! - [`Roofline`] — the classic roofline model.
 //! - [`platform`] — [`platform::Platform`]: CPU/SIMD/GPU/FPGA/ASIC models
 //!   with latency, energy, mass, area, cost, and *specialization* policies
 //!   (general-purpose, cross-cutting family accelerator, or single-kernel
 //!   "widget").
-//! - [`cost`] — [`cost::CostEstimate`] with the limiting roof identified.
-//! - [`contention`] — shared-bus bandwidth contention: the "accelerators
+//! - [`CostEstimate`] — a cost with the limiting roof identified.
+//! - [`SharedBus`] — shared-bus bandwidth contention: the "accelerators
 //!   are not free" model.
 //!
 //! # Examples
@@ -30,11 +30,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod contention;
-pub mod cost;
+mod contention;
+mod cost;
 pub mod dvfs;
-pub mod generator;
+mod generator;
 pub mod platform;
-pub mod roofline;
-pub mod spec;
+mod roofline;
+mod spec;
 pub mod workload;
+
+pub use contention::{scaling_under_contention, SharedBus};
+pub use cost::{Bound, CostEstimate};
+pub use generator::{AcceleratorConfig, GenerateError};
+pub use roofline::Roofline;
+pub use spec::{parse_platform, ParseSpecError, SpecErrorKind};

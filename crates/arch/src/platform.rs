@@ -12,12 +12,11 @@ use crate::workload::{KernelFamily, KernelProfile};
 use m7_units::{
     Bytes, BytesPerSecond, Grams, Joules, OpsPerSecond, Seconds, SquareMillimeters, Watts,
 };
-use serde::{Deserialize, Serialize};
 
 /// The broad platform classes of the paper's Challenge 5 ("Chips and
 /// Salsa"): software on CPUs, programmable GPUs/FPGAs, and fixed-function
 /// ASICs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlatformKind {
     /// Scalar CPU core (no SIMD), the conventional-software baseline.
     CpuScalar,
@@ -45,7 +44,7 @@ impl core::fmt::Display for PlatformKind {
 }
 
 /// How specialized a platform is, and to what.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Specialization {
     /// Runs any kernel at full modeled throughput.
     GeneralPurpose,
@@ -91,7 +90,7 @@ pub enum Specialization {
 /// let slow = scalar.estimate(&k);
 /// assert!(fast.latency < slow.latency);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Platform {
     name: String,
     kind: PlatformKind,

@@ -2,14 +2,13 @@
 //! the compute roof and the bandwidth-scaled arithmetic intensity.
 
 use m7_units::{BytesPerSecond, OpsPerByte, OpsPerSecond};
-use serde::{Deserialize, Serialize};
 
 /// A roofline: peak compute throughput plus peak memory bandwidth.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_arch::roofline::Roofline;
+/// use m7_arch::Roofline;
 /// use m7_units::{BytesPerSecond, OpsPerByte, OpsPerSecond};
 ///
 /// let roof = Roofline::new(
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// let low = roof.attainable(OpsPerByte::new(0.1));
 /// assert!(low < at_ridge);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Roofline {
     peak: OpsPerSecond,
     bandwidth: BytesPerSecond,

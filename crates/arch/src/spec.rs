@@ -120,14 +120,14 @@ fn parse_family(s: &str) -> Option<KernelFamily> {
 /// # Examples
 ///
 /// ```
-/// use m7_arch::spec::parse_platform;
+/// use m7_arch::parse_platform;
 ///
 /// let platform = parse_platform(
 ///     "kind = fpga\nname = my-fpga\npeak_tops = 0.8\nmass_g = 120\n",
 /// )?;
 /// assert_eq!(platform.name(), "my-fpga");
 /// assert_eq!(platform.mass(), m7_units::Grams::new(120.0));
-/// # Ok::<(), m7_arch::spec::ParseSpecError>(())
+/// # Ok::<(), m7_arch::ParseSpecError>(())
 /// ```
 pub fn parse_platform(input: &str) -> Result<Platform, ParseSpecError> {
     // First pass: find the kind so defaults come from its preset.

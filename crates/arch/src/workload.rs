@@ -2,13 +2,12 @@
 //! one kernel invocation, the input to every platform cost model.
 
 use m7_units::{Bytes, Ops, OpsPerByte};
-use serde::{Deserialize, Serialize};
 
 /// The family a kernel belongs to, used by specialization matching
 /// (experiment E4): a widget accelerator only speeds up its own family,
 /// while cross-cutting accelerators target the primitive families shared
 /// across tasks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum KernelFamily {
     /// Dense matrix-vector / matrix-matrix arithmetic.
@@ -49,7 +48,7 @@ impl core::fmt::Display for KernelFamily {
 /// let gemv = KernelProfile::gemv(256, 256);
 /// assert!(gemv.arithmetic_intensity().value() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelProfile {
     name: String,
     family: KernelFamily,

@@ -6,13 +6,10 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use m7_bench::BENCH_SEED;
-use m7_kernels::dnn::{Dataset, Mlp, Precision};
-use m7_kernels::dynamics::{Link, SerialChain};
-use m7_kernels::geometry::Vec2;
-use m7_kernels::linalg::Matrix;
-use m7_kernels::perception::{FeatureFrontEnd, Image};
-use m7_kernels::planning::{CollisionWorld, Rrt, RrtConfig};
-use m7_kernels::slam::{EkfSlam, EkfSlamConfig, LandmarkObservation};
+use m7_kernels::{
+    CollisionWorld, Dataset, EkfSlam, EkfSlamConfig, FeatureFrontEnd, Image, LandmarkObservation,
+    Link, Matrix, Mlp, Precision, Rrt, RrtConfig, SerialChain, Vec2,
+};
 use rand::{Rng, SeedableRng};
 use std::hint::black_box;
 
@@ -127,9 +124,9 @@ fn bench_linalg(c: &mut Criterion) {
 }
 
 fn bench_localization(c: &mut Criterion) {
-    use m7_kernels::geometry::Pose2;
-    use m7_kernels::grid::OccupancyGrid;
-    use m7_kernels::slam::{synthetic_room_scan, ParticleFilter, ParticleFilterConfig};
+    use m7_kernels::{
+        synthetic_room_scan, OccupancyGrid, ParticleFilter, ParticleFilterConfig, Pose2,
+    };
 
     // A mapped room and one scan, shared across iterations.
     let center = Vec2::new(10.0, 10.0);
@@ -156,8 +153,7 @@ fn bench_localization(c: &mut Criterion) {
 }
 
 fn bench_icp(c: &mut Criterion) {
-    use m7_kernels::geometry::Pose2;
-    use m7_kernels::slam::{icp_align, IcpConfig};
+    use m7_kernels::{icp_align, IcpConfig, Pose2};
 
     let target: Vec<Vec2> = (0..200)
         .map(|i| {
@@ -183,8 +179,7 @@ fn bench_icp(c: &mut Criterion) {
 }
 
 fn bench_pose_graph(c: &mut Criterion) {
-    use m7_kernels::geometry::Pose2;
-    use m7_kernels::slam::{PoseConstraint, PoseGraph};
+    use m7_kernels::{Pose2, PoseConstraint, PoseGraph};
 
     // A 30-node loop with odometry + one closure, rebuilt per iteration.
     let build = || {
@@ -220,8 +215,7 @@ fn bench_pose_graph(c: &mut Criterion) {
 }
 
 fn bench_astar(c: &mut Criterion) {
-    use m7_kernels::grid::OccupancyGrid;
-    use m7_kernels::planning::{astar, AstarConfig};
+    use m7_kernels::{astar, AstarConfig, OccupancyGrid};
 
     let mut grid = OccupancyGrid::new(50.0, 50.0, 0.25);
     // A few walls via repeated ray hits.

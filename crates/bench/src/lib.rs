@@ -1,12 +1,12 @@
-//! Benchmark support crate: the roofline harness lives in [`roofline`];
+//! Benchmark support crate: the roofline harness lives in `roofline`;
 //! the Criterion kernel micro-benches live in `benches/`.
 //!
-//! - [`roofline`] — the measured-vs-modeled harness: the one timer and
+//! - [`run_suite`] — the measured-vs-modeled harness: the one timer and
 //!   set of workloads for the lane-vs-scalar kernel pairs. Experiment
 //!   E13's measured table is its quick mode; `examples/roofline_report.rs`
 //!   runs it at either size and writes the repo-root
 //!   `BENCH_roofline.json`.
-//! - [`sentinel`] — the regression sentinel: a per-metric-class
+//! - [`compare_json`] — the regression sentinel: a per-metric-class
 //!   tolerance diff over two bench/metric JSON documents (run via
 //!   `examples/bench_sentinel.rs --check A B`; non-zero exit on
 //!   regression). Seeds and guards the repo-root
@@ -21,8 +21,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod roofline;
-pub mod sentinel;
+mod roofline;
+mod sentinel;
+
+pub use roofline::{
+    run_suite, validate_roofline_json, KernelMeasurement, ModeledCeiling, RooflineSuite,
+};
+pub use sentinel::{
+    compare_json, Finding, SentinelConfig, SentinelReport, Verdict, DEFAULT_DIAG_RATIO,
+};
 
 /// Default seed shared by all benchmark workloads so that Criterion
 /// compares like against like across runs.

@@ -34,11 +34,10 @@ use std::time::Instant;
 
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::KernelProfile;
-use m7_kernels::dnn::{Dataset, Mlp, MlpScratch, Precision};
-use m7_kernels::geometry::{Pose2, Vec2};
-use m7_kernels::perception::{Descriptor, FeatureFrontEnd};
-use m7_kernels::planning::CollisionWorld;
-use m7_kernels::slam::{synthetic_room_scan, DenseScanSlam, DenseSlamConfig};
+use m7_kernels::{
+    synthetic_room_scan, CollisionWorld, Dataset, DenseScanSlam, DenseSlamConfig, Descriptor,
+    FeatureFrontEnd, Mlp, MlpScratch, Pose2, Precision, Vec2,
+};
 use m7_trace::Json;
 use rand::{Rng, SeedableRng};
 

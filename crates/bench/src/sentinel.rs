@@ -185,7 +185,7 @@ fn flatten_into(prefix: &str, doc: &Json, out: &mut Vec<(String, f64)>) {
 /// Flattens a JSON document to dotted-path numeric leaves, in document
 /// order.
 #[must_use]
-pub fn flatten(doc: &Json) -> Vec<(String, f64)> {
+pub(crate) fn flatten(doc: &Json) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     flatten_into("", doc, &mut out);
     out
@@ -218,7 +218,11 @@ fn judge(path: &str, baseline: f64, candidate: f64, config: &SentinelConfig) -> 
 /// Diffs `candidate` against `baseline` under `config`. See the module
 /// docs for the rules.
 #[must_use]
-pub fn compare(baseline: &Json, candidate: &Json, config: &SentinelConfig) -> SentinelReport {
+pub(crate) fn compare(
+    baseline: &Json,
+    candidate: &Json,
+    config: &SentinelConfig,
+) -> SentinelReport {
     let base = flatten(baseline);
     let cand = flatten(candidate);
     let findings = base

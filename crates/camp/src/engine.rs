@@ -24,9 +24,7 @@
 
 use m7_par::ParConfig;
 use m7_scen::{evaluate_uav, falsify_memo, generate, FalsifyConfig, Family, FrontierPoint};
-use m7_serve::key::{namespace, KeyHasher};
-use m7_serve::tier::ResultStore;
-use m7_serve::CacheKey;
+use m7_serve::{namespace, CacheKey, KeyHasher, ResultStore};
 use m7_sim::uav::ComputeTier;
 use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceGauge, TraceHistogram};
 

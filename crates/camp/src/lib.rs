@@ -10,15 +10,15 @@
 //! crate streams them: scenarios are generated, evaluated, and
 //! discarded, and only fixed-size statistics survive.
 //!
-//! - [`plan`] — [`CampaignPlan`]: families × difficulty strata ×
+//! - [`CampaignPlan`]: families × difficulty strata ×
 //!   tier × budget, plus the deterministic per-stratum seed schedule
 //!   (the `m7-par` SplitMix64 scheme, so campaigns are invariant to
 //!   thread count and to how many invocations they are resumed
 //!   across).
-//! - [`stats`] — [`StratumSketch`]: mergeable integer sketches per
+//! - [`StratumSketch`]: mergeable integer sketches per
 //!   stratum, Wilson confidence intervals on success curves, and a
 //!   scalar coverage score.
-//! - [`engine`] — [`run_campaign`]: adaptive rounds that pilot
+//! - [`run_campaign`]: adaptive rounds that pilot
 //!   uniformly, then importance-split the remaining budget toward
 //!   strata straddling the falsification frontier found by
 //!   `m7_scen::falsify`; every fixed-size work unit checkpoints
@@ -49,10 +49,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod plan;
-pub mod stats;
+mod engine;
+mod plan;
+mod stats;
 
-pub use engine::{run_campaign, CampaignOutcome};
+pub use engine::{run_campaign, CampaignOutcome, RoundReport, StratumReport};
 pub use plan::CampaignPlan;
-pub use stats::{wilson_interval, wilson_width, StratumSketch};
+pub use stats::StratumSketch;

@@ -13,7 +13,7 @@
 
 use m7_par::derive_seed;
 use m7_scen::Family;
-use m7_serve::key::KeyHasher;
+use m7_serve::KeyHasher;
 use m7_sim::uav::ComputeTier;
 
 /// Salt folded into the root seed before stratum derivation, so

@@ -29,7 +29,7 @@ pub(crate) const SKETCH_BYTES: usize = 48;
 /// # Examples
 ///
 /// ```
-/// use m7_camp::stats::StratumSketch;
+/// use m7_camp::StratumSketch;
 ///
 /// let mut a = StratumSketch::default();
 /// let mut b = StratumSketch::default();
@@ -155,20 +155,8 @@ impl DiskCodec for StratumSketch {
 /// The Wilson interval stays inside `[0, 1]` and behaves sanely at the
 /// extremes where the naive normal interval collapses; an empty
 /// stratum returns the vacuous `(0, 1)`.
-///
-/// # Examples
-///
-/// ```
-/// use m7_camp::stats::wilson_interval;
-///
-/// assert_eq!(wilson_interval(0, 0), (0.0, 1.0));
-/// let (lo, hi) = wilson_interval(9, 10);
-/// assert!(lo > 0.5 && hi < 1.0);
-/// let (lo2, hi2) = wilson_interval(90, 100);
-/// assert!(hi2 - lo2 < hi - lo); // more trials, tighter interval
-/// ```
 #[must_use]
-pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
+pub(crate) fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
     if trials == 0 {
         return (0.0, 1.0);
     }
@@ -184,7 +172,7 @@ pub fn wilson_interval(successes: u64, trials: u64) -> (f64, f64) {
 /// Width of the 95% Wilson interval — the per-stratum uncertainty the
 /// coverage score and the importance-splitting weights both consume.
 #[must_use]
-pub fn wilson_width(successes: u64, trials: u64) -> f64 {
+pub(crate) fn wilson_width(successes: u64, trials: u64) -> f64 {
     let (lo, hi) = wilson_interval(successes, trials);
     hi - lo
 }
@@ -205,6 +193,50 @@ pub(crate) fn coverage_score(sketches: &[StratumSketch]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    #[test]
+    fn more_trials_tighten_the_interval() {
+        assert_eq!(wilson_interval(0, 0), (0.0, 1.0));
+        let (lo, hi) = wilson_interval(9, 10);
+        assert!(lo > 0.5 && hi < 1.0);
+        let (lo2, hi2) = wilson_interval(90, 100);
+        assert!(hi2 - lo2 < hi - lo);
+    }
+
+    proptest! {
+        /// Wilson bounds always stay inside [0, 1] and keep lo <= hi.
+        #[test]
+        fn wilson_bounds_are_within_unit_interval(
+            trials in 0u64..100_000,
+            frac in 0.0f64..=1.0,
+        ) {
+            let successes = (trials as f64 * frac).round() as u64;
+            let (lo, hi) = wilson_interval(successes, trials);
+            prop_assert!((0.0..=1.0).contains(&lo), "lo {lo} for {successes}/{trials}");
+            prop_assert!((0.0..=1.0).contains(&hi), "hi {hi} for {successes}/{trials}");
+            prop_assert!(lo <= hi, "inverted interval for {successes}/{trials}");
+        }
+
+        /// At a fixed success rate, more trials never widen the interval.
+        #[test]
+        fn wilson_width_narrows_monotonically_with_n(
+            base in 1u64..500,
+            frac in 0.0f64..=1.0,
+        ) {
+            let mut prev = f64::INFINITY;
+            for scale in [1u64, 2, 4, 8, 16] {
+                let n = base * scale;
+                let s = (n as f64 * frac).round() as u64;
+                let w = wilson_width(s.min(n), n);
+                prop_assert!(
+                    w <= prev + 1e-12,
+                    "width grew from {prev} to {w} at n={n}"
+                );
+                prev = w;
+            }
+        }
+    }
 
     #[test]
     fn wilson_bounds_stay_in_unit_interval() {

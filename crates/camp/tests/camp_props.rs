@@ -1,9 +1,9 @@
 //! Property tests for the campaign statistics and seed schedule:
-//! Wilson interval sanity, monotone narrowing, merge-order invariance
-//! of the per-worker sketches, and collision freedom of the stratified
-//! seed derivation.
+//! merge-order invariance of the per-worker sketches and collision
+//! freedom of the stratified seed derivation. The Wilson interval's
+//! properties are unit tests in `stats.rs`.
 
-use m7_camp::{wilson_interval, wilson_width, CampaignPlan, StratumSketch};
+use m7_camp::{CampaignPlan, StratumSketch};
 use m7_scen::ScenOutcome;
 use m7_serve::DiskCodec;
 use m7_sim::uav::ComputeTier;
@@ -23,38 +23,6 @@ fn outcome(success: bool, completed: bool, time_s: f64) -> ScenOutcome {
 }
 
 proptest! {
-    /// Wilson bounds always stay inside [0, 1] and keep lo <= hi.
-    #[test]
-    fn wilson_bounds_are_within_unit_interval(
-        trials in 0u64..100_000,
-        frac in 0.0f64..=1.0,
-    ) {
-        let successes = (trials as f64 * frac).round() as u64;
-        let (lo, hi) = wilson_interval(successes, trials);
-        prop_assert!((0.0..=1.0).contains(&lo), "lo {lo} for {successes}/{trials}");
-        prop_assert!((0.0..=1.0).contains(&hi), "hi {hi} for {successes}/{trials}");
-        prop_assert!(lo <= hi, "inverted interval for {successes}/{trials}");
-    }
-
-    /// At a fixed success rate, more trials never widen the interval.
-    #[test]
-    fn wilson_width_narrows_monotonically_with_n(
-        base in 1u64..500,
-        frac in 0.0f64..=1.0,
-    ) {
-        let mut prev = f64::INFINITY;
-        for scale in [1u64, 2, 4, 8, 16] {
-            let n = base * scale;
-            let s = (n as f64 * frac).round() as u64;
-            let w = wilson_width(s.min(n), n);
-            prop_assert!(
-                w <= prev + 1e-12,
-                "width grew from {prev} to {w} at n={n}"
-            );
-            prev = w;
-        }
-    }
-
     /// Per-worker sketches merge to bit-identical totals in any order:
     /// merging left-to-right equals merging right-to-left equals any
     /// pairing, because the accumulators are saturating integers.

@@ -16,8 +16,7 @@ use crate::memo::{dedup_indices, EvalMemo};
 use crate::space::{DesignSpace, PointIndex};
 use crate::surrogate::Forest;
 use m7_par::ParConfig;
-use m7_serve::cache::EvalCache;
-use m7_serve::tier::ResultStore;
+use m7_serve::{EvalCache, ResultStore};
 use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceHistogram};
 use rand::{Rng, SeedableRng};
 
@@ -159,8 +158,7 @@ impl Explorer {
     /// # Examples
     ///
     /// ```
-    /// use m7_dse::explorer::{Explorer, SearchBudget};
-    /// use m7_dse::space::{DesignSpace, Dimension};
+    /// use m7_dse::{DesignSpace, Dimension, Explorer, SearchBudget};
     ///
     /// let space = DesignSpace::new(vec![
     ///     Dimension::new("x", (0..10).map(f64::from).collect()),
@@ -193,7 +191,7 @@ impl Explorer {
     /// store's hit counters) — nor on `par`, which changes only
     /// wall-clock time. Successive searches sharing one memo (as in
     /// experiment E9) reuse each other's evaluations — and with a
-    /// disk-backed [`m7_serve::tier::TieredCache`] behind the memo, so do
+    /// disk-backed [`m7_serve::TieredCache`] behind the memo, so do
     /// successive *processes*.
     #[must_use]
     pub fn run_memoized<S: ResultStore<f64>>(
@@ -262,7 +260,7 @@ impl Explorer {
     ) -> Vec<f64> {
         let (unique, assign) = dedup_indices(points);
         BATCH_ITEMS.record(points.len() as u64);
-        let (unique_costs, outcome) = m7_serve::batch::evaluate_batch_memo(
+        let (unique_costs, outcome) = m7_serve::evaluate_batch_memo(
             memo.cache(),
             par,
             &unique,
@@ -632,11 +630,11 @@ mod tests {
     struct Forgetful;
 
     impl ResultStore<f64> for Forgetful {
-        fn get(&self, _: m7_serve::key::CacheKey) -> Option<f64> {
+        fn get(&self, _: m7_serve::CacheKey) -> Option<f64> {
             None
         }
 
-        fn insert(&self, _: m7_serve::key::CacheKey, _: f64) {}
+        fn insert(&self, _: m7_serve::CacheKey, _: f64) {}
 
         fn hits(&self) -> u64 {
             0
@@ -663,7 +661,7 @@ mod tests {
 
     #[test]
     fn memoized_results_are_bit_identical_to_unmemoized() {
-        use m7_serve::key::namespace;
+        use m7_serve::namespace;
 
         let space = grid_space(16);
         let budget = SearchBudget::new(60);
@@ -717,7 +715,7 @@ mod tests {
 
     #[test]
     fn memoized_rerun_invokes_the_objective_strictly_less() {
-        use m7_serve::key::namespace;
+        use m7_serve::namespace;
         use std::sync::atomic::{AtomicUsize, Ordering};
 
         let space = grid_space(8);

@@ -1,19 +1,18 @@
 //! Design-space exploration for accelerator and system co-design.
 //!
 //! Implements the "Machine Learning for System Design" opportunity of the
-//! paper (§3.1): given a [`space::DesignSpace`] and an
-//! [`explorer::Objective`] (typically a mission-level metric from
+//! paper (§3.1): given a [`DesignSpace`] and an
+//! [`Objective`] (typically a mission-level metric from
 //! `m7-sim`), search strategies from exhaustive enumeration to
 //! surrogate-model-guided acquisition find good designs, and
-//! [`pareto::pareto_front`] summarizes multi-objective trade-offs.
+//! [`pareto_front`] summarizes multi-objective trade-offs.
 //!
 //! Experiment E9 compares the strategies' sample efficiency.
 //!
 //! # Examples
 //!
 //! ```
-//! use m7_dse::explorer::{Explorer, SearchBudget};
-//! use m7_dse::space::{DesignSpace, Dimension};
+//! use m7_dse::{DesignSpace, Dimension, Explorer, SearchBudget};
 //!
 //! let space = DesignSpace::new(vec![
 //!     Dimension::new("pe_count", vec![8.0, 16.0, 32.0, 64.0]),
@@ -28,9 +27,15 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod explorer;
-pub mod memo;
-pub mod moga;
-pub mod pareto;
-pub mod space;
-pub mod surrogate;
+mod explorer;
+mod memo;
+mod moga;
+mod pareto;
+mod space;
+mod surrogate;
+
+pub use explorer::{Explorer, Objective, SearchBudget, SearchResult};
+pub use memo::EvalMemo;
+pub use moga::{nsga2, FrontMember, MultiObjective};
+pub use pareto::pareto_front;
+pub use space::{DesignSpace, Dimension};

@@ -11,24 +11,21 @@
 //! every design), it just invokes the objective fewer times.
 
 use crate::space::PointIndex;
-use m7_serve::cache::EvalCache;
-use m7_serve::key::{CacheKey, KeyHasher};
-use m7_serve::tier::ResultStore;
+use m7_serve::{CacheKey, EvalCache, KeyHasher, ResultStore};
 
 /// A cache handle scoped to one objective: keys mix the namespace with
 /// the design's concrete values (bit-exact, via `to_bits`).
 ///
 /// Generic over the backing store: the default is the in-memory
 /// [`EvalCache`], and any [`ResultStore`] — notably the disk-backed
-/// [`m7_serve::tier::TieredCache`] — slots in unchanged, so a search can
+/// [`m7_serve::TieredCache`] — slots in unchanged, so a search can
 /// reuse results across *processes*, not just across strategies.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_dse::memo::EvalMemo;
-/// use m7_serve::cache::EvalCache;
-/// use m7_serve::key::namespace;
+/// use m7_dse::EvalMemo;
+/// use m7_serve::{namespace, EvalCache};
 ///
 /// let cache = EvalCache::new(1024);
 /// let memo = EvalMemo::new(&cache, namespace("my-objective", 42));
@@ -51,7 +48,7 @@ impl<S: ResultStore<f64>> Copy for EvalMemo<'_, S> {}
 
 impl<'a, S: ResultStore<f64>> EvalMemo<'a, S> {
     /// Binds `cache` under `namespace` (derive one with
-    /// [`m7_serve::key::namespace`]).
+    /// [`m7_serve::namespace`]).
     #[must_use]
     pub fn new(cache: &'a S, namespace: u64) -> Self {
         Self { cache, namespace }

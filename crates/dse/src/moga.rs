@@ -1,7 +1,7 @@
 //! Multi-objective genetic search (NSGA-II-lite): non-dominated sorting
 //! plus crowding-distance selection over a discrete design space.
 //!
-//! Where [`crate::explorer::Explorer`] optimizes one scalar,
+//! Where [`crate::Explorer`] optimizes one scalar,
 //! [`nsga2`] evolves a whole latency/energy/area front at once — the
 //! honest output for accelerator design studies (paper Challenge 2).
 
@@ -101,8 +101,7 @@ fn crowding(objectives: &[Vec<f64>], members: &[usize]) -> Vec<f64> {
 /// # Examples
 ///
 /// ```
-/// use m7_dse::moga::nsga2;
-/// use m7_dse::space::{DesignSpace, Dimension};
+/// use m7_dse::{nsga2, DesignSpace, Dimension};
 ///
 /// let space = DesignSpace::new(vec![
 ///     Dimension::new("x", (0..16).map(|i| i as f64).collect()),

@@ -13,7 +13,7 @@
 /// # Examples
 ///
 /// ```
-/// use m7_dse::pareto::pareto_front;
+/// use m7_dse::pareto_front;
 ///
 /// let designs = vec![
 ///     vec![1.0, 10.0], // fast but hungry — on the front

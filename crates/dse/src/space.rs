@@ -1,10 +1,9 @@
 //! Discrete design spaces: named dimensions with enumerated levels.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// One dimension of a design space: a name plus its discrete levels.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dimension {
     name: String,
     levels: Vec<f64>,
@@ -43,7 +42,7 @@ pub(crate) type PointIndex = Vec<usize>;
 /// # Examples
 ///
 /// ```
-/// use m7_dse::space::{DesignSpace, Dimension};
+/// use m7_dse::{DesignSpace, Dimension};
 ///
 /// let space = DesignSpace::new(vec![
 ///     Dimension::new("lanes", vec![1.0, 4.0, 16.0]),
@@ -53,7 +52,7 @@ pub(crate) type PointIndex = Vec<usize>;
 /// let values = space.values(&[2, 1]);
 /// assert_eq!(values, vec![16.0, 256.0]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignSpace {
     dimensions: Vec<Dimension>,
 }

@@ -24,7 +24,12 @@ impl RegressionTree {
     ///
     /// Panics if the dataset is empty or rows have unequal lengths.
     #[must_use]
-    pub fn fit(features: &[Vec<f64>], targets: &[f64], max_depth: usize, min_leaf: usize) -> Self {
+    pub(crate) fn fit(
+        features: &[Vec<f64>],
+        targets: &[f64],
+        max_depth: usize,
+        min_leaf: usize,
+    ) -> Self {
         assert!(!features.is_empty(), "cannot fit to an empty dataset");
         assert_eq!(features.len(), targets.len(), "feature/target length mismatch");
         let dim = features[0].len();
@@ -94,7 +99,7 @@ impl RegressionTree {
 
     /// Predicts the target for one feature vector.
     #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
+    pub(crate) fn predict(&self, features: &[f64]) -> f64 {
         let mut node = 0usize;
         loop {
             match &self.nodes[node] {
@@ -108,23 +113,8 @@ impl RegressionTree {
 }
 
 /// A bagged ensemble of regression trees with prediction uncertainty.
-///
-/// # Examples
-///
-/// ```
-/// use m7_dse::surrogate::Forest;
-///
-/// // y = x0 + 10·x1 on a small grid.
-/// let xs: Vec<Vec<f64>> = (0..40)
-///     .map(|i| vec![(i % 8) as f64, (i / 8) as f64])
-///     .collect();
-/// let ys: Vec<f64> = xs.iter().map(|x| x[0] + 10.0 * x[1]).collect();
-/// let forest = Forest::fit(&xs, &ys, 20, 6, 42);
-/// let (mean, _std) = forest.predict_with_uncertainty(&[4.0, 2.0]);
-/// assert!((mean - 24.0).abs() < 8.0);
-/// ```
 #[derive(Debug, Clone)]
-pub struct Forest {
+pub(crate) struct Forest {
     trees: Vec<RegressionTree>,
 }
 
@@ -136,7 +126,7 @@ impl Forest {
     ///
     /// Panics if the dataset is empty or `n_trees == 0`.
     #[must_use]
-    pub fn fit(
+    pub(crate) fn fit(
         features: &[Vec<f64>],
         targets: &[f64],
         n_trees: usize,
@@ -158,28 +148,10 @@ impl Forest {
         Self { trees }
     }
 
-    /// Ensemble size.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trees.len()
-    }
-
-    /// Returns `true` if the ensemble is empty (never true once fitted).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trees.is_empty()
-    }
-
-    /// Mean prediction across trees.
-    #[must_use]
-    pub fn predict(&self, features: &[f64]) -> f64 {
-        self.trees.iter().map(|t| t.predict(features)).sum::<f64>() / self.trees.len() as f64
-    }
-
     /// Mean and standard deviation across trees — the uncertainty the
     /// acquisition function exploits.
     #[must_use]
-    pub fn predict_with_uncertainty(&self, features: &[f64]) -> (f64, f64) {
+    pub(crate) fn predict_with_uncertainty(&self, features: &[f64]) -> (f64, f64) {
         let preds: Vec<f64> = self.trees.iter().map(|t| t.predict(features)).collect();
         let mean = preds.iter().sum::<f64>() / preds.len() as f64;
         let var = preds.iter().map(|p| (p - mean) * (p - mean)).sum::<f64>() / preds.len() as f64;
@@ -190,6 +162,16 @@ impl Forest {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fits_a_linear_surface_on_a_small_grid() {
+        // y = x0 + 10·x1 on a small grid.
+        let xs: Vec<Vec<f64>> = (0..40).map(|i| vec![(i % 8) as f64, (i / 8) as f64]).collect();
+        let ys: Vec<f64> = xs.iter().map(|x| x[0] + 10.0 * x[1]).collect();
+        let forest = Forest::fit(&xs, &ys, 20, 6, 42);
+        let (mean, _std) = forest.predict_with_uncertainty(&[4.0, 2.0]);
+        assert!((mean - 24.0).abs() < 8.0);
+    }
 
     fn grid_dataset(f: impl Fn(f64, f64) -> f64) -> (Vec<Vec<f64>>, Vec<f64>) {
         let mut xs = Vec::new();
@@ -228,7 +210,7 @@ mod tests {
         let forest = Forest::fit(&xs, &ys, 30, 8, 7);
         let mut total_err = 0.0;
         for (x, y) in xs.iter().zip(&ys) {
-            total_err += (forest.predict(x) - y).abs();
+            total_err += (forest.predict_with_uncertainty(x).0 - y).abs();
         }
         let mae = total_err / xs.len() as f64;
         assert!(mae < 2.0, "forest MAE {mae} too high");
@@ -250,7 +232,7 @@ mod tests {
         let f1 = Forest::fit(&xs, &ys, 10, 5, 3);
         let f2 = Forest::fit(&xs, &ys, 10, 5, 3);
         for x in &xs {
-            assert_eq!(f1.predict(x), f2.predict(x));
+            assert_eq!(f1.predict_with_uncertainty(x), f2.predict_with_uncertainty(x));
         }
     }
 

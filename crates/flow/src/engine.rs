@@ -12,9 +12,9 @@ use crate::graph::{
 };
 use crate::policy::QueuePolicy;
 use crate::vtime::EventQueue;
-use m7_arch::contention::SharedBus;
+use m7_arch::SharedBus;
 use m7_par::derive_seed;
-use m7_trace::metrics::{registry, MetricClass};
+use m7_trace::{registry, MetricClass};
 use m7_units::{BytesPerSecond, Hertz, Seconds};
 use rand::Rng;
 use rand::SeedableRng;

@@ -4,8 +4,8 @@
 use crate::message::{MessageType, PortType};
 use crate::placement::Placement;
 use crate::policy::QueuePolicy;
-use m7_arch::spec::ParseSpecError;
 use m7_arch::workload::KernelProfile;
+use m7_arch::ParseSpecError;
 use m7_par::ParConfig;
 use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
 use std::collections::BTreeMap;

@@ -21,7 +21,7 @@
 //!   between co-located nodes.
 //! - **Execution** is a deterministic virtual-time event simulation:
 //!   events run one at a time in timestamp order with FIFO
-//!   tie-breaking ([`vtime::EventQueue`]). Sealing and running are both
+//!   tie-breaking ([`EventQueue`]). Sealing and running are both
 //!   serial, so reports are **bit-identical at any thread count**.
 //!
 //! # Example
@@ -56,18 +56,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
-pub mod graph;
-pub mod message;
-pub mod placement;
-pub mod policy;
-pub mod vtime;
+mod engine;
+mod graph;
+mod message;
+mod placement;
+mod policy;
+mod vtime;
 
-pub use engine::GraphReport;
+pub use engine::{EdgeReport, GraphReport, NodeKind, NodeReport};
 pub use graph::{
-    EdgeSpec, FlowError, Graph, GraphBuilder, LossModel, LossSeed, ServerSpec, Service, SinkSpec,
-    SourceSpec,
+    EdgeId, EdgeSpec, FlowError, Graph, GraphBuilder, LossModel, LossSeed, NodeId, ServerSpec,
+    Service, SinkSpec, SourceSpec,
 };
 pub use message::MessageType;
 pub use placement::Placement;
 pub use policy::QueuePolicy;
+pub use vtime::EventQueue;

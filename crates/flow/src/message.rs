@@ -43,19 +43,19 @@ pub(crate) struct PortType {
 impl PortType {
     /// The port type of a [`MessageType`].
     #[must_use]
-    pub fn of<T: MessageType>() -> Self {
+    pub(crate) fn of<T: MessageType>() -> Self {
         Self { id: TypeId::of::<T>(), name: T::NAME }
     }
 
     /// Display name of the message type.
     #[must_use]
-    pub fn name(&self) -> &'static str {
+    pub(crate) fn name(&self) -> &'static str {
         self.name
     }
 
     /// Whether two ports carry the same message type.
     #[must_use]
-    pub fn matches(&self, other: &Self) -> bool {
+    pub(crate) fn matches(&self, other: &Self) -> bool {
         self.id == other.id
     }
 }

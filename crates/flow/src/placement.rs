@@ -7,11 +7,11 @@
 //! that share a site contend for that site's bus: at seal time the
 //! graph computes each node's sustained memory demand and stretches
 //! its service time by the max-min-fair
-//! [`SharedBus`](m7_arch::contention::SharedBus) slowdown factor.
+//! [`SharedBus`](m7_arch::SharedBus) slowdown factor.
 
 use m7_arch::dvfs::{scaled_platform, OperatingPoint};
 use m7_arch::platform::{Platform, PlatformKind};
-use m7_arch::spec::{parse_platform, ParseSpecError};
+use m7_arch::{parse_platform, ParseSpecError};
 
 /// Where (and how fast) a node runs.
 ///

@@ -1,9 +1,7 @@
 //! Bounded-queue overflow policies.
 
-use serde::{Deserialize, Serialize};
-
 /// What a bounded queue does when a message arrives while it is full.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum QueuePolicy {
     /// Drop the arriving message (the behaviour of a real perception
     /// stack under overload, and of the legacy `m7-sim` pipeline).

@@ -14,7 +14,7 @@ use std::collections::BinaryHeap;
 /// # Examples
 ///
 /// ```
-/// use m7_flow::vtime::EventQueue;
+/// use m7_flow::EventQueue;
 /// use m7_units::Seconds;
 ///
 /// let mut q = EventQueue::new();

@@ -2,7 +2,6 @@
 //! trapezoidal trajectory generation.
 
 use crate::linalg::{LinalgError, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A time-optimal trapezoidal velocity profile over a fixed distance,
 /// under speed and acceleration limits — the reference-generation kernel
@@ -14,13 +13,13 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::control::TrapezoidalProfile;
+/// use m7_kernels::TrapezoidalProfile;
 ///
 /// let profile = TrapezoidalProfile::new(10.0, 2.0, 1.0).unwrap();
 /// assert!((profile.duration() - 7.0).abs() < 1e-12); // 2 s up, 3 s cruise, 2 s down
 /// assert!((profile.position(profile.duration()) - 10.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrapezoidalProfile {
     distance: f64,
     cruise_speed: f64,
@@ -125,13 +124,13 @@ impl TrapezoidalProfile {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::control::Pid;
+/// use m7_kernels::Pid;
 ///
 /// let mut pid = Pid::new(2.0, 0.1, 0.05);
 /// let u = pid.update(1.0 /* error */, 0.01 /* dt */);
 /// assert!(u > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Pid {
     kp: f64,
     ki: f64,
@@ -185,8 +184,7 @@ impl Pid {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::control::Lqr;
-/// use m7_kernels::linalg::Matrix;
+/// use m7_kernels::{Lqr, Matrix};
 ///
 /// // Double integrator, dt = 0.1.
 /// let a = Matrix::from_rows(&[&[1.0, 0.1], &[0.0, 1.0]]);

@@ -7,12 +7,11 @@
 //! and a time-to-accuracy metric rank designs differently.
 
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::linalg::LinalgError;
 
 /// Numeric precision of the weights during inference.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Precision {
     /// Full 32-bit floating point (reference).
     F32,
@@ -63,7 +62,7 @@ impl core::fmt::Display for Precision {
 }
 
 /// One dense layer: row-major weights `[out × in]` plus biases.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 struct Layer {
     inputs: usize,
     outputs: usize,
@@ -200,16 +199,16 @@ fn argmax(logits: &[f64]) -> usize {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::dnn::{Dataset, Mlp, Precision};
+/// use m7_kernels::{Dataset, Mlp, Precision};
 ///
 /// let data = Dataset::blobs(200, 3, 2, 42);
 /// let mut mlp = Mlp::new(&[2, 16, 3], 7);
 /// mlp.train(&data, 40, 0.05)?;
 /// let acc = mlp.accuracy(&data, Precision::F32)?;
 /// assert!(acc > 0.8, "blobs are separable, got {acc}");
-/// # Ok::<(), m7_kernels::linalg::LinalgError>(())
+/// # Ok::<(), m7_kernels::LinalgError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Mlp {
     layers: Vec<Layer>,
 }
@@ -584,7 +583,7 @@ impl Mlp {
 }
 
 /// A labeled classification dataset.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Dataset {
     /// Features row-major, `dim` per example.
     features: Vec<f64>,

@@ -5,13 +5,11 @@
 //! style accelerators; experiment E4 uses its per-joint recurrence as one of
 //! the task kernels.
 
-use serde::{Deserialize, Serialize};
-
 /// Gravitational acceleration used by the chain model (m/s²).
 pub(crate) const GRAVITY: f64 = 9.81;
 
 /// One revolute link of a planar serial chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Link {
     /// Link length (meters).
     pub length: f64,
@@ -36,14 +34,14 @@ impl Link {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::dynamics::{Link, SerialChain};
+/// use m7_kernels::{Link, SerialChain};
 ///
 /// let chain = SerialChain::new(vec![Link::uniform_rod(1.0, 2.0); 3]);
 /// let q = [0.1, -0.2, 0.3];
 /// let tip = chain.forward_kinematics(&q);
 /// assert!(tip.0.hypot(tip.1) <= 3.0 + 1e-9);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SerialChain {
     links: Vec<Link>,
 }

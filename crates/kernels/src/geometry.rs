@@ -3,20 +3,18 @@
 //! These types are deliberately small and `Copy`; kernel inner loops use
 //! them directly without allocation.
 
-use serde::{Deserialize, Serialize};
-
 /// A 2D vector (also used as a 2D point).
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
+/// use m7_kernels::Vec2;
 ///
 /// let a = Vec2::new(3.0, 4.0);
 /// assert_eq!(a.norm(), 5.0);
 /// assert_eq!(a + Vec2::new(1.0, -1.0), Vec2::new(4.0, 3.0));
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Vec2 {
     /// X component.
     pub x: f64,
@@ -174,13 +172,13 @@ impl core::ops::SubAssign for Vec2 {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec3;
+/// use m7_kernels::Vec3;
 ///
 /// let x = Vec3::new(1.0, 0.0, 0.0);
 /// let y = Vec3::new(0.0, 1.0, 0.0);
 /// assert_eq!(x.cross(y), Vec3::new(0.0, 0.0, 1.0));
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Vec3 {
     /// X component.
     pub x: f64,
@@ -273,7 +271,7 @@ impl core::ops::AddAssign for Vec3 {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::normalize_angle;
+/// use m7_kernels::normalize_angle;
 ///
 /// let a = normalize_angle(3.0 * std::f64::consts::PI);
 /// assert!((a - std::f64::consts::PI).abs() < 1e-12);
@@ -296,14 +294,14 @@ pub fn normalize_angle(angle: f64) -> f64 {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::{Pose2, Vec2};
+/// use m7_kernels::{Pose2, Vec2};
 ///
 /// let pose = Pose2::new(Vec2::new(1.0, 2.0), std::f64::consts::FRAC_PI_2);
 /// let p = pose.transform_point(Vec2::new(1.0, 0.0));
 /// assert!((p.x - 1.0).abs() < 1e-12);
 /// assert!((p.y - 3.0).abs() < 1e-12);
 /// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 pub struct Pose2 {
     /// Position in the world frame.
     pub position: Vec2,

@@ -7,7 +7,6 @@
 //! (occupied).
 
 use crate::geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// Log-odds increment applied to the endpoint cell of a hit ray.
 const LOG_ODDS_OCCUPIED: f64 = 0.85;
@@ -24,8 +23,7 @@ const LOG_ODDS_CLAMP: f64 = 10.0;
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::grid::OccupancyGrid;
+/// use m7_kernels::{OccupancyGrid, Vec2};
 ///
 /// let mut grid = OccupancyGrid::new(10.0, 10.0, 0.5);
 /// grid.integrate_ray(Vec2::new(1.0, 1.0), Vec2::new(4.0, 1.0), true);
@@ -33,7 +31,7 @@ const LOG_ODDS_CLAMP: f64 = 10.0;
 /// assert!(grid.probability(Vec2::new(4.0, 1.0)) > 0.5);
 /// assert!(grid.probability(Vec2::new(2.0, 1.0)) < 0.5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OccupancyGrid {
     width_cells: usize,
     height_cells: usize,

@@ -3,23 +3,23 @@
 //! This crate implements, from scratch, the computational workloads that the
 //! paper's seven challenges are about — real algorithms, not stubs:
 //!
-//! - [`geometry`] — 2D/3D vectors, rotation, rigid poses.
-//! - [`linalg`] — a small dense dynamic matrix with solvers (Cholesky, LU),
+//! - [`Vec2`], [`Vec3`], [`Pose2`] — 2D/3D vectors, rotation, rigid poses.
+//! - [`Matrix`] — a small dense dynamic matrix with solvers (Cholesky, LU),
 //!   the substrate for the EKF and LQR.
-//! - [`grid`] — occupancy-grid mapping with ray casting.
-//! - [`planning`] — sampling-based motion planning (RRT, RRT*, PRM) on top
+//! - [`OccupancyGrid`] — occupancy-grid mapping with ray casting.
+//! - [`Rrt`], [`RrtStar`], [`Prm`], [`astar`] — sampling-based motion planning (RRT, RRT*, PRM) on top
 //!   of both a *scalar* and a *batched structure-of-arrays* collision
 //!   checker; the batched path reproduces the vectorization speedups the
 //!   paper cites (Challenge 5).
-//! - [`slam`] — landmark EKF-SLAM plus an intentionally "obsolete" dense
+//! - [`EkfSlam`], [`DenseScanSlam`], [`ParticleFilter`], [`PoseGraph`] — landmark EKF-SLAM plus an intentionally "obsolete" dense
 //!   grid-correlation variant used by the Build-Bridges experiment
 //!   (Challenge 1).
-//! - [`perception`] — a synthetic visual-feature front end (detection,
+//! - [`FeatureFrontEnd`] — a synthetic visual-feature front end (detection,
 //!   descriptor matching), the camera-side workload.
-//! - [`control`] — PID and finite-horizon discrete LQR controllers.
-//! - [`dynamics`] — recursive Newton-Euler inverse dynamics for serial
+//! - [`Pid`], [`Lqr`] — PID and finite-horizon discrete LQR controllers.
+//! - [`SerialChain`] — recursive Newton-Euler inverse dynamics for serial
 //!   chains (the manipulator workload).
-//! - [`dnn`] — a multilayer perceptron with full-precision and quantized
+//! - [`Mlp`] — a multilayer perceptron with full-precision and quantized
 //!   inference, plus a small SGD trainer; the substrate of the Metrics-Matter
 //!   experiment (Challenge 2).
 //!
@@ -29,8 +29,7 @@
 //! # Examples
 //!
 //! ```
-//! use m7_kernels::geometry::Vec2;
-//! use m7_kernels::planning::{CollisionWorld, Rrt, RrtConfig};
+//! use m7_kernels::{CollisionWorld, Rrt, RrtConfig, Vec2};
 //!
 //! let mut world = CollisionWorld::new(20.0, 20.0);
 //! world.add_circle(Vec2::new(10.0, 10.0), 2.0);
@@ -42,12 +41,28 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod control;
-pub mod dnn;
-pub mod dynamics;
-pub mod geometry;
-pub mod grid;
-pub mod linalg;
-pub mod perception;
-pub mod planning;
-pub mod slam;
+mod control;
+mod dnn;
+mod dynamics;
+mod geometry;
+mod grid;
+mod linalg;
+mod perception;
+mod planning;
+mod slam;
+
+pub use control::{Lqr, Pid, ProfileError, TrapezoidalProfile};
+pub use dnn::{Dataset, Mlp, MlpScratch, Precision};
+pub use dynamics::{Link, SerialChain};
+pub use geometry::{normalize_angle, Pose2, Vec2, Vec3};
+pub use grid::OccupancyGrid;
+pub use linalg::{LinalgError, Matrix};
+pub use perception::{Descriptor, FeatureFrontEnd, Image, Keypoint};
+pub use planning::{
+    astar, AstarConfig, BatchChecker, CollisionWorld, Path, Prm, PrmConfig, Rrt, RrtConfig, RrtStar,
+};
+pub use slam::{
+    icp_align, synthetic_room_scan, DenseScanSlam, DenseSlamConfig, EkfSlam, EkfSlamConfig,
+    IcpConfig, IcpResult, LandmarkObservation, ParticleFilter, ParticleFilterConfig,
+    PoseConstraint, PoseGraph, PoseGraphError, Scan,
+};

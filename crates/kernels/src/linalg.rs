@@ -6,8 +6,6 @@
 //! substrate `m7-kernels` needs, implemented with plain row-major `Vec<f64>`
 //! storage so cost models can reason about its memory traffic.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors from matrix operations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinalgError {
@@ -42,14 +40,14 @@ impl std::error::Error for LinalgError {}
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::linalg::Matrix;
+/// use m7_kernels::Matrix;
 ///
 /// let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
 /// let b = Matrix::identity(2);
 /// let c = a.mul(&b).unwrap();
 /// assert_eq!(c, a);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,

@@ -10,10 +10,9 @@
 //! on.
 
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// An 8-bit grayscale image.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Image {
     width: usize,
     height: usize,
@@ -92,7 +91,7 @@ impl Image {
 }
 
 /// A detected keypoint with its corner score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Keypoint {
     /// Pixel column.
     pub x: usize,
@@ -103,7 +102,7 @@ pub struct Keypoint {
 }
 
 /// A 256-bit binary descriptor (BRIEF-style intensity comparisons).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Descriptor(pub [u64; 4]);
 
 impl Descriptor {
@@ -120,7 +119,7 @@ impl Descriptor {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::perception::{FeatureFrontEnd, Image};
+/// use m7_kernels::{FeatureFrontEnd, Image};
 ///
 /// let frontend = FeatureFrontEnd::new(200, 9);
 /// let frame = Image::synthetic(160, 120, 3);

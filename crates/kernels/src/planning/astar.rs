@@ -48,9 +48,7 @@ impl PartialOrd for OpenEntry {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::grid::OccupancyGrid;
-/// use m7_kernels::planning::{astar, AstarConfig};
+/// use m7_kernels::{astar, AstarConfig, OccupancyGrid, Vec2};
 ///
 /// let grid = OccupancyGrid::new(10.0, 10.0, 0.5);
 /// let path = astar(&grid, Vec2::new(0.5, 0.5), Vec2::new(9.0, 9.0), AstarConfig::default());

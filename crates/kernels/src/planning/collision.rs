@@ -15,22 +15,18 @@
 //! the subject of experiment E6.
 
 use crate::geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A collision primitive that can be queried against points and segments.
-pub trait Obstacle: core::fmt::Debug + Send + Sync {
+pub(crate) trait Obstacle: core::fmt::Debug + Send + Sync {
     /// Returns `true` if `p` lies inside the obstacle.
     fn contains(&self, p: Vec2) -> bool;
 
     /// Returns `true` if the segment `a → b` intersects the obstacle.
     fn intersects_segment(&self, a: Vec2, b: Vec2) -> bool;
-
-    /// Axis-aligned bounding box as `(min, max)`.
-    fn aabb(&self) -> (Vec2, Vec2);
 }
 
 /// A circular obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Circle {
     /// Center position.
     pub center: Vec2,
@@ -46,15 +42,10 @@ impl Obstacle for Circle {
     fn intersects_segment(&self, a: Vec2, b: Vec2) -> bool {
         segment_circle_intersects(a, b, self.center, self.radius)
     }
-
-    fn aabb(&self) -> (Vec2, Vec2) {
-        let r = Vec2::new(self.radius, self.radius);
-        (self.center - r, self.center + r)
-    }
 }
 
 /// An axis-aligned rectangular obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Rect {
     /// Minimum corner.
     pub min: Vec2,
@@ -69,10 +60,6 @@ impl Obstacle for Rect {
 
     fn intersects_segment(&self, a: Vec2, b: Vec2) -> bool {
         segment_rect_intersects(a, b, self.min, self.max)
-    }
-
-    fn aabb(&self) -> (Vec2, Vec2) {
-        (self.min, self.max)
     }
 }
 
@@ -118,8 +105,7 @@ fn segment_rect_intersects(a: Vec2, b: Vec2, min: Vec2, max: Vec2) -> bool {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::CollisionWorld;
+/// use m7_kernels::{CollisionWorld, Vec2};
 ///
 /// let mut world = CollisionWorld::new(10.0, 10.0);
 /// world.add_circle(Vec2::new(5.0, 5.0), 1.0);
@@ -140,7 +126,7 @@ pub struct CollisionWorld {
 }
 
 /// Concrete obstacle primitive, the flattenable subset of [`Obstacle`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Primitive {
     Circle(Circle),
     Rect(Rect),
@@ -439,8 +425,7 @@ impl SoaRects {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::CollisionWorld;
+/// use m7_kernels::{CollisionWorld, Vec2};
 ///
 /// let mut world = CollisionWorld::new(10.0, 10.0);
 /// world.add_circle(Vec2::new(5.0, 5.0), 1.0);

@@ -25,12 +25,12 @@ struct Node {
 impl KdTree {
     /// Creates an empty tree.
     #[must_use]
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Inserts a point with its payload.
-    pub fn insert(&mut self, point: Vec2, payload: usize) {
+    pub(crate) fn insert(&mut self, point: Vec2, payload: usize) {
         let new_index = self.nodes.len();
         self.nodes.push(Node { point, payload, left: None, right: None });
         if new_index == 0 {

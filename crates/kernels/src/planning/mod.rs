@@ -11,8 +11,7 @@
 //! # Examples
 //!
 //! ```
-//! use m7_kernels::geometry::Vec2;
-//! use m7_kernels::planning::{CollisionWorld, RrtStar, RrtConfig};
+//! use m7_kernels::{CollisionWorld, RrtConfig, RrtStar, Vec2};
 //!
 //! let mut world = CollisionWorld::new(10.0, 10.0);
 //! world.add_circle(Vec2::new(5.0, 5.0), 1.5);
@@ -32,7 +31,7 @@ mod rrt;
 mod rrt_star;
 
 pub use astar::{astar, AstarConfig};
-pub use collision::{BatchChecker, CollisionWorld, Obstacle};
+pub use collision::{BatchChecker, CollisionWorld};
 pub(crate) use kdtree::KdTree;
 pub use path::Path;
 pub use prm::{Prm, PrmConfig};

@@ -3,20 +3,18 @@
 
 use super::collision::CollisionWorld;
 use crate::geometry::Vec2;
-use serde::{Deserialize, Serialize};
 
 /// A piecewise-linear path through the workspace.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::Path;
+/// use m7_kernels::{Path, Vec2};
 ///
 /// let path = Path::new(vec![Vec2::ZERO, Vec2::new(3.0, 4.0), Vec2::new(3.0, 8.0)]);
 /// assert_eq!(path.length(), 9.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Path {
     waypoints: Vec<Vec2>,
 }

@@ -11,11 +11,10 @@ use super::kdtree::KdTree;
 use super::path::Path;
 use crate::geometry::Vec2;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 use std::collections::BinaryHeap;
 
 /// Tuning parameters for [`Prm`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PrmConfig {
     /// Number of roadmap samples.
     pub samples: usize,
@@ -36,8 +35,7 @@ impl Default for PrmConfig {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::{CollisionWorld, Prm, PrmConfig};
+/// use m7_kernels::{CollisionWorld, Prm, PrmConfig, Vec2};
 ///
 /// let world = CollisionWorld::new(10.0, 10.0);
 /// let prm = Prm::build(&world, PrmConfig::default(), 17);

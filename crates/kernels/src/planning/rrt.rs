@@ -5,7 +5,6 @@ use super::kdtree::KdTree;
 use super::path::Path;
 use crate::geometry::Vec2;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Tuning parameters shared by [`Rrt`](super::Rrt) and
 /// [`RrtStar`](super::RrtStar).
@@ -13,12 +12,12 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::planning::RrtConfig;
+/// use m7_kernels::RrtConfig;
 ///
 /// let cfg = RrtConfig { max_iterations: 5000, ..RrtConfig::default() };
 /// assert_eq!(cfg.max_iterations, 5000);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RrtConfig {
     /// Maximum tree-growth iterations before giving up.
     pub max_iterations: usize,
@@ -70,8 +69,7 @@ pub(super) fn extract_path(nodes: &[TreeNode], goal_index: usize) -> Path {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::{CollisionWorld, Rrt, RrtConfig};
+/// use m7_kernels::{CollisionWorld, Rrt, RrtConfig, Vec2};
 ///
 /// let world = CollisionWorld::new(10.0, 10.0);
 /// let planner = Rrt::new(RrtConfig::default(), 1);

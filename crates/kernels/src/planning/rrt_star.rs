@@ -11,8 +11,7 @@ use crate::geometry::Vec2;
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::{CollisionWorld, RrtStar, RrtConfig};
+/// use m7_kernels::{CollisionWorld, RrtConfig, RrtStar, Vec2};
 ///
 /// let world = CollisionWorld::new(10.0, 10.0);
 /// let planner = RrtStar::new(RrtConfig::default(), 5);

@@ -10,10 +10,9 @@
 
 use crate::geometry::{normalize_angle, Pose2, Vec2};
 use crate::grid::OccupancyGrid;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the correlation search window.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DenseSlamConfig {
     /// Half-width of the translational search window (meters).
     pub window_trans: f64,
@@ -32,7 +31,7 @@ impl Default for DenseSlamConfig {
 }
 
 /// A laser scan: bearings (relative to heading) and measured ranges.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scan {
     /// Beam bearings relative to the robot heading (radians).
     pub bearings: Vec<f64>,
@@ -45,8 +44,7 @@ pub struct Scan {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::{Pose2, Vec2};
-/// use m7_kernels::slam::{DenseScanSlam, DenseSlamConfig};
+/// use m7_kernels::{DenseScanSlam, DenseSlamConfig, Pose2, Vec2};
 ///
 /// let mut slam = DenseScanSlam::new(DenseSlamConfig::default(), 30.0, 30.0, 0.25);
 /// // With an empty map the matcher stays at the odometry prior.

@@ -3,11 +3,10 @@
 
 use crate::geometry::{normalize_angle, Pose2, Vec2};
 use crate::linalg::Matrix;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 
 /// Noise and model parameters for [`EkfSlam`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EkfSlamConfig {
     /// Standard deviation of translational motion noise per step (meters).
     pub motion_noise_trans: f64,
@@ -31,7 +30,7 @@ impl Default for EkfSlamConfig {
 }
 
 /// One range-bearing observation of an identified landmark.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LandmarkObservation {
     /// Stable landmark identifier (known data association).
     pub id: u32,
@@ -49,7 +48,7 @@ pub struct LandmarkObservation {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::slam::{EkfSlam, EkfSlamConfig, LandmarkObservation};
+/// use m7_kernels::{EkfSlam, EkfSlamConfig, LandmarkObservation};
 ///
 /// let mut slam = EkfSlam::new(EkfSlamConfig::default());
 /// slam.predict(1.0, 0.0, 0.1); // drive forward 0.1 s at 1 m/s

@@ -10,10 +10,9 @@
 
 use crate::geometry::{normalize_angle, Pose2, Vec2};
 use crate::linalg::{LinalgError, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// A relative-pose constraint between two graph nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoseConstraint {
     /// Index of the source node.
     pub from: usize,
@@ -61,8 +60,7 @@ impl From<LinalgError> for PoseGraphError {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::{Pose2, Vec2};
-/// use m7_kernels::slam::{PoseConstraint, PoseGraph};
+/// use m7_kernels::{Pose2, PoseConstraint, PoseGraph, Vec2};
 ///
 /// let mut graph = PoseGraph::new();
 /// let a = graph.add_node(Pose2::identity());

@@ -8,10 +8,9 @@
 
 use crate::geometry::{normalize_angle, Pose2, Vec2};
 use crate::planning::KdTree;
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the ICP solver.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IcpConfig {
     /// Maximum alignment iterations.
     pub max_iterations: usize,
@@ -30,7 +29,7 @@ impl Default for IcpConfig {
 }
 
 /// The result of one ICP alignment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IcpResult {
     /// Transform mapping the source cloud onto the target cloud.
     pub transform: Pose2,
@@ -50,8 +49,7 @@ pub struct IcpResult {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::{Pose2, Vec2};
-/// use m7_kernels::slam::{icp_align, IcpConfig};
+/// use m7_kernels::{icp_align, IcpConfig, Pose2, Vec2};
 ///
 /// let target: Vec<Vec2> = (0..40).map(|i| Vec2::new(i as f64 * 0.2, (i as f64 * 0.3).sin())).collect();
 /// let truth = Pose2::new(Vec2::new(0.3, -0.2), 0.1);

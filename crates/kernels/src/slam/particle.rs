@@ -11,10 +11,9 @@ use crate::geometry::{Pose2, Vec2};
 use crate::grid::OccupancyGrid;
 use crate::slam::Scan;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Parameters of the particle filter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ParticleFilterConfig {
     /// Number of particles.
     pub particles: usize,
@@ -41,7 +40,7 @@ impl Default for ParticleFilterConfig {
 }
 
 /// One pose hypothesis with its importance weight.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct Particle {
     /// Hypothesized pose.
     pub pose: Pose2,
@@ -54,9 +53,7 @@ pub(crate) struct Particle {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::{Pose2, Vec2};
-/// use m7_kernels::grid::OccupancyGrid;
-/// use m7_kernels::slam::{ParticleFilter, ParticleFilterConfig};
+/// use m7_kernels::{OccupancyGrid, ParticleFilter, ParticleFilterConfig, Pose2, Vec2};
 ///
 /// let map = OccupancyGrid::new(20.0, 20.0, 0.25);
 /// let start = Pose2::new(Vec2::new(10.0, 10.0), 0.0);

@@ -2,10 +2,9 @@
 //! footprints.
 
 use m7_units::{CarbonIntensity, GramsCo2e, Joules, KilogramsCo2e, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Representative grid carbon intensities (gCO₂e/kWh).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GridIntensity {
     /// World average grid.
     WorldAverage,
@@ -41,14 +40,14 @@ impl GridIntensity {
 /// # Examples
 ///
 /// ```
-/// use m7_lca::carbon::{CarbonFootprint, GridIntensity};
+/// use m7_lca::{CarbonFootprint, GridIntensity};
 /// use m7_units::{Joules, KilogramsCo2e};
 ///
 /// let fp = CarbonFootprint::new(KilogramsCo2e::new(10.0))
 ///     .add_operation(Joules::from_kilowatt_hours(100.0), GridIntensity::UnitedStates);
 /// assert!(fp.total().value() > 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CarbonFootprint {
     embodied: KilogramsCo2e,
     operational: KilogramsCo2e,

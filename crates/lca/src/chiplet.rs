@@ -3,7 +3,6 @@
 
 use crate::embodied::DieSpec;
 use m7_units::{KilogramsCo2e, SquareMillimeters};
-use serde::{Deserialize, Serialize};
 
 /// A system built either as one monolithic die or as several chiplets of
 /// equal total area.
@@ -11,7 +10,7 @@ use serde::{Deserialize, Serialize};
 /// # Examples
 ///
 /// ```
-/// use m7_lca::chiplet::SystemDesign;
+/// use m7_lca::SystemDesign;
 /// use m7_units::SquareMillimeters;
 ///
 /// let mono = SystemDesign::monolithic(SquareMillimeters::new(600.0), 7.0);
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// // Splitting the die recovers yield: less embodied carbon.
 /// assert!(chiplets.embodied_carbon() < mono.embodied_carbon());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SystemDesign {
     total_area: SquareMillimeters,
     node_nm: f64,

@@ -3,7 +3,6 @@
 //! packaging.
 
 use m7_units::{KilogramsCo2e, SquareMillimeters};
-use serde::{Deserialize, Serialize};
 
 /// Fab carbon intensity per good square centimeter at a given node, in
 /// kgCO₂e/cm² — representative of published ACT-class figures: newer nodes
@@ -39,7 +38,7 @@ pub(crate) fn poisson_yield(area: SquareMillimeters, defect_density_per_cm2: f64
 /// # Examples
 ///
 /// ```
-/// use m7_lca::embodied::DieSpec;
+/// use m7_lca::DieSpec;
 /// use m7_units::SquareMillimeters;
 ///
 /// let small = DieSpec::new(SquareMillimeters::new(50.0), 7.0);
@@ -48,7 +47,7 @@ pub(crate) fn poisson_yield(area: SquareMillimeters, defect_density_per_cm2: f64
 /// let ratio = large.embodied_carbon().value() / small.embodied_carbon().value();
 /// assert!(ratio > 10.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieSpec {
     area: SquareMillimeters,
     node_nm: f64,

@@ -7,14 +7,13 @@
 
 use crate::carbon::{operational_carbon, GridIntensity};
 use m7_units::{KilogramsCo2e, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A deployed fleet of autonomous vehicles with onboard compute.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_lca::fleet::FleetModel;
+/// use m7_lca::FleetModel;
 /// use m7_units::Watts;
 ///
 /// // The paper's headline scenario shape: ~100M AVs at ~1kW onboard.
@@ -24,7 +23,7 @@ use serde::{Deserialize, Serialize};
 /// // datacenter-class.
 /// assert!(annual.value() > 1e11);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetModel {
     vehicles: u64,
     compute_power: Watts,

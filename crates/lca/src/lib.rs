@@ -5,13 +5,13 @@
 //! carbon at deployment scale, and end-of-life reuse. This crate implements
 //! an ACT-style accounting model:
 //!
-//! - [`embodied`] — manufacturing carbon from die area, process node,
+//! - [`DieSpec`] — manufacturing carbon from die area, process node,
 //!   yield, and packaging.
-//! - [`carbon`] — grids, operational emissions, and combined footprints.
-//! - [`fleet`] — "datacenters on wheels": fleet-scale compute emissions for
+//! - [`GridIntensity`], [`CarbonFootprint`] — grids, operational emissions, and combined footprints.
+//! - [`FleetModel`] — "datacenters on wheels": fleet-scale compute emissions for
 //!   autonomous-vehicle deployments.
-//! - [`training`] — edge-vs-cloud ML training comparison.
-//! - [`chiplet`] — chiplet/monolithic embodied-carbon comparison with
+//! - [`TrainingJob`] — edge-vs-cloud ML training comparison.
+//! - [`SystemDesign`] — chiplet/monolithic embodied-carbon comparison with
 //!   cross-generation reuse.
 //!
 //! Experiment E8 regenerates the paper's cited results from these models.
@@ -19,7 +19,7 @@
 //! # Examples
 //!
 //! ```
-//! use m7_lca::embodied::DieSpec;
+//! use m7_lca::DieSpec;
 //! use m7_units::SquareMillimeters;
 //!
 //! let soc = DieSpec::new(SquareMillimeters::new(100.0), 7.0);
@@ -30,8 +30,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod carbon;
-pub mod chiplet;
-pub mod embodied;
-pub mod fleet;
-pub mod training;
+mod carbon;
+mod chiplet;
+mod embodied;
+mod fleet;
+mod training;
+
+pub use carbon::{operational_carbon, CarbonFootprint, GridIntensity};
+pub use chiplet::SystemDesign;
+pub use embodied::DieSpec;
+pub use fleet::FleetModel;
+pub use training::{TrainingJob, TrainingVenue};

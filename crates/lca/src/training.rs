@@ -7,10 +7,9 @@
 
 use crate::carbon::{operational_carbon, GridIntensity};
 use m7_units::{Joules, KilogramsCo2e, Ops, OpsPerJoule, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Where a training job runs, and with what efficiency.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingVenue {
     /// Human-readable venue label.
     pub name: &'static str,
@@ -53,7 +52,7 @@ impl TrainingVenue {
 /// # Examples
 ///
 /// ```
-/// use m7_lca::training::{TrainingJob, TrainingVenue};
+/// use m7_lca::{TrainingJob, TrainingVenue};
 /// use m7_units::Ops;
 ///
 /// let job = TrainingJob::new(Ops::new(1e18));
@@ -62,7 +61,7 @@ impl TrainingVenue {
 /// // The paper's cited result shape: edge training emits more.
 /// assert!(edge > cloud);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainingJob {
     total_ops: Ops,
 }

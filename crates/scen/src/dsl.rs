@@ -22,7 +22,7 @@
 //! ```
 
 use crate::scenario::{CircleObs, Family, Mover, RectObs, Scenario};
-use m7_kernels::geometry::Vec2;
+use m7_kernels::Vec2;
 
 /// A scenario parse error with its 1-based line number.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,17 +8,15 @@
 //!   speed. An under-provisioned tier is perception-limited below that
 //!   speed once the sensor derate bites, so it misses the deadline long
 //!   before the battery gives out.
-//! - **Rover**: the scenario is flattened into a [`m7_kernels::planning::CollisionWorld`]
+//! - **Rover**: the scenario is flattened into a [`m7_kernels::CollisionWorld`]
 //!   and patrolled with the real RRT in the loop; planning stalls
 //!   (scaled by the compute tier) count against the same kind of
 //!   deadline.
 
 use crate::scenario::Scenario;
-use m7_sim::mission::MissionSpec;
-use m7_sim::rover::{Rover, RoverConfig};
 use m7_sim::uav::{ComputeTier, Uav, UavConfig};
-use m7_trace::span::SpanSite;
-use m7_trace::{MetricClass, TraceCounter};
+use m7_sim::{MissionSpec, Rover, RoverConfig};
+use m7_trace::{MetricClass, SpanSite, TraceCounter};
 use m7_units::Meters;
 
 /// Reference ground speed (m/s) that sets the UAV mission deadline:
@@ -36,7 +34,7 @@ static EVALUATIONS: TraceCounter =
     TraceCounter::new("scen.evaluations", MetricClass::Deterministic);
 
 /// Outcome of one scenario evaluation against one platform tier.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScenOutcome {
     /// Mission finished before the deadline.
     pub success: bool,

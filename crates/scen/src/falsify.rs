@@ -12,16 +12,11 @@
 use crate::eval::evaluate_uav;
 use crate::generator::generate;
 use crate::scenario::{Family, Scenario};
-use m7_dse::explorer::{Explorer, SearchBudget};
-use m7_dse::memo::EvalMemo;
-use m7_dse::space::{DesignSpace, Dimension};
+use m7_dse::{DesignSpace, Dimension, EvalMemo, Explorer, SearchBudget};
 use m7_par::{derive_seed, ParConfig};
-use m7_serve::cache::EvalCache;
-use m7_serve::key::namespace;
-use m7_serve::tier::ResultStore;
+use m7_serve::{namespace, EvalCache, ResultStore};
 use m7_sim::uav::ComputeTier;
-use m7_trace::span::SpanSite;
-use m7_trace::{MetricClass, TraceCounter};
+use m7_trace::{MetricClass, SpanSite, TraceCounter};
 
 /// Cost floor for scenarios the tier survives. Failing scenarios score
 /// their difficulty (≪ this), so minimizing cost finds the easiest
@@ -35,7 +30,7 @@ static FALSIFICATIONS: TraceCounter =
     TraceCounter::new("scen.falsifications", MetricClass::Deterministic);
 
 /// Shape of the scenario-parameter space to search.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FalsifyConfig {
     /// Generator families included in the search.
     pub families: Vec<Family>,
@@ -89,7 +84,7 @@ impl FalsifyConfig {
 
 /// One point on the falsification frontier: the easiest scenario found
 /// that makes the tier miss its deadline.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FrontierPoint {
     /// Generator family of the falsifying scenario.
     pub family: Family,
@@ -104,7 +99,7 @@ pub struct FrontierPoint {
 }
 
 /// Result of falsifying one platform tier.
-#[derive(Debug, Clone, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Falsification {
     /// The tier under test.
     pub tier: ComputeTier,
@@ -124,7 +119,7 @@ pub struct Falsification {
 /// derived from the tier and `seed`. Deterministic in `seed` and
 /// invariant to the thread count of `par`; read savings off the store's
 /// hit counter ([`ResultStore::hits`]). Any [`ResultStore`] works —
-/// including the disk-backed [`m7_serve::tier::TieredCache`], which
+/// including the disk-backed [`m7_serve::TieredCache`], which
 /// carries falsification evaluations across process restarts.
 #[must_use]
 pub fn falsify_memo<S: ResultStore<f64>>(

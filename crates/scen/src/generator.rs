@@ -8,9 +8,8 @@
 //! the environment profile (gusts, payload, sensor derate).
 
 use crate::scenario::{CircleObs, Family, Mover, RectObs, Scenario};
-use m7_kernels::geometry::Vec2;
-use m7_trace::span::SpanSite;
-use m7_trace::{MetricClass, TraceCounter, TraceHistogram};
+use m7_kernels::Vec2;
+use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceHistogram};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -286,27 +285,41 @@ pub fn generate(family: Family, level: f64, seed: u64) -> Scenario {
     scenario
 }
 
-/// Returns `true` if every obstacle footprint (movers inflated) lies
-/// inside the scenario's `[0, width] × [0, height]` bounds — the
-/// invariant [`generate`] guarantees, re-checkable on parsed input.
-#[must_use]
-pub fn obstacles_in_bounds(s: &Scenario) -> bool {
-    let inside = |min: Vec2, max: Vec2| {
-        min.x >= 0.0 && min.y >= 0.0 && max.x <= s.width && max.y <= s.height
-    };
-    s.circles.iter().all(|c| {
-        let r = Vec2::new(c.radius, c.radius);
-        inside(c.center - r, c.center + r)
-    }) && s.rects.iter().all(|r| inside(r.min, r.max))
-        && s.movers.iter().all(|m| {
-            let r = Vec2::new(m.inflated_radius(), m.inflated_radius());
-            inside(m.center - r, m.center + r)
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Returns `true` if every obstacle footprint (movers inflated) lies
+    /// inside the scenario's `[0, width] × [0, height]` bounds — the
+    /// invariant [`generate`] guarantees, re-checkable on parsed input.
+    fn obstacles_in_bounds(s: &Scenario) -> bool {
+        let inside = |min: Vec2, max: Vec2| {
+            min.x >= 0.0 && min.y >= 0.0 && max.x <= s.width && max.y <= s.height
+        };
+        s.circles.iter().all(|c| {
+            let r = Vec2::new(c.radius, c.radius);
+            inside(c.center - r, c.center + r)
+        }) && s.rects.iter().all(|r| inside(r.min, r.max))
+            && s.movers.iter().all(|m| {
+                let r = Vec2::new(m.inflated_radius(), m.inflated_radius());
+                inside(m.center - r, m.center + r)
+            })
+    }
+
+    proptest::proptest! {
+        /// Every obstacle footprint (movers at their inflated radius) lies
+        /// inside the world bounds.
+        #[test]
+        fn all_obstacles_are_within_grid_bounds(
+            fam in 0usize..Family::ALL.len(),
+            level in 0.0f64..=1.0,
+            seed in 0u64..1 << 32,
+        ) {
+            let family = Family::ALL[fam];
+            let s = generate(family, level, seed);
+            proptest::prop_assert!(obstacles_in_bounds(&s), "{family} {level} {seed} leaks out of bounds");
+        }
+    }
 
     #[test]
     fn same_triple_is_bit_identical() {

@@ -3,7 +3,7 @@
 //! Autonomy stacks are judged in closed loop, and closed loops need
 //! *worlds*. This crate makes scenario supply a first-class subsystem:
 //!
-//! - [`generator`] — deterministic, seeded procedural generators for
+//! - [`generate`] — deterministic, seeded procedural generators for
 //!   six parametric families (corridor, maze, random forest, urban
 //!   canyon, moving obstacles, multi-room indoor), each emitting a
 //!   typed [`Scenario`] with
@@ -12,10 +12,10 @@
 //! - [`render_scenario`] / [`parse_scenario`] — a compact textual DSL
 //!   mirroring `m7_arch::spec`, so scenarios round-trip to and from text
 //!   bit-exactly.
-//! - [`eval`] — couplings into the existing `m7-sim` closed loops: the
+//! - [`evaluate_uav`] / [`evaluate_rover`] — couplings into the existing `m7-sim` closed loops: the
 //!   UAV mission loop and the RRT-in-the-loop rover, each with a
 //!   mission deadline that makes "failure" crisp.
-//! - [`falsify`](mod@falsify) — adversarial search that reuses the `m7-dse` explorer
+//! - [`falsify()`] — adversarial search that reuses the `m7-dse` explorer
 //!   over scenario-parameter space to find the *easiest* scenario that
 //!   breaks a platform tier, memoized via `m7-serve` and fanned out by
 //!   the deterministic `m7-par` pool.
@@ -38,14 +38,14 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub(crate) mod dsl;
-pub mod eval;
-pub mod falsify;
-pub mod generator;
-pub mod scenario;
+mod dsl;
+mod eval;
+mod falsify;
+mod generator;
+mod scenario;
 
 pub use dsl::{parse_scenario, render_scenario, ParseScenarioError, ScenErrorKind};
 pub use eval::{evaluate_rover, evaluate_uav, ScenOutcome};
 pub use falsify::{falsify, falsify_memo, Falsification, FalsifyConfig, FrontierPoint};
-pub use generator::{generate, obstacles_in_bounds};
-pub use scenario::{Family, Scenario};
+pub use generator::generate;
+pub use scenario::{CircleObs, Family, Mover, RectObs, Scenario};

@@ -3,15 +3,13 @@
 //!
 //! A scenario owns its obstacle *primitives* (circles, axis-aligned
 //! rects, and moving circles) rather than a built
-//! [`m7_kernels::planning::CollisionWorld`], so it is
+//! [`m7_kernels::CollisionWorld`], so it is
 //! cheap to clone, serialize, compare bit-for-bit, and round-trip
 //! through the textual DSL ([`crate::parse_scenario`]). The collision world — with
 //! moving obstacles conservatively inflated by their motion over a
 //! short planning horizon — is built on demand.
 
-use m7_kernels::geometry::Vec2;
-use m7_kernels::planning::CollisionWorld;
-use serde::{Deserialize, Serialize};
+use m7_kernels::{CollisionWorld, Vec2};
 
 /// Planning horizon (seconds) by which a moving obstacle is inflated
 /// when the scenario is flattened into a static [`CollisionWorld`]: the
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 pub(crate) const MOVER_HORIZON_S: f64 = 1.5;
 
 /// The procedural generator families.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Family {
     /// A narrow passage between two long walls, with clutter at higher
     /// difficulty.
@@ -76,7 +74,7 @@ impl core::fmt::Display for Family {
 }
 
 /// A static circular obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircleObs {
     /// Center position.
     pub center: Vec2,
@@ -85,7 +83,7 @@ pub struct CircleObs {
 }
 
 /// A static axis-aligned rectangular obstacle.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RectObs {
     /// Minimum corner.
     pub min: Vec2,
@@ -95,7 +93,7 @@ pub struct RectObs {
 
 /// A circular obstacle that moves at constant velocity, reflecting off
 /// the world bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Mover {
     /// Position at `t = 0`.
     pub center: Vec2,
@@ -135,7 +133,7 @@ impl Mover {
 /// assert!(s.collision_world().point_free(s.start));
 /// assert!(s.difficulty() > 0.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Scenario {
     /// Which generator produced this world.
     pub family: Family,

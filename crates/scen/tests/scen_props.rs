@@ -3,7 +3,7 @@
 //! exact DSL round-tripping across the whole parameter space.
 
 use m7_par::ParConfig;
-use m7_scen::{generate, obstacles_in_bounds, parse_scenario, render_scenario, Family};
+use m7_scen::{generate, parse_scenario, render_scenario, Family};
 use proptest::prelude::*;
 
 proptest! {
@@ -22,19 +22,6 @@ proptest! {
         let world = s.collision_world();
         prop_assert!(world.point_free(s.start));
         prop_assert!(world.point_free(s.goal));
-    }
-
-    /// Every obstacle footprint (movers at their inflated radius) lies
-    /// inside the world bounds.
-    #[test]
-    fn all_obstacles_are_within_grid_bounds(
-        fam in 0usize..Family::ALL.len(),
-        level in 0.0f64..=1.0,
-        seed in 0u64..1 << 32,
-    ) {
-        let family = Family::ALL[fam];
-        let s = generate(family, level, seed);
-        prop_assert!(obstacles_in_bounds(&s), "{family} {level} {seed} leaks out of bounds");
     }
 
     /// The same (family, level, seed) triple yields a bit-identical

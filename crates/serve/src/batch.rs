@@ -71,9 +71,7 @@ impl BatchOutcome {
 ///
 /// ```
 /// use m7_par::ParConfig;
-/// use m7_serve::batch::evaluate_batch_memo;
-/// use m7_serve::cache::EvalCache;
-/// use m7_serve::key::{CacheKey, KeyHasher};
+/// use m7_serve::{evaluate_batch_memo, CacheKey, EvalCache, KeyHasher};
 ///
 /// let cache: EvalCache<f64> = EvalCache::new(64);
 /// let items = [2.0f64, 3.0, 2.0, 2.0];

@@ -1,5 +1,5 @@
 //! A sharded, bounded, memoizing result store addressed by
-//! [`crate::key::CacheKey`].
+//! [`crate::CacheKey`].
 //!
 //! The cache holds *pure-function results*: because every cached value is
 //! a deterministic function of its key, eviction and cross-thread races
@@ -97,8 +97,7 @@ impl<V: Clone> Shard<V> {
 /// # Examples
 ///
 /// ```
-/// use m7_serve::cache::EvalCache;
-/// use m7_serve::key::CacheKey;
+/// use m7_serve::{CacheKey, EvalCache};
 ///
 /// let cache: EvalCache<f64> = EvalCache::new(128);
 /// let key = CacheKey(42);

@@ -187,7 +187,7 @@ fn frame(kind: u8, payload: &[u8]) -> Vec<u8> {
 ///
 /// ```
 /// use m7_serve::frame::{encode_request, FrameDecoder};
-/// use m7_serve::key::EvalRequest;
+/// use m7_serve::EvalRequest;
 /// use m7_serve::wire::Request;
 ///
 /// let req = Request::Eval(EvalRequest::new("uav-mission", vec![1.0, 2.5], 42));

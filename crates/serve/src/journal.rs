@@ -17,9 +17,9 @@
 use std::io;
 use std::path::Path;
 
-use m7_trace::cli::ObsFlags;
-use m7_trace::hub::{SnapshotSink, TelemetryHub};
-use m7_trace::snapshot::{decode_record, Snapshot, SnapshotDelta, SnapshotRecord};
+use m7_trace::{
+    decode_record, ObsFlags, Snapshot, SnapshotDelta, SnapshotRecord, SnapshotSink, TelemetryHub,
+};
 
 use crate::segment::{RecoveryReport, SegmentConfig, SegmentStore};
 
@@ -159,7 +159,7 @@ impl TelemetryPump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m7_trace::metrics::{MetricClass, MetricEntry, MetricValue, MetricsSnapshot};
+    use m7_trace::{MetricClass, MetricEntry, MetricValue, MetricsSnapshot};
 
     fn snap(seq: u64, entries: Vec<MetricEntry>) -> Snapshot {
         Snapshot { seq, wall_ms: seq * 10, metrics: MetricsSnapshot { entries } }

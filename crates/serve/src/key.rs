@@ -23,7 +23,7 @@ impl core::fmt::Display for CacheKey {
 /// # Examples
 ///
 /// ```
-/// use m7_serve::key::KeyHasher;
+/// use m7_serve::KeyHasher;
 ///
 /// let mut a = KeyHasher::new();
 /// a.write_f64(1.5);
@@ -113,7 +113,7 @@ pub fn namespace(tag: &str, seed: u64) -> u64 {
 /// # Examples
 ///
 /// ```
-/// use m7_serve::key::EvalRequest;
+/// use m7_serve::EvalRequest;
 ///
 /// let a = EvalRequest::new("mission", vec![1.0, 20.0], 42);
 /// let b = EvalRequest::new("mission", vec![1.0, 20.0], 42);

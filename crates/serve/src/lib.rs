@@ -7,22 +7,22 @@
 //! crate closes both gaps with the same dedup → batch → dispatch → cache
 //! shape an inference server uses:
 //!
-//! - [`key`] — deterministic content-addressed cache keys: a 64-bit
+//! - [`CacheKey`] — deterministic content-addressed cache keys: a 64-bit
 //!   FNV-1a hash over canonicalized requests, fields in fixed order,
 //!   floats via [`f64::to_bits`].
-//! - [`cache`] — a sharded in-memory store with a hard capacity bound,
+//! - [`EvalCache`] — a sharded in-memory store with a hard capacity bound,
 //!   LRU-ish eviction, and exact hit/miss/eviction counters.
-//! - [`batch`] — the request batcher: coalesce duplicate in-flight
+//! - [`evaluate_batch_memo`] — the request batcher: coalesce duplicate in-flight
 //!   requests, answer hits from the cache, dispatch unique misses in one
 //!   batch over the deterministic [`m7_par`] pool.
-//! - [`segment`] — a crash-safe append-only on-disk segment store:
+//! - [`SegmentStore`] — a crash-safe append-only on-disk segment store:
 //!   CRC-checked records, torn-tail truncation on recovery, and
 //!   dead-ratio-triggered compaction.
-//! - [`tier`] — the tiered cache: the hot in-memory shards backed by the
-//!   segment store, behind the [`tier::ResultStore`] abstraction every
+//! - [`TieredCache`] — the tiered cache: the hot in-memory shards backed by the
+//!   segment store, behind the [`ResultStore`] abstraction every
 //!   memoization call site uses.
 //! - [`wire`] — the newline-delimited `key = value` protocol (the same
-//!   line format as `m7_arch::spec` — no JSON dependency), kept as the
+//!   line format as `m7_arch::parse_platform` reads — no JSON dependency), kept as the
 //!   compatibility shim.
 //! - [`frame`] — the versioned length-prefixed binary protocol: an
 //!   incremental decoder that validates before it allocates and never
@@ -32,11 +32,11 @@
 //!   and recovery stats, answered inline from the readiness loop over
 //!   both protocols. `telemetry` is the server's one introspection
 //!   request; in-process callers read [`ServerHandle::tier_stats`].
-//! - [`journal`] — the crash-safe flight journal: telemetry snapshots
-//!   streamed through the [`segment`] store so `kill -9` leaves a
-//!   recoverable record, plus the [`journal::TelemetryPump`] helper that
+//! - [`FlightJournal`] — the crash-safe flight journal: telemetry snapshots
+//!   streamed through the [`SegmentStore`] so `kill -9` leaves a
+//!   recoverable record, plus the [`TelemetryPump`] helper that
 //!   wires `--stats-interval`/`--journal` flags into a running hub.
-//! - [`server`] — a non-blocking readiness-loop service on a loopback
+//! - [`EvalServer`] — a non-blocking readiness-loop service on a loopback
 //!   [`std::net::TcpListener`] that sleeps in `poll(2)` when idle (woken
 //!   by a socket, a reap deadline or its handle's wake pair): connection
 //!   limits and a bounded pending queue that shed load with an explicit
@@ -56,9 +56,7 @@
 //!
 //! ```
 //! use m7_par::ParConfig;
-//! use m7_serve::batch::evaluate_batch_memo;
-//! use m7_serve::cache::EvalCache;
-//! use m7_serve::key::EvalRequest;
+//! use m7_serve::{evaluate_batch_memo, EvalCache, EvalRequest};
 //!
 //! let cache: EvalCache<f64> = EvalCache::new(1024);
 //! let requests: Vec<EvalRequest> = (0..8)
@@ -80,24 +78,27 @@
 // opts back in and is the crate's one exception.
 #![deny(unsafe_code)]
 
-pub mod batch;
-pub mod cache;
+mod batch;
+mod cache;
 pub mod frame;
-pub(crate) mod introspect;
-pub mod journal;
-pub mod key;
-pub mod segment;
-pub mod server;
+mod introspect;
+mod journal;
+mod key;
+mod segment;
+mod server;
 mod sys;
-pub mod tier;
+mod tier;
 pub mod wire;
 
-pub use batch::evaluate_batch_memo;
+pub use batch::{evaluate_batch_memo, BatchOutcome};
 pub use cache::{CacheStats, EvalCache};
 pub use frame::{FrameDecoder, FrameError};
 pub use introspect::{PhaseStats, ServerStats};
 pub use journal::{recover_snapshot, FlightJournal, TelemetryPump};
-pub use key::{CacheKey, EvalRequest, KeyHasher};
-pub use segment::{DiskCodec, SegmentConfig, SegmentStore};
+pub use key::{namespace, CacheKey, EvalRequest, KeyHasher};
+pub use segment::{
+    DiskCodec, RecoveryReport, SegmentConfig, SegmentStore, FILE_HEADER, RECORD_HEADER_BYTES,
+    RECORD_TRAILER_BYTES, SEGMENT_FILE,
+};
 pub use server::{EvalClient, EvalServer, Evaluator, FramedClient, ServeConfig, ServerHandle};
-pub use tier::{ResultStore, TierConfig, TieredCache};
+pub use tier::{ResultStore, TierConfig, TierStats, TieredCache};

@@ -37,7 +37,7 @@
 //! With [`ServeConfig::disk_dir`] set, results live in the tiered cache:
 //! hot in-memory shards over the crash-safe segment store, so a
 //! restarted server answers previously computed work from disk — see
-//! [`crate::tier`] and [`crate::segment`] for the recovery rules.
+//! [`crate::TieredCache`] and [`crate::SegmentStore`] for the recovery rules.
 
 use crate::batch::evaluate_batch_memo_flagged;
 use crate::frame::{encode_response, FrameDecoder};
@@ -924,8 +924,7 @@ fn read_message(stream: &mut TcpStream) -> io::Result<String> {
 /// # Examples
 ///
 /// ```no_run
-/// use m7_serve::key::EvalRequest;
-/// use m7_serve::server::EvalClient;
+/// use m7_serve::{EvalClient, EvalRequest};
 ///
 /// let client = EvalClient::new("127.0.0.1:7207".parse().unwrap());
 /// let response = client.eval(&EvalRequest::new("mission", vec![1.0, 2.0], 42))?;
@@ -999,8 +998,7 @@ impl EvalClient {
 /// # Examples
 ///
 /// ```no_run
-/// use m7_serve::key::EvalRequest;
-/// use m7_serve::server::FramedClient;
+/// use m7_serve::{EvalRequest, FramedClient};
 ///
 /// let mut client = FramedClient::connect("127.0.0.1:7207".parse().unwrap())?;
 /// for i in 0..100 {

@@ -137,8 +137,7 @@ impl TierConfig {
 /// # Examples
 ///
 /// ```
-/// use m7_serve::key::CacheKey;
-/// use m7_serve::tier::{ResultStore, TieredCache};
+/// use m7_serve::{CacheKey, ResultStore, TieredCache};
 ///
 /// let cache: TieredCache<f64> = TieredCache::memory_only(128);
 /// cache.insert(CacheKey(42), 3.25);

@@ -6,14 +6,13 @@
 //! draws its first computational watt.
 
 use m7_units::{Grams, Joules, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// An energy store with draw tracking.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_sim::battery::Battery;
+/// use m7_sim::Battery;
 /// use m7_units::{Joules, Seconds, Watts};
 ///
 /// let mut b = Battery::new(Joules::from_watt_hours(50.0));
@@ -21,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(b.remaining() < b.capacity());
 /// assert!(!b.is_empty());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Battery {
     capacity: Joules,
     used: Joules,

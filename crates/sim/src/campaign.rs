@@ -17,7 +17,6 @@ use crate::uav::{FaultedOutcome, Uav};
 use m7_par::{derive_seed, ParConfig};
 use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceHistogram};
 use m7_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 // Campaign observability (no-ops until `m7_trace::enable()`). Fault
 // draws, outcomes, and degradation times are pure functions of the root
@@ -49,7 +48,7 @@ fn seconds_to_ns(s: Seconds) -> u64 {
 }
 
 /// Size and environment of a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CampaignConfig {
     /// Number of independent mission runs (fault-schedule draws).
     pub runs: usize,
@@ -74,7 +73,7 @@ impl CampaignConfig {
 }
 
 /// Aggregated robustness metrics over a campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessReport {
     /// Runs executed.
     pub runs: usize,
@@ -131,10 +130,7 @@ impl RobustnessReport {
 ///
 /// ```
 /// use m7_par::ParConfig;
-/// use m7_sim::campaign::{CampaignConfig, CampaignRunner};
-/// use m7_sim::degrade::DegradationPolicy;
-/// use m7_sim::faults::FaultProfile;
-/// use m7_sim::mission::MissionSpec;
+/// use m7_sim::{CampaignConfig, CampaignRunner, DegradationPolicy, FaultProfile, MissionSpec};
 /// use m7_sim::uav::{Uav, UavConfig};
 /// use m7_units::Seconds;
 ///

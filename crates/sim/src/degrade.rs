@@ -12,11 +12,10 @@
 //! degradation-aware configurations of the *same* vehicle.
 
 use m7_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Retry a crashed autonomy stack with exponential backoff before giving
 /// up and cold-booting.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
     /// Warm-restart attempts before falling back to a cold boot.
     pub max_attempts: u32,
@@ -33,7 +32,7 @@ impl Default for RetryPolicy {
 
 /// Coast on dead reckoning while perception is out, instead of creeping
 /// blind or flying stale data at full speed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CoastPolicy {
     /// Fraction of the last known safe speed to hold while coasting.
     pub speed_fraction: f64,
@@ -55,7 +54,7 @@ impl Default for CoastPolicy {
 }
 
 /// Command a controlled stop when remaining energy drops below a reserve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SafeStopPolicy {
     /// Fraction of pack capacity held in reserve; when projected energy
     /// to finish exceeds what is left above the reserve, stop now rather
@@ -81,7 +80,7 @@ impl Default for SafeStopPolicy {
 /// # Examples
 ///
 /// ```
-/// use m7_sim::degrade::DegradationPolicy;
+/// use m7_sim::DegradationPolicy;
 ///
 /// let blind = DegradationPolicy::none();
 /// assert!(!blind.is_aware());
@@ -95,7 +94,7 @@ impl Default for SafeStopPolicy {
 /// let retry_only = DegradationPolicy { retry: Some(Default::default()), ..DegradationPolicy::none() };
 /// assert!(retry_only.is_aware());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DegradationPolicy {
     /// Warm-restart crashed compute with backoff (else: cold boot).
     pub retry: Option<RetryPolicy>,

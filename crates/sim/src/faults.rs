@@ -8,14 +8,13 @@
 //! stages. The fault schedule lets every closed-loop simulation in this
 //! crate be rerun under degradation, so robustness becomes a measurable
 //! design output. [`FaultProfile`] turns per-minute hazard rates into
-//! seeded schedules for [`crate::campaign::CampaignRunner`].
+//! seeded schedules for [`crate::CampaignRunner`].
 
 use m7_units::Seconds;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scheduled fault.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Fault {
     /// The primary exteroceptive sensor produces nothing.
     SensorDropout {
@@ -54,7 +53,7 @@ pub enum Fault {
     /// A transient compute fault (bit flip, watchdog trip) that kills the
     /// autonomy stack at one instant; the vehicle must restart it before
     /// resuming. Recovery cost is decided by the consumer's
-    /// [`crate::degrade::DegradationPolicy`].
+    /// [`crate::DegradationPolicy`].
     ComputeCrash {
         /// The instant the stack dies (mission time).
         at: Seconds,
@@ -115,14 +114,14 @@ impl Fault {
 /// # Examples
 ///
 /// ```
-/// use m7_sim::faults::{FaultProfile, FaultSchedule};
+/// use m7_sim::{FaultProfile, FaultSchedule};
 /// use m7_units::Seconds;
 ///
 /// let schedule = FaultSchedule::sample(&FaultProfile::harsh(), Seconds::new(120.0), 7);
 /// // Same seed, same schedule — campaigns are reproducible.
 /// assert_eq!(schedule, FaultSchedule::sample(&FaultProfile::harsh(), Seconds::new(120.0), 7));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultProfile {
     /// Sensor dropouts per minute.
     pub dropout_per_min: f64,
@@ -240,7 +239,7 @@ impl FaultProfile {
 /// # Examples
 ///
 /// ```
-/// use m7_sim::faults::{Fault, FaultSchedule};
+/// use m7_sim::{Fault, FaultSchedule};
 /// use m7_units::Seconds;
 ///
 /// let schedule = FaultSchedule::new(vec![Fault::SensorDropout {
@@ -249,7 +248,7 @@ impl FaultProfile {
 /// }]);
 /// assert_eq!(schedule.merged_sensor_outages(), vec![(Seconds::new(10.0), Seconds::new(15.0))]);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct FaultSchedule {
     faults: Vec<Fault>,
 }

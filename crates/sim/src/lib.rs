@@ -6,20 +6,20 @@
 //! physical vehicle, so that kernel-level accelerator decisions can be
 //! judged by *mission-level* outcomes.
 //!
-//! - [`sensor`] — rate/payload/noise models for cameras, lidars, IMUs.
-//! - [`battery`] — energy storage and the mass-dependent hover-power model.
+//! - [`SensorSpec`] — rate/payload/noise models for cameras, lidars, IMUs.
+//! - [`Battery`] — energy storage and the mass-dependent hover-power model.
 //! - [`pipeline`] — the sensor → marshalling → kernel → actuation pipeline
 //!   with explicit data-movement taxes (the "AI tax").
 //! - [`uav`] — a closed-loop point-mass UAV whose safe speed is coupled to
 //!   its perception/planning latency and whose endurance is coupled to the
 //!   mass and power of its compute tier. [`uav::Uav::fly_degraded`] is its
 //!   one step loop, with or without faults.
-//! - [`mission`] — mission specifications and outcome metrics.
+//! - [`MissionSpec`], [`MissionOutcome`] — mission specifications and outcome metrics.
 //!
 //! # Examples
 //!
 //! ```
-//! use m7_sim::mission::MissionSpec;
+//! use m7_sim::MissionSpec;
 //! use m7_sim::uav::{ComputeTier, Uav, UavConfig};
 //!
 //! let config = UavConfig::default().with_tier(ComputeTier::Embedded);
@@ -31,13 +31,22 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod battery;
-pub mod campaign;
-pub mod degrade;
-pub mod faults;
-pub mod mission;
+mod battery;
+mod campaign;
+mod degrade;
+mod faults;
+mod mission;
 pub mod pipeline;
-pub mod rover;
-pub mod sensor;
-pub mod thermal;
+mod rover;
+mod sensor;
+mod thermal;
 pub mod uav;
+
+pub use battery::Battery;
+pub use campaign::{CampaignConfig, CampaignRunner, RobustnessReport};
+pub use degrade::{CoastPolicy, DegradationPolicy, RetryPolicy, SafeStopPolicy};
+pub use faults::{Fault, FaultProfile, FaultSchedule};
+pub use mission::{MissionOutcome, MissionSpec};
+pub use rover::{Rover, RoverConfig, RoverOutcome};
+pub use sensor::{SensorKind, SensorSpec};
+pub use thermal::{ThermalConfig, ThermalState};

@@ -4,19 +4,18 @@
 //! are what the framework reports instead of raw kernel throughput.
 
 use m7_units::{Joules, Meters, MetersPerSecond, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// A mission for a simulated vehicle.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_sim::mission::MissionSpec;
+/// use m7_sim::MissionSpec;
 ///
 /// let m = MissionSpec::survey(2000.0);
 /// assert_eq!(m.distance().value(), 2000.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionSpec {
     name: String,
     distance: Meters,
@@ -88,7 +87,7 @@ impl MissionSpec {
 }
 
 /// The outcome of one simulated mission.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MissionOutcome {
     /// Whether the full course was covered before the battery died.
     pub completed: bool,

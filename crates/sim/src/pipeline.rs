@@ -17,7 +17,6 @@ use m7_flow::{
 use m7_par::ParConfig;
 use m7_trace::{MetricClass, SpanSite, TraceCounter, TraceHistogram};
 use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 // Closed-loop pipeline observability (no-ops until `m7_trace::enable()`).
 // Stage latencies and frame totals are pure functions of the pipeline
@@ -53,7 +52,7 @@ fn seconds_to_ns(s: Seconds) -> u64 {
 }
 
 /// Per-stage latency budget of one frame through the pipeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LatencyBudget {
     /// Sensor readout, serialization, and copy-in (the "AI tax").
     pub ingest: Seconds,
@@ -79,7 +78,7 @@ impl LatencyBudget {
 }
 
 /// Throughput and latency statistics from a simulated pipeline run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineStats {
     /// Frames produced by the sensor.
     pub frames_in: u64,
@@ -148,7 +147,7 @@ impl std::error::Error for PipelineConfigError {}
 /// use m7_arch::platform::{Platform, PlatformKind};
 /// use m7_arch::workload::KernelProfile;
 /// use m7_sim::pipeline::Pipeline;
-/// use m7_sim::sensor::SensorSpec;
+/// use m7_sim::SensorSpec;
 ///
 /// let p = Pipeline::new(
 ///     SensorSpec::camera_vga(30.0),

@@ -12,11 +12,9 @@ use crate::battery::Battery;
 use crate::degrade::DegradationPolicy;
 use crate::faults::{Fault, FaultSchedule};
 use crate::uav::ComputeTier;
-use m7_kernels::geometry::{normalize_angle, Pose2, Vec2};
-use m7_kernels::planning::{CollisionWorld, Rrt, RrtConfig};
+use m7_kernels::{normalize_angle, CollisionWorld, Pose2, Rrt, RrtConfig, Vec2};
 use m7_units::{Grams, Joules, Meters, MetersPerSecond, Seconds, Watts};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Blind creep speed on the ground while perception is out.
 const ROVER_BLIND_CREEP: f64 = 0.2;
@@ -28,7 +26,7 @@ const ROVER_WARM_RESTART_SUCCESS: f64 = 0.7;
 const ROVER_EVENT_SEED_SALT: u64 = 0x0BE7_ADE0_5EED_0002;
 
 /// Rover chassis and power configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoverConfig {
     /// Chassis mass excluding compute.
     pub chassis_mass: Grams,
@@ -61,7 +59,7 @@ impl Default for RoverConfig {
 }
 
 /// Outcome of a patrol run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoverOutcome {
     /// Goals reached before the battery died or planning failed.
     pub goals_reached: usize,
@@ -93,9 +91,8 @@ impl RoverOutcome {
 /// # Examples
 ///
 /// ```
-/// use m7_kernels::geometry::Vec2;
-/// use m7_kernels::planning::CollisionWorld;
-/// use m7_sim::rover::{Rover, RoverConfig};
+/// use m7_kernels::{CollisionWorld, Vec2};
+/// use m7_sim::{Rover, RoverConfig};
 ///
 /// let world = CollisionWorld::new(20.0, 20.0);
 /// let rover = Rover::new(RoverConfig::default());
@@ -322,7 +319,7 @@ impl Rover {
 
 /// Outcome of a fault-injected, policy-mediated patrol
 /// ([`Rover::patrol_degraded`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DegradedPatrolOutcome {
     /// The usual patrol metrics.
     pub outcome: RoverOutcome,

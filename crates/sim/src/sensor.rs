@@ -2,10 +2,9 @@
 
 use m7_units::{Bytes, BytesPerSecond, Hertz};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// The sensor classes carried by the simulated vehicles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensorKind {
     /// A global-shutter camera.
     Camera,
@@ -31,13 +30,13 @@ impl core::fmt::Display for SensorKind {
 /// # Examples
 ///
 /// ```
-/// use m7_sim::sensor::SensorSpec;
+/// use m7_sim::SensorSpec;
 ///
 /// let cam = SensorSpec::camera_vga(30.0);
 /// assert_eq!(cam.rate().value(), 30.0);
 /// assert!(cam.data_rate().as_gigabytes_per_second() < 1.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SensorSpec {
     kind: SensorKind,
     rate: Hertz,
@@ -121,7 +120,7 @@ impl NoiseSource {
     ///
     /// Panics if `std` is negative or non-finite.
     #[must_use]
-    pub fn new(std: f64, seed: u64) -> Self {
+    pub(crate) fn new(std: f64, seed: u64) -> Self {
         assert!(std >= 0.0 && std.is_finite(), "std must be non-negative and finite");
         Self { std, rng: rand_chacha::ChaCha8Rng::seed_from_u64(seed), spare: None }
     }
@@ -130,7 +129,7 @@ impl NoiseSource {
     /// drawing.
     // Inlined into the closed loops' steps, whose largest cost it is.
     #[inline]
-    pub fn sample(&mut self) -> f64 {
+    pub(crate) fn sample(&mut self) -> f64 {
         if self.std == 0.0 {
             return 0.0;
         }

@@ -9,10 +9,9 @@
 //! exactly this regime.
 
 use m7_units::{Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Thermal parameters of a compute package.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalConfig {
     /// Ambient temperature (°C).
     pub ambient_c: f64,
@@ -47,7 +46,7 @@ impl Default for ThermalConfig {
 /// # Examples
 ///
 /// ```
-/// use m7_sim::thermal::{ThermalConfig, ThermalState};
+/// use m7_sim::{ThermalConfig, ThermalState};
 /// use m7_units::{Seconds, Watts};
 ///
 /// let mut t = ThermalState::new(ThermalConfig::default());
@@ -57,7 +56,7 @@ impl Default for ThermalConfig {
 /// }
 /// assert!(t.performance_scale() < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ThermalState {
     config: ThermalConfig,
     temperature_c: f64,

@@ -21,7 +21,6 @@ use crate::mission::{MissionOutcome, MissionSpec};
 use crate::sensor::NoiseSource;
 use m7_units::{Grams, Hertz, Joules, Meters, MetersPerSecond, Seconds, Watts};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Blind creep speed when perception is lost and no coast policy applies.
 const BLIND_CREEP: f64 = 0.3;
@@ -35,7 +34,7 @@ const STALE_HAZARD_PER_M: f64 = 0.004;
 const EVENT_SEED_SALT: u64 = 0xDE67_ADE0_5EED_0001;
 
 /// Onboard compute tiers, weakest to strongest.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum ComputeTier {
     /// Microcontroller-class.
     Micro,
@@ -111,7 +110,7 @@ impl core::fmt::Display for ComputeTier {
 }
 
 /// Airframe and payload configuration of the simulated UAV.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct UavConfig {
     /// Airframe mass excluding compute and cargo.
     pub frame_mass: Grams,
@@ -154,7 +153,7 @@ impl UavConfig {
 /// # Examples
 ///
 /// ```
-/// use m7_sim::mission::MissionSpec;
+/// use m7_sim::MissionSpec;
 /// use m7_sim::uav::{ComputeTier, Uav, UavConfig};
 ///
 /// let uav = Uav::new(UavConfig::default().with_tier(ComputeTier::EmbeddedGpu));
@@ -504,7 +503,7 @@ struct Cruise {
 
 /// Outcome of a fault-injected, policy-mediated flight
 /// ([`Uav::fly_degraded`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultedOutcome {
     /// The usual mission metrics (time, energy, distance, ...).
     pub mission: MissionOutcome,

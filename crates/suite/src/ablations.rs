@@ -11,17 +11,16 @@
 //!   ten minutes of sustained load on a passively cooled module?
 
 use crate::report::{fmt_f64, Report, Table};
-use m7_arch::contention::SharedBus;
 use m7_arch::dvfs::ladder_sweep;
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::KernelProfile;
-use m7_dse::pareto::pareto_front;
-use m7_sim::thermal::{ThermalConfig, ThermalState};
+use m7_arch::SharedBus;
+use m7_dse::pareto_front;
+use m7_sim::{ThermalConfig, ThermalState};
 use m7_units::{BytesPerSecond, Seconds, Watts};
-use serde::{Deserialize, Serialize};
 
 /// Result of the DVFS ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DvfsAblation {
     /// `(frequency scale, latency ms, energy mJ, on Pareto front)`.
     pub rows: Vec<(f64, f64, f64, bool)>,
@@ -73,7 +72,7 @@ impl DvfsAblation {
 }
 
 /// Result of the contention on/off ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ContentionAblation {
     /// `(accelerators, aggregate with contention, aggregate if 'free')`.
     pub rows: Vec<(usize, f64, f64)>,
@@ -86,7 +85,7 @@ pub fn contention_onoff() -> ContentionAblation {
     let per_unit = BytesPerSecond::from_gigabytes_per_second(4.0);
     let rows = (1..=8)
         .map(|n| {
-            let (agg, _) = m7_arch::contention::scaling_under_contention(&bus, per_unit, n);
+            let (agg, _) = m7_arch::scaling_under_contention(&bus, per_unit, n);
             (n, agg, n as f64)
         })
         .collect();
@@ -116,7 +115,7 @@ impl ContentionAblation {
 }
 
 /// Result of the sustained-thermal ablation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalAblation {
     /// `(minute, junction °C, performance scale)`.
     pub rows: Vec<(usize, f64, f64)>,

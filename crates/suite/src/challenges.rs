@@ -6,10 +6,9 @@
 //! `run_experiments` binary) can group results by challenge.
 
 use crate::experiments::ExperimentId;
-use serde::{Deserialize, Serialize};
 
 /// The seven challenges, in paper order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Challenge {
     /// §2.1 — engage with domain experts.
     BuildBridges,

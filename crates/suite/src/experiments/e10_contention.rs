@@ -10,16 +10,15 @@
 //!    additional compute buys nothing but mass and power (ties into E5).
 
 use crate::report::{fmt_f64, Report, Table};
-use m7_arch::contention::{scaling_under_contention, SharedBus};
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::KernelProfile;
+use m7_arch::{scaling_under_contention, SharedBus};
 use m7_sim::pipeline::Pipeline;
-use m7_sim::sensor::{SensorKind, SensorSpec};
+use m7_sim::{SensorKind, SensorSpec};
 use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// The E10 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ContentionResult {
     /// `(number of accelerators, per-unit scale, aggregate scale)`.
     pub scaling_rows: Vec<(usize, f64, f64)>,
@@ -30,7 +29,7 @@ pub(crate) struct ContentionResult {
 impl ContentionResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E10 — accelerators are not free: contention (§2.4)");
         let mut t = Table::new(
             "identical accelerators sharing a 12 GB/s DRAM bus (4 GB/s each)",
@@ -60,7 +59,7 @@ impl ContentionResult {
 
 /// Runs E10.
 #[must_use]
-pub fn run() -> ContentionResult {
+pub(crate) fn run() -> ContentionResult {
     let bus = SharedBus::new(BytesPerSecond::from_gigabytes_per_second(12.0));
     let per_unit_demand = BytesPerSecond::from_gigabytes_per_second(4.0);
     let scaling_rows = (1..=8)

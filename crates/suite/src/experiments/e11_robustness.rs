@@ -22,16 +22,14 @@
 
 use crate::report::{fmt_f64, Report, Table};
 use m7_par::ParConfig;
-use m7_sim::campaign::{CampaignConfig, CampaignRunner, RobustnessReport};
-use m7_sim::degrade::DegradationPolicy;
-use m7_sim::faults::FaultProfile;
-use m7_sim::mission::MissionSpec;
 use m7_sim::uav::{Uav, UavConfig};
+use m7_sim::{
+    CampaignConfig, CampaignRunner, DegradationPolicy, FaultProfile, MissionSpec, RobustnessReport,
+};
 use m7_units::{Joules, Meters, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// One design arm of the campaign.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ArmRow {
     /// Arm name.
     pub arm: String,
@@ -40,7 +38,7 @@ pub struct ArmRow {
 }
 
 /// The E11 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RobustnessResult {
     /// Monte-Carlo runs per arm.
     pub runs: usize,
@@ -168,7 +166,7 @@ pub fn run_with_runs_par(seed: u64, runs: usize, par: ParConfig) -> RobustnessRe
 
 /// Runs E11 with the default campaign size.
 #[must_use]
-pub fn run(seed: u64) -> RobustnessResult {
+pub(crate) fn run(seed: u64) -> RobustnessResult {
     run_with_runs(seed, 32)
 }
 

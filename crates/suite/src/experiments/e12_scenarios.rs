@@ -17,9 +17,8 @@ use m7_scen::{
     evaluate_rover, evaluate_uav, falsify_memo, generate, Falsification, FalsifyConfig, Family,
     ScenOutcome,
 };
-use m7_serve::tier::ResultStore;
+use m7_serve::ResultStore;
 use m7_sim::uav::ComputeTier;
-use serde::{Deserialize, Serialize};
 
 /// One UAV sweep cell: (family, level, scenario seed, tier).
 type UavCombo = (Family, f64, u64, ComputeTier);
@@ -34,7 +33,7 @@ pub(crate) const VARIANTS: u64 = 2;
 pub(crate) const ROVER_LEVEL: f64 = 0.35;
 
 /// Aggregate UAV outcome of one tier on one generator family.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FamilyTierStat {
     /// The tier flown.
     pub tier: ComputeTier,
@@ -47,7 +46,7 @@ pub(crate) struct FamilyTierStat {
 }
 
 /// One row of the per-generator table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct FamilyRow {
     /// Generator family.
     pub family: Family,
@@ -58,7 +57,7 @@ pub(crate) struct FamilyRow {
 }
 
 /// One rover spot check: a start→goal patrol with RRT in the loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RoverRow {
     /// Generator family of the world.
     pub family: Family,
@@ -69,7 +68,7 @@ pub(crate) struct RoverRow {
 }
 
 /// The E12 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScenariosResult {
     /// Per-generator UAV success/latency rows, one per family.
     pub families: Vec<FamilyRow>,
@@ -82,7 +81,7 @@ pub(crate) struct ScenariosResult {
 impl ScenariosResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report =
             Report::new("E12 — scenario supply: procedural worlds and falsification (§2.1+§3.1)");
 
@@ -196,10 +195,10 @@ impl ScenariosResult {
 /// Runs E12 with the two falsification searches memoized through one
 /// shared `store`, returning the result plus the number of evaluations
 /// the store answered. The [`ScenariosResult`] is the same for any store
-/// contents; with a disk-backed [`m7_serve::tier::TieredCache`] the
+/// contents; with a disk-backed [`m7_serve::TieredCache`] the
 /// falsification scores persist across process restarts.
 #[must_use]
-pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (ScenariosResult, u64) {
+pub(crate) fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (ScenariosResult, u64) {
     let par = ParConfig::default();
     let hits_before = store.hits();
 
@@ -280,7 +279,7 @@ pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (ScenariosResult, u6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m7_serve::tier::TieredCache;
+    use m7_serve::TieredCache;
 
     /// Runs E12, deterministic in `seed` and invariant to `M7_THREADS`.
     #[must_use]

@@ -16,20 +16,19 @@
 //!    cpu-scalar. This is the half that lands in the golden report.
 //! 2. **Measured (wall clock, diagnostic-only).** The four rows of the
 //!    `m7-bench` roofline harness in quick mode
-//!    ([`m7_bench::roofline::run_suite`]), the same run as
+//!    ([`m7_bench::run_suite`]), the same run as
 //!    `examples/roofline_report --quick`. The speedups are rendered in an
 //!    extra table and exported as *diagnostic-class* trace gauges, so
 //!    deterministic metric dumps and the golden suite never see them.
 
 use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind};
-use m7_arch::roofline::Roofline;
 use m7_arch::workload::KernelProfile;
-use m7_bench::roofline::{run_suite, KernelMeasurement};
-use m7_kernels::dnn::{Mlp, Precision};
+use m7_arch::Roofline;
+use m7_bench::{run_suite, KernelMeasurement};
+use m7_kernels::{Mlp, Precision};
 use m7_trace::{MetricClass, TraceGauge};
 use m7_units::OpsPerByte;
-use serde::{Deserialize, Serialize};
 
 use super::Timing;
 
@@ -46,7 +45,7 @@ static DNN_SPEEDUP: TraceGauge =
     TraceGauge::new("e13.measured.dnn_speedup_milli", MetricClass::Diagnostic);
 
 /// Modeled roofline placement of one kernel on both CPU presets.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct RooflineRow {
     /// Kernel profile name (e.g. `collision-batch-2048x256`).
     pub kernel: String,
@@ -85,7 +84,7 @@ pub(crate) struct RooflineResult {
 impl RooflineResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report =
             Report::new("E13 — measured vs modeled roofline for vectorized kernels (§2.5)");
         let mut t = Table::new(
@@ -194,7 +193,7 @@ fn modeled_row(profile: &KernelProfile) -> RooflineRow {
 /// Runs E13. With [`Timing::Modeled`] the result is a pure function of
 /// the kernel profiles, identical on every run and at any thread count.
 #[must_use]
-pub fn run(timing: Timing) -> RooflineResult {
+pub(crate) fn run(timing: Timing) -> RooflineResult {
     let profiles = modeled_profiles();
     let rows = profiles.iter().map(modeled_row).collect();
     let measured = match timing {

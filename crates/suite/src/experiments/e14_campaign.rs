@@ -13,23 +13,21 @@
 use crate::report::{fmt_f64, Report, Table};
 use m7_camp::{run_campaign, CampaignOutcome, CampaignPlan};
 use m7_par::{derive_seed, ParConfig};
-use m7_serve::cache::EvalCache;
-use m7_serve::tier::ResultStore;
+use m7_serve::{EvalCache, ResultStore};
 use m7_sim::uav::ComputeTier;
-use serde::{Deserialize, Serialize};
 
 /// The two platform tiers campaigned: under-provisioned vs. adequate —
 /// the same pair E12 falsifies, now measured across the whole envelope.
 pub(crate) const TIERS: [ComputeTier; 2] = [ComputeTier::Micro, ComputeTier::Embedded];
 /// Closed-loop evaluation budget per tier's campaign.
-pub const BUDGET: usize = 600;
+pub(crate) const BUDGET: usize = 600;
 /// Most-sampled strata shown per tier in the importance table.
 pub(crate) const TOP_STRATA: usize = 8;
 
 /// The E14 result: one finished campaign per tier, under-provisioned
 /// ([`ComputeTier::Micro`]) first, then adequate ([`ComputeTier::Embedded`]).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CampaignResult {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct CampaignResult {
     /// Campaign outcomes, one per tier: Micro, then Embedded.
     pub outcomes: Vec<CampaignOutcome>,
 }
@@ -37,7 +35,7 @@ pub struct CampaignResult {
 impl CampaignResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new(
             "E14 — streaming campaigns: stratified coverage with importance splitting (§2.1+§3.1)",
         );
@@ -163,30 +161,17 @@ impl CampaignResult {
 /// The plan every E14 campaign runs: all families, ten deciles, the
 /// default adaptive-round shape, [`BUDGET`] evaluations.
 #[must_use]
-pub fn plan(tier: ComputeTier) -> CampaignPlan {
+pub(crate) fn plan(tier: ComputeTier) -> CampaignPlan {
     CampaignPlan::new(tier, BUDGET)
-}
-
-/// Runs E14, deterministic in `seed` and invariant to `M7_THREADS`.
-#[must_use]
-pub fn run(seed: u64) -> CampaignResult {
-    run_in(seed, &super::fresh_store()).0
-}
-
-/// [`run`] on an explicit pool — the hook the thread-count invariance
-/// test uses to compare 1 vs 8 workers inside one process.
-#[must_use]
-pub fn run_with_par(seed: u64, par: ParConfig) -> CampaignResult {
-    run_on(seed, &super::fresh_store(), par).0
 }
 
 /// Runs E14 with the campaigns' anchoring falsification probes memoized
 /// through one shared `store`, returning the result plus the number of
 /// probe evaluations the store answered. The [`CampaignResult`] is the
 /// same for any store contents; with a disk-backed
-/// [`m7_serve::tier::TieredCache`] the probes survive process restarts.
+/// [`m7_serve::TieredCache`] the probes survive process restarts.
 #[must_use]
-pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (CampaignResult, u64) {
+pub(crate) fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (CampaignResult, u64) {
     run_on(seed, store, ParConfig::default())
 }
 
@@ -208,11 +193,36 @@ fn run_on<S: ResultStore<f64>>(seed: u64, store: &S, par: ParConfig) -> (Campaig
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m7_serve::tier::TieredCache;
+    use m7_serve::TieredCache;
+
+    /// Runs E14, deterministic in `seed` and invariant to `M7_THREADS`.
+    fn run(seed: u64) -> CampaignResult {
+        run_in(seed, &crate::experiments::fresh_store()).0
+    }
+
+    /// [`run`] on an explicit pool, to compare 1 vs 8 workers inside one
+    /// process.
+    fn run_with_par(seed: u64, par: ParConfig) -> CampaignResult {
+        run_on(seed, &crate::experiments::fresh_store(), par).0
+    }
 
     #[test]
     fn deterministic() {
         assert_eq!(run(5), run(5));
+    }
+
+    /// The full E14 report — both tiers, curves, importance tables,
+    /// notes — is byte-identical at 1 vs 8 threads.
+    #[test]
+    fn report_identical_at_1_vs_8_threads() {
+        let one = run_with_par(42, ParConfig::with_threads(1));
+        let eight = run_with_par(42, ParConfig::with_threads(8));
+        assert_eq!(one, eight, "E14 campaign outcomes must not depend on thread count");
+        assert_eq!(
+            one.report().to_string(),
+            eight.report().to_string(),
+            "E14 report must be byte-identical at 1 vs 8 threads"
+        );
     }
 
     #[test]

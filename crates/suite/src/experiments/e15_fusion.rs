@@ -28,7 +28,6 @@ use m7_flow::{
 };
 use m7_par::ParConfig;
 use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Simulated horizon in seconds.
 pub(crate) const DURATION_S: f64 = 2.0;
@@ -140,7 +139,7 @@ fn build(dep: &Deployment) -> Result<Graph, FlowError> {
 }
 
 /// What one deployment did with the multi-rate traffic.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeploymentOutcome {
     /// Deployment label.
     pub label: String,
@@ -208,7 +207,7 @@ fn summarize(label: &str, r: &GraphReport) -> DeploymentOutcome {
 }
 
 /// The E15 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FusionResult {
     /// Simulated horizon, seconds.
     pub duration_s: f64,
@@ -305,7 +304,7 @@ impl FusionResult {
 ///
 /// `seed` drives the camera-link loss draws.
 #[must_use]
-pub fn run(seed: u64) -> FusionResult {
+pub(crate) fn run(seed: u64) -> FusionResult {
     let duration = Seconds::new(DURATION_S);
     let outcomes = deployments()
         .into_iter()

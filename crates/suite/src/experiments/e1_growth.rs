@@ -9,7 +9,6 @@
 
 use crate::report::{Report, Table};
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// First year of the modeled window (matching Fig. 1's x-axis).
 pub(crate) const FIRST_YEAR: u32 = 2014;
@@ -17,7 +16,7 @@ pub(crate) const FIRST_YEAR: u32 = 2014;
 pub(crate) const LAST_YEAR: u32 = 2023;
 
 /// Parameters of the bibliometric model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct GrowthModel {
     /// Carrying capacity: mentions per year once the field matures.
     pub capacity: f64,
@@ -39,7 +38,7 @@ impl Default for GrowthModel {
 impl GrowthModel {
     /// Expected mentions in `year` under the logistic adoption curve.
     #[must_use]
-    pub fn expected(&self, year: u32) -> f64 {
+    pub(crate) fn expected(&self, year: u32) -> f64 {
         let t = f64::from(year);
         self.capacity / (1.0 + (-self.rate * (t - self.midpoint)).exp())
     }
@@ -77,7 +76,7 @@ fn poisson(rng: &mut impl Rng, lambda: f64) -> u64 {
 }
 
 /// The E1 result: the yearly publication-mention series.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct GrowthResult {
     /// Yearly `(year, mentions)` counts.
     pub series: Vec<(u32, u64)>,
@@ -88,7 +87,7 @@ pub(crate) struct GrowthResult {
 impl GrowthResult {
     /// Renders the Fig. 1 equivalent.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E1 — publication growth (paper Fig. 1)");
         let mut t = Table::new("mentions per year", vec!["year", "mentions"]);
         for &(year, n) in &self.series {
@@ -105,7 +104,7 @@ impl GrowthResult {
 
 /// Runs E1 with the default model.
 #[must_use]
-pub fn run(seed: u64) -> GrowthResult {
+pub(crate) fn run(seed: u64) -> GrowthResult {
     let model = GrowthModel::default();
     let series = model.sample_series(seed);
     let first = series.iter().find(|(_, n)| *n > 0).map_or(1, |&(_, n)| n.max(1));

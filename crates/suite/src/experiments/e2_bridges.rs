@@ -2,7 +2,7 @@
 //! accelerates the kernel a *stale benchmark* says is the bottleneck.
 //!
 //! The legacy benchmark pipeline is dominated by dense grid-correlation
-//! scan matching ([`m7_kernels::slam::DenseScanSlam`]'s inner loop). The
+//! scan matching ([`m7_kernels::DenseScanSlam`]'s inner loop). The
 //! *deployed* pipeline — what practitioners actually run today — is a
 //! sparse stack: feature extraction, EKF updates, batched collision
 //! checks, and dynamics. A "correlation widget" ASIC looks spectacular on
@@ -12,7 +12,6 @@
 use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind, Specialization};
 use m7_arch::workload::{KernelFamily, KernelProfile};
-use serde::{Deserialize, Serialize};
 
 /// The legacy (benchmark-era) SLAM pipeline: correlation dominates.
 #[must_use]
@@ -44,7 +43,7 @@ pub(crate) fn correlation_widget() -> Platform {
         .name("correlation-widget")
         // The whole occupancy grid is pinned in on-chip SRAM — which is
         // exactly what makes this a widget: that SRAM helps no other kernel.
-        .roofline(m7_arch::roofline::Roofline::new(
+        .roofline(m7_arch::Roofline::new(
             m7_units::OpsPerSecond::from_teraops(4.0),
             m7_units::BytesPerSecond::from_gigabytes_per_second(1000.0),
         ))
@@ -75,8 +74,8 @@ pub(crate) fn expert_accelerator() -> Platform {
 }
 
 /// The E2 result rows.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BridgesResult {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BridgesResult {
     /// `(design, legacy-benchmark speedup, deployed-pipeline speedup)`.
     pub rows: Vec<(String, f64, f64)>,
 }
@@ -84,7 +83,7 @@ pub struct BridgesResult {
 impl BridgesResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E2 — build bridges: benchmark-stale acceleration (§2.1)");
         let mut t = Table::new(
             "end-to-end speedup over the host CPU",
@@ -105,7 +104,7 @@ impl BridgesResult {
 
 /// Runs E2.
 #[must_use]
-pub fn run() -> BridgesResult {
+pub(crate) fn run() -> BridgesResult {
     let host = Platform::preset(PlatformKind::CpuSimd);
     let designs = [correlation_widget(), expert_accelerator()];
     let legacy = legacy_pipeline();

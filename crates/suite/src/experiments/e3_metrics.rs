@@ -11,13 +11,12 @@
 use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::KernelProfile;
-use m7_kernels::dnn::{Dataset, Mlp, Precision};
+use m7_kernels::{Dataset, Mlp, Precision};
 use m7_units::Seconds;
-use serde::{Deserialize, Serialize};
 
 /// Per-precision measurements.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PrecisionRow {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct PrecisionRow {
     /// Weight precision.
     pub precision: String,
     /// Modeled training-step throughput (steps/s) on the accelerator.
@@ -32,8 +31,8 @@ pub struct PrecisionRow {
 }
 
 /// The E3 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MetricsResult {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct MetricsResult {
     /// One row per precision, highest to lowest.
     pub rows: Vec<PrecisionRow>,
     /// Precision with the best raw throughput.
@@ -45,7 +44,7 @@ pub struct MetricsResult {
 impl MetricsResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E3 — metrics matter: throughput vs time-to-accuracy (§2.2)");
         let mut t = Table::new(
             "precision sweep",
@@ -79,7 +78,7 @@ impl MetricsResult {
 /// Runs E3: an 8-class classification task trained quantization-aware at
 /// every precision, with step throughput modeled on the ASIC preset.
 #[must_use]
-pub fn run(seed: u64) -> MetricsResult {
+pub(crate) fn run(seed: u64) -> MetricsResult {
     let data = Dataset::blobs(100, 8, 2, seed);
     let target = 0.95;
     let max_epochs = 150;

@@ -9,7 +9,6 @@
 use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind, Specialization};
 use m7_arch::workload::{KernelFamily, KernelProfile};
-use serde::{Deserialize, Serialize};
 
 /// The six-task autonomy suite (name, kernel pipeline).
 #[must_use]
@@ -62,8 +61,8 @@ pub(crate) fn crosscutting_accelerator() -> Platform {
 }
 
 /// The E4 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct WidgetismResult {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct WidgetismResult {
     /// Design names, column order of `speedups`.
     pub designs: Vec<String>,
     /// `(task, per-design speedups over the scalar-CPU software baseline)`.
@@ -75,7 +74,7 @@ pub struct WidgetismResult {
 impl WidgetismResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E4 — widgetism: over-specialization (§2.3)");
         let mut headers = vec!["task".to_string()];
         headers.extend(self.designs.iter().cloned());
@@ -100,7 +99,7 @@ impl WidgetismResult {
 /// Runs E4. Each design offloads kernels it beats the host on; the rest
 /// stay on the integrated SIMD host.
 #[must_use]
-pub fn run() -> WidgetismResult {
+pub(crate) fn run() -> WidgetismResult {
     let baseline = Platform::preset(PlatformKind::CpuScalar);
     let host = Platform::preset(PlatformKind::CpuSimd);
     let designs = [host.clone(), prm_widget(), crosscutting_accelerator()];

@@ -5,13 +5,12 @@
 //! fails long missions outright through mass and power.
 
 use crate::report::{fmt_f64, Report, Table};
-use m7_sim::mission::MissionSpec;
 use m7_sim::uav::{ComputeTier, Uav, UavConfig};
-use serde::{Deserialize, Serialize};
+use m7_sim::MissionSpec;
 
 /// Per-tier mission outcome summary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TierRow {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct TierRow {
     /// The compute tier.
     pub tier: String,
     /// Perception-limited cruise speed (m/s).
@@ -27,8 +26,8 @@ pub struct TierRow {
 }
 
 /// The E5 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct BrakesResult {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct BrakesResult {
     /// Course length flown (m).
     pub distance_m: f64,
     /// One row per tier, weakest to strongest.
@@ -40,7 +39,7 @@ pub struct BrakesResult {
 impl BrakesResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E5 — pump the brakes: UAV compute sweep (§2.4)");
         let mut t = Table::new(
             format!("{} m survey mission by compute tier", self.distance_m),
@@ -75,7 +74,7 @@ impl BrakesResult {
 
 /// Runs E5 over a 4 km survey.
 #[must_use]
-pub fn run(seed: u64) -> BrakesResult {
+pub(crate) fn run(seed: u64) -> BrakesResult {
     let distance_m = 4000.0;
     let mission = MissionSpec::survey(distance_m);
     let rows: Vec<TierRow> = ComputeTier::ALL

@@ -22,14 +22,12 @@
 use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::{KernelFamily, KernelProfile};
-use m7_kernels::geometry::Vec2;
-use m7_kernels::planning::{CollisionWorld, Prm, PrmConfig};
+use m7_kernels::{CollisionWorld, Prm, PrmConfig, Vec2};
 use m7_units::{Bytes, Ops};
-use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 /// How the E6 build-time comparison obtains its numbers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Timing {
     /// Wall-clock `Instant` measurements on the host (nondeterministic).
     Measured,
@@ -38,7 +36,7 @@ pub enum Timing {
 }
 
 /// The E6 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct PlatformsResult {
     /// Where the build times came from.
     pub timing: Timing,
@@ -57,7 +55,7 @@ pub(crate) struct PlatformsResult {
 impl PlatformsResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E6 — chips and salsa: acceleration beyond ASICs (§2.5)");
         let label = match self.timing {
             Timing::Measured => "measured",
@@ -108,7 +106,7 @@ impl PlatformsResult {
 /// and batching alone, not thread count. With [`Timing::Modeled`] the
 /// whole result is a pure function of `seed`.
 #[must_use]
-pub fn run_with(seed: u64, timing: Timing) -> PlatformsResult {
+pub(crate) fn run_with(seed: u64, timing: Timing) -> PlatformsResult {
     let mut world = CollisionWorld::new(60.0, 60.0);
     world.scatter_circles(160, 0.4, 1.6, seed);
     world.add_rect(Vec2::new(20.0, 0.0), Vec2::new(22.0, 40.0));

@@ -10,15 +10,14 @@ use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::KernelProfile;
 use m7_sim::pipeline::Pipeline;
-use m7_sim::sensor::{SensorKind, SensorSpec};
+use m7_sim::{SensorKind, SensorSpec};
 use m7_units::{Bytes, BytesPerSecond, Hertz, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// Kernel-speedup sweep points.
 pub(crate) const SPEEDUPS: [f64; 7] = [1.0, 2.0, 5.0, 10.0, 50.0, 100.0, 1000.0];
 
 /// The E7 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct EndToEndResult {
     /// `(kernel speedup, lean end-to-end gain, heavy-tax end-to-end gain)`.
     pub rows: Vec<(f64, f64, f64)>,
@@ -31,7 +30,7 @@ pub struct EndToEndResult {
 impl EndToEndResult {
     /// Amdahl ceiling implied by a compute fraction.
     #[must_use]
-    pub fn ceiling(fraction: f64) -> f64 {
+    pub(crate) fn ceiling(fraction: f64) -> f64 {
         1.0 / (1.0 - fraction)
     }
 

@@ -9,15 +9,12 @@
 //!   cross-generation reuse.
 
 use crate::report::{fmt_f64, Report, Table};
-use m7_lca::chiplet::SystemDesign;
-use m7_lca::fleet::FleetModel;
-use m7_lca::training::TrainingJob;
+use m7_lca::{FleetModel, SystemDesign, TrainingJob};
 use m7_units::{Ops, SquareMillimeters, Watts};
-use serde::{Deserialize, Serialize};
 
 /// The E8 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct GlobalResult {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct GlobalResult {
     /// `(fleet size, annual MtCO₂e, datacenter equivalents)`.
     pub fleet_rows: Vec<(u64, f64, f64)>,
     /// Edge-to-cloud training emission ratio.
@@ -29,7 +26,7 @@ pub struct GlobalResult {
 impl GlobalResult {
     /// Renders the report.
     #[must_use]
-    pub fn report(&self) -> Report {
+    pub(crate) fn report(&self) -> Report {
         let mut report = Report::new("E8 — design global: carbon at scale (§2.7)");
 
         let mut fleet = Table::new(
@@ -65,7 +62,7 @@ impl GlobalResult {
 
 /// Runs E8.
 #[must_use]
-pub fn run() -> GlobalResult {
+pub(crate) fn run() -> GlobalResult {
     let fleet_rows = [100_000u64, 1_000_000, 10_000_000, 100_000_000]
         .iter()
         .map(|&n| {
@@ -102,7 +99,7 @@ pub fn run() -> GlobalResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m7_lca::training::TrainingVenue;
+    use m7_lca::TrainingVenue;
 
     #[test]
     fn fleet_emissions_scale_linearly() {

@@ -8,16 +8,12 @@
 //! evaluation budget; exhaustive enumeration provides the true optimum.
 
 use crate::report::{fmt_f64, Report, Table};
-use m7_dse::explorer::{Explorer, SearchBudget};
-use m7_dse::memo::EvalMemo;
-use m7_dse::space::{DesignSpace, Dimension};
+use m7_dse::{DesignSpace, Dimension, EvalMemo, Explorer, SearchBudget};
 use m7_par::ParConfig;
-use m7_serve::key::namespace;
-use m7_serve::tier::ResultStore;
-use m7_sim::mission::MissionSpec;
+use m7_serve::{namespace, ResultStore};
 use m7_sim::uav::{ComputeTier, Uav, UavConfig};
+use m7_sim::MissionSpec;
 use m7_units::{Joules, Meters, MetersPerSecond};
-use serde::{Deserialize, Serialize};
 
 /// The UAV system design space (tier, battery Wh, rotor disk m², sensor
 /// range m).
@@ -61,7 +57,7 @@ pub fn mission_cost(values: &[f64], seed: u64) -> f64 {
 }
 
 /// The E9 result.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DseResult {
     /// True optimum cost (exhaustive enumeration).
     pub optimum: f64,
@@ -114,7 +110,7 @@ pub fn run(seed: u64) -> DseResult {
 /// Returns the result plus the number of evaluations `store` answered.
 /// The [`DseResult`] is the same for any store contents, because the
 /// mission objective is a pure function of its design values and the
-/// seed; with a disk-backed [`m7_serve::tier::TieredCache`] a re-run (even
+/// seed; with a disk-backed [`m7_serve::TieredCache`] a re-run (even
 /// in a new process) answers every evaluation from the store.
 #[must_use]
 pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (DseResult, u64) {
@@ -153,7 +149,7 @@ pub fn run_in<S: ResultStore<f64>>(seed: u64, store: &S) -> (DseResult, u64) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use m7_serve::tier::TieredCache;
+    use m7_serve::TieredCache;
 
     #[test]
     fn optimum_picks_a_sane_design() {

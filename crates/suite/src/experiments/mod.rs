@@ -18,28 +18,26 @@
 //! | E14 | §2.1 + §3.1 | streaming campaigns: stratified coverage with importance splitting |
 //! | E15 | §2.5 + §2.6 | multi-rate fusion graph: placement, DVFS, and backpressure tradeoffs |
 
-pub(crate) mod e10_contention;
+mod e10_contention;
 pub mod e11_robustness;
-pub(crate) mod e12_scenarios;
-pub(crate) mod e13_roofline;
-pub mod e14_campaign;
+mod e12_scenarios;
+mod e13_roofline;
+mod e14_campaign;
 pub mod e15_fusion;
-pub(crate) mod e1_growth;
-pub mod e2_bridges;
-pub mod e3_metrics;
-pub mod e4_widgetism;
-pub mod e5_brakes;
-pub(crate) mod e6_platforms;
+mod e1_growth;
+mod e2_bridges;
+mod e3_metrics;
+mod e4_widgetism;
+mod e5_brakes;
+mod e6_platforms;
 pub mod e7_endtoend;
-pub mod e8_global;
+mod e8_global;
 pub mod e9_dse;
 
 use crate::report::Report;
 use m7_par::{derive_seed, ParConfig};
-use m7_serve::cache::EvalCache;
-use m7_serve::tier::ResultStore;
+use m7_serve::{EvalCache, ResultStore};
 use m7_trace::{MetricClass, TraceCounter};
-use serde::{Deserialize, Serialize};
 
 // Suite observability (no-ops until `m7_trace::enable()`): one counter
 // for experiments run plus a per-experiment wall span named by slug.
@@ -59,7 +57,7 @@ pub use e6_platforms::Timing;
 ///     assert!(!id.description().is_empty());
 /// }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ExperimentId {
     /// E1 — publication-growth curve (paper Fig. 1).
     E1Growth,
@@ -190,7 +188,7 @@ impl ExperimentId {
     /// during this run (`0` for experiments that memoize nothing). The
     /// report is byte-identical for any store contents — memoization only
     /// skips re-scoring pure objectives. With a disk-backed
-    /// [`TieredCache`](m7_serve::tier::TieredCache) the scores survive
+    /// [`TieredCache`](m7_serve::TieredCache) the scores survive
     /// process restarts, so a warm re-run reports larger savings.
     #[must_use]
     pub fn run_in<S: ResultStore<f64>>(
@@ -365,6 +363,36 @@ mod tests {
                 ExperimentId::E15Fusion,
             ]
         );
+    }
+
+    #[test]
+    fn headline_shapes_hold_together() {
+        // E2: the widget's deployed-stack speedup collapses versus its
+        // benchmark speedup; the expert design wins where it matters.
+        let e2 = e2_bridges::run();
+        let widget = &e2.rows[0];
+        let expert = &e2.rows[1];
+        assert!(widget.1 > 2.0 && widget.2 < widget.1 / 2.0);
+        assert!(expert.2 > widget.2);
+
+        // E3: metric inversion.
+        let e3 = e3_metrics::run(42);
+        assert_ne!(e3.throughput_winner, e3.time_to_accuracy_winner);
+
+        // E4: widget loses the suite geomean to the cross-cutting design.
+        let e4 = e4_widgetism::run();
+        let widget_idx = e4.designs.iter().position(|d| d == "widget-prm-asic").unwrap();
+        let cross_idx = e4.designs.iter().position(|d| d == "crosscutting-asic").unwrap();
+        assert!(e4.suite_geomean[cross_idx] > e4.suite_geomean[widget_idx]);
+
+        // E5: U-shape with a middle-tier winner.
+        let e5 = e5_brakes::run(42);
+        assert!(e5.best_tier == "embedded" || e5.best_tier == "embedded-gpu");
+
+        // E8: edge training dirtier; big fleets rival datacenters.
+        let e8 = e8_global::run();
+        assert!(e8.edge_cloud_ratio > 10.0);
+        assert!(e8.fleet_rows.last().unwrap().2 > 100.0);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //!
 //! - is deterministic in an explicit seed,
 //! - returns typed result rows, and
-//! - renders a [`report::Report`] whose tables are the repository's
+//! - renders a [`Report`] whose tables are the repository's
 //!   equivalent of the paper's figures.
 //!
 //! # Examples
@@ -22,8 +22,16 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod ablations;
-pub mod challenges;
+mod ablations;
+mod challenges;
 pub mod experiments;
-pub mod report;
-pub mod workloads;
+mod report;
+mod workloads;
+
+pub use ablations::{
+    contention_onoff, dvfs_pareto, thermal_sustained, ContentionAblation, DvfsAblation,
+    ThermalAblation,
+};
+pub use challenges::Challenge;
+pub use report::{fmt_f64, Report, Table};
+pub use workloads::{m7bench, score, suite_summary, BenchmarkScore, BenchmarkWorkload};

@@ -1,14 +1,12 @@
 //! ASCII report rendering: tables plus notes, the textual equivalent of
 //! the paper's figures.
 
-use serde::{Deserialize, Serialize};
-
 /// One table of results.
 ///
 /// # Examples
 ///
 /// ```
-/// use m7_suite::report::Table;
+/// use m7_suite::Table;
 ///
 /// let mut t = Table::new("speedups", vec!["platform", "x"]);
 /// t.push_row(vec!["cpu", "1.0"]);
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(text.contains("platform"));
 /// assert!(text.contains("12.3"));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Table {
     title: String,
     headers: Vec<String>,
@@ -106,7 +104,7 @@ impl core::fmt::Display for Table {
 }
 
 /// A full experiment report: tables plus free-form findings.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Report {
     title: String,
     tables: Vec<Table>,

@@ -13,10 +13,9 @@ use crate::report::{fmt_f64, Report, Table};
 use m7_arch::platform::Platform;
 use m7_arch::workload::KernelProfile;
 use m7_units::{Hertz, Joules, Seconds};
-use serde::{Deserialize, Serialize};
 
 /// One standardized benchmark workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkWorkload {
     name: String,
     pipeline: Vec<KernelProfile>,
@@ -115,7 +114,7 @@ pub fn m7bench() -> Vec<BenchmarkWorkload> {
 }
 
 /// The system-level score of one platform on one workload.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BenchmarkScore {
     /// Workload name.
     pub workload: String,

@@ -9,7 +9,7 @@
 //! loop as a guard arm, claiming exactly the shared flags:
 //!
 //! ```
-//! use m7_trace::cli::ObsFlags;
+//! use m7_trace::ObsFlags;
 //!
 //! let mut obs = ObsFlags::default();
 //! let mut args = ["--metrics".to_string(), "--threads".into(), "4".into()].into_iter();
@@ -29,7 +29,7 @@
 /// binary gives for a bad flag value.
 ///
 /// ```
-/// use m7_trace::cli::flag_value;
+/// use m7_trace::flag_value;
 ///
 /// let mut rest = ["7".to_string()].into_iter();
 /// let seed: u64 = flag_value(&mut rest, "--seed", "an integer");
@@ -125,7 +125,7 @@ impl ObsFlags {
         self.stats_interval.is_some() || self.journal.is_some()
     }
 
-    /// The hub cadence: `--stats-interval`, or the [`crate::hub::HubConfig`]
+    /// The hub cadence: `--stats-interval`, or the [`crate::HubConfig`]
     /// default when only `--journal` was given.
     #[must_use]
     pub fn hub_config(&self) -> crate::hub::HubConfig {

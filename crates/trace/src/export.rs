@@ -286,7 +286,7 @@ pub struct TraceSummary {
 /// Public so downstream harnesses can structurally validate their own
 /// machine-readable output (e.g. the m7-bench `BENCH_roofline.json`
 /// shape) with the same parser that backs [`validate_chrome_trace`],
-/// without pulling in a serde stack. Parse documents with [`parse_json`].
+/// without an external JSON dependency. Parse documents with [`parse_json`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.
@@ -351,7 +351,14 @@ impl Json {
     }
 }
 
+/// Arrays and objects nested deeper than this are rejected, so a hostile
+/// document cannot exhaust the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a complete JSON document (rejecting trailing data).
+///
+/// Total and linear in the input length: nesting past 128 levels and
+/// numbers that overflow `f64` (such as `1e999`) are errors.
 ///
 /// # Errors
 ///
@@ -367,13 +374,25 @@ pub fn parse_json(json: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn new(s: &'a str) -> Self {
-        Self { bytes: s.as_bytes(), pos: 0 }
+        Self { src: s, bytes: s.as_bytes(), pos: 0, depth: 0 }
+    }
+
+    /// Opens one array or object level.
+    fn enter(&mut self, open: u8) -> Result<(), String> {
+        self.expect(open)?;
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        Ok(())
     }
 
     fn err(&self, msg: &str) -> String {
@@ -433,6 +452,7 @@ impl<'a> Parser<'a> {
         std::str::from_utf8(&self.bytes[start..self.pos])
             .ok()
             .and_then(|s| s.parse::<f64>().ok())
+            .filter(|v| v.is_finite())
             .map(Json::Num)
             .ok_or_else(|| self.err("invalid number"))
     }
@@ -471,23 +491,27 @@ impl<'a> Parser<'a> {
                     }
                 }
                 _ => {
-                    // Re-sync on UTF-8: step back and take the full char.
-                    self.pos -= 1;
-                    let s = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("unterminated string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run up to the next quote or backslash in one
+                    // slice. Both are ASCII, so the run ends on a char
+                    // boundary.
+                    let start = self.pos - 1;
+                    while self.bytes.get(self.pos).is_some_and(|b| !matches!(b, b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    let run =
+                        self.src.get(start..self.pos).ok_or_else(|| self.err("invalid UTF-8"))?;
+                    out.push_str(run);
                 }
             }
         }
     }
 
     fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
+        self.enter(b'[')?;
         let mut items = Vec::new();
         if self.peek() == Some(b']') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Arr(items));
         }
         loop {
@@ -496,6 +520,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b']') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Arr(items));
                 }
                 _ => return Err(self.err("expected , or ] in array")),
@@ -504,10 +529,11 @@ impl<'a> Parser<'a> {
     }
 
     fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
+        self.enter(b'{')?;
         let mut fields = Vec::new();
         if self.peek() == Some(b'}') {
             self.pos += 1;
+            self.depth -= 1;
             return Ok(Json::Obj(fields));
         }
         loop {
@@ -519,6 +545,7 @@ impl<'a> Parser<'a> {
                 Some(b',') => self.pos += 1,
                 Some(b'}') => {
                     self.pos += 1;
+                    self.depth -= 1;
                     return Ok(Json::Obj(fields));
                 }
                 _ => return Err(self.err("expected , or } in object")),

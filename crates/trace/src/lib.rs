@@ -3,27 +3,27 @@
 //!
 //! Three pillars, all usable with no external crates:
 //!
-//! - **Spans** ([`span`]): hierarchical begin/end regions stamped with
+//! - **Spans** ([`SpanSite`]): hierarchical begin/end regions stamped with
 //!   *wall-clock* nanoseconds (what actually happened on this machine)
 //!   or *modeled* nanoseconds (what the simulated platform would take —
 //!   deterministic across hosts and thread counts). Events land in a
 //!   lock-free per-thread ring-buffer flight recorder ([`recorder`])
 //!   that is merged at export time, including across threads spawned by
 //!   the `m7-par` pool.
-//! - **Metrics** ([`metrics`]): typed counters, gauges, and fixed
+//! - **Metrics** ([`registry`]): typed counters, gauges, and fixed
 //!   log₂-bucket histograms with exact counts, registered by name in a
 //!   process-wide registry. Each metric is classed
 //!   [`MetricClass::Deterministic`] (thread-count-invariant, seeds-only)
 //!   or [`MetricClass::Diagnostic`] (`sched.*`, wall-time/scheduling
 //!   dependent).
-//! - **Exporters** ([`export`]): chrome://tracing JSON (open in
+//! - **Exporters** ([`chrome_trace_json`], [`text_report`], [`kv_dump`]): chrome://tracing JSON (open in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>), a flat text
 //!   report, and a machine-readable `key = value` dump.
 //!
 //! A fourth pillar makes the plane *live* instead of post-mortem: the
-//! [`hub::TelemetryHub`] samples the registry on a cadence into
-//! versioned, delta-encoded [`snapshot::Snapshot`] records and streams
-//! them to pluggable [`hub::SnapshotSink`]s (e.g. `m7-serve`'s
+//! [`TelemetryHub`] samples the registry on a cadence into
+//! versioned, delta-encoded [`Snapshot`] records and streams
+//! them to pluggable [`SnapshotSink`]s (e.g. `m7-serve`'s
 //! crash-safe flight journal), driven by the shared
 //! `--stats-interval`/`--journal` CLI flags.
 //!
@@ -35,7 +35,7 @@
 //! # Examples
 //!
 //! ```
-//! use m7_trace::{span::SpanSite, MetricClass, TraceCounter};
+//! use m7_trace::{SpanSite, MetricClass, TraceCounter};
 //!
 //! static STEP: SpanSite = SpanSite::new("doc.step", MetricClass::Deterministic);
 //! static ITEMS: TraceCounter = TraceCounter::new("doc.items", MetricClass::Deterministic);
@@ -48,32 +48,34 @@
 //! let snap = m7_trace::snapshot();
 //! assert_eq!(snap.counter("doc.items"), Some(3));
 //! assert_eq!(snap.counter("doc.step.spans"), Some(1));
-//! let json = m7_trace::export::chrome_trace_json();
+//! let json = m7_trace::chrome_trace_json();
 //! assert!(json.contains("doc.step"));
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod cli;
-pub mod export;
-pub mod hub;
-pub mod metrics;
+mod cli;
+mod export;
+mod hub;
+mod metrics;
 pub mod recorder;
-pub mod snapshot;
-pub mod span;
+mod snapshot;
+mod span;
 
-pub use cli::ObsFlags;
+pub use cli::{flag_value, ObsFlags};
 pub use export::{
-    chrome_trace_json, kv_dump, parse_json, text_report, validate_chrome_trace, Json,
+    chrome_trace_json, kv_dump, parse_json, text_report, validate_chrome_trace, Json, TraceSummary,
 };
 pub use hub::{HubConfig, SnapshotSink, TelemetryHub};
 pub use metrics::{
     registry, Counter, Gauge, Histogram, HistogramSnapshot, MetricClass, MetricEntry, MetricValue,
-    MetricsSnapshot, TraceCounter, TraceGauge, TraceHistogram, HISTOGRAM_BUCKETS,
+    MetricsSnapshot, Registry, TraceCounter, TraceGauge, TraceHistogram, HISTOGRAM_BUCKETS,
 };
-pub use snapshot::{decode_record, Snapshot, SnapshotDelta, SnapshotRecord};
-pub use span::{span_dyn, SpanSite};
+pub use snapshot::{
+    decode_record, DeltaEntry, DeltaValue, Snapshot, SnapshotDelta, SnapshotRecord,
+};
+pub use span::{span_dyn, SpanGuard, SpanSite};
 
 use std::sync::atomic::{AtomicBool, Ordering};
 

@@ -213,7 +213,7 @@ fn epoch() -> Instant {
 
 /// Nanoseconds of host monotonic time since the trace epoch.
 #[must_use]
-pub fn wall_ns() -> u64 {
+pub(crate) fn wall_ns() -> u64 {
     u64::try_from(epoch().elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 

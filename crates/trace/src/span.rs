@@ -32,7 +32,7 @@ struct SiteState {
 /// # Examples
 ///
 /// ```
-/// use m7_trace::{span::SpanSite, MetricClass};
+/// use m7_trace::{SpanSite, MetricClass};
 ///
 /// static DECODE: SpanSite = SpanSite::new("doc.decode", MetricClass::Deterministic);
 ///

@@ -1,4 +1,4 @@
-//! Energy and power quantities: [`Joules`], [`Watts`], [`MilliWatts`].
+//! Energy and power quantities: [`Joules`] and [`Watts`].
 
 use crate::time::Seconds;
 
@@ -30,20 +30,6 @@ quantity! {
     /// assert_eq!(energy, Joules::new(50.0));
     /// ```
     Watts, "W"
-}
-
-quantity! {
-    /// Power in milliwatts, for low-power edge devices.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use m7_units::{MilliWatts, Watts};
-    ///
-    /// let mcu = MilliWatts::new(250.0);
-    /// assert_eq!(Watts::from(mcu), Watts::new(0.25));
-    /// ```
-    MilliWatts, "mW"
 }
 
 relate!(Joules, Seconds, Watts);
@@ -78,24 +64,6 @@ impl Joules {
     }
 }
 
-impl Watts {}
-
-impl MilliWatts {
-    /// This power expressed in watts.
-    #[inline]
-    #[must_use]
-    pub(crate) fn to_watts(self) -> Watts {
-        Watts::new(self.value() / 1e3)
-    }
-}
-
-impl From<MilliWatts> for Watts {
-    #[inline]
-    fn from(mw: MilliWatts) -> Self {
-        mw.to_watts()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -117,11 +85,5 @@ mod tests {
         assert_eq!(e, Joules::new(100.0));
         let e2: Joules = Seconds::new(20.0) * Watts::new(5.0);
         assert_eq!(e2, e);
-    }
-
-    #[test]
-    fn milliwatt_conversion() {
-        let w: Watts = MilliWatts::new(1500.0).into();
-        assert_eq!(w, Watts::new(1.5));
     }
 }

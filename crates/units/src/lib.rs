@@ -39,9 +39,9 @@ mod time;
 pub use carbon::{CarbonIntensity, GramsCo2e, KilogramsCo2e};
 pub use compute::{Ops, OpsPerByte, OpsPerJoule, OpsPerSecond};
 pub use data::{Bytes, BytesPerSecond};
-pub use energy::{Joules, MilliWatts, Watts};
+pub use energy::{Joules, Watts};
 pub use mass::{Grams, Kilograms};
-pub use space::{Meters, MetersPerSecond, MetersPerSecond2, SquareMillimeters};
+pub use space::{Meters, MetersPerSecond, SquareMillimeters};
 pub use time::{Hertz, Seconds};
 
 #[cfg(test)]

@@ -4,8 +4,8 @@
 /// Defines a physical-quantity newtype over `f64`.
 ///
 /// The generated type implements `Copy`, `Clone`, `PartialEq`, `PartialOrd`,
-/// `Debug`, `Display` (value plus unit symbol), `Default`, serde traits, and
-/// the dimensionally sound arithmetic:
+/// `Debug`, `Display` (value plus unit symbol), `Default`, and the
+/// dimensionally sound arithmetic:
 ///
 /// - `Q + Q -> Q`, `Q - Q -> Q`
 /// - `Q * f64 -> Q`, `f64 * Q -> Q`, `Q / f64 -> Q`
@@ -18,8 +18,7 @@ macro_rules! quantity {
         $name:ident, $symbol:literal
     ) => {
         $(#[$meta])*
-        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd, serde::Serialize, serde::Deserialize)]
-        #[serde(transparent)]
+        #[derive(Debug, Default, Clone, Copy, PartialEq, PartialOrd)]
         pub struct $name(f64);
 
         impl $name {

@@ -1,4 +1,4 @@
-//! Spatial quantities: [`Meters`], [`MetersPerSecond`], [`MetersPerSecond2`],
+//! Spatial quantities: [`Meters`], [`MetersPerSecond`],
 //! and silicon die area [`SquareMillimeters`].
 
 use crate::time::Seconds;
@@ -33,20 +33,6 @@ quantity! {
 }
 
 quantity! {
-    /// An acceleration in meters per second squared.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use m7_units::{MetersPerSecond, MetersPerSecond2, Seconds};
-    ///
-    /// let dv: MetersPerSecond = MetersPerSecond2::new(9.81) * Seconds::new(2.0);
-    /// assert!((dv.value() - 19.62).abs() < 1e-12);
-    /// ```
-    MetersPerSecond2, "m/s^2"
-}
-
-quantity! {
     /// Silicon die area in square millimeters.
     ///
     /// # Examples
@@ -62,7 +48,6 @@ quantity! {
 }
 
 relate!(Meters, Seconds, MetersPerSecond);
-relate!(MetersPerSecond, Seconds, MetersPerSecond2);
 
 #[cfg(test)]
 mod tests {
@@ -74,10 +59,6 @@ mod tests {
         assert_eq!(v, MetersPerSecond::new(5.0));
         let d: Meters = v * Seconds::new(3.0);
         assert_eq!(d, Meters::new(15.0));
-        let a: MetersPerSecond2 = v / Seconds::new(2.5);
-        assert_eq!(a, MetersPerSecond2::new(2.0));
-        let dv: MetersPerSecond = a * Seconds::new(2.0);
-        assert_eq!(dv, MetersPerSecond::new(4.0));
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //!
 //! Run with: `cargo run --release --example accelerator_codesign`
 
-use magseven::arch::generator::AcceleratorConfig;
-use magseven::dse::moga::nsga2;
-use magseven::dse::space::{DesignSpace, Dimension};
+use magseven::arch::AcceleratorConfig;
+use magseven::dse::{nsga2, DesignSpace, Dimension};
 use magseven::prelude::*;
 
 fn config_from(values: &[f64]) -> AcceleratorConfig {

@@ -6,7 +6,7 @@
 //! Run with: `cargo run --example accelerator_spec`
 
 use magseven::arch::dvfs::ladder_sweep;
-use magseven::arch::spec::parse_platform;
+use magseven::arch::parse_platform;
 use magseven::prelude::*;
 
 const SPEC: &str = "\

@@ -5,7 +5,7 @@
 //!
 //! - `--check BASELINE CANDIDATE` compares the candidate document
 //!   against the baseline under the per-metric-class rules in
-//!   `m7_bench::sentinel` (deterministic paths exact, diagnostic paths
+//!   `m7_bench::compare_json` (deterministic paths exact, diagnostic paths
 //!   within a worsening ratio) and exits **1** on any regression — CI
 //!   gates on the exit code.
 //! - `--ratio R` overrides the allowed diagnostic worsening ratio
@@ -14,8 +14,8 @@
 //!   baseline, injects a deterministic drift and a latency blowup, and
 //!   exits non-zero unless both injected regressions are caught.
 
-use magseven::bench::sentinel::{compare_json, SentinelConfig, DEFAULT_DIAG_RATIO};
-use magseven::trace::cli::flag_value;
+use magseven::bench::{compare_json, SentinelConfig, DEFAULT_DIAG_RATIO};
+use magseven::trace::flag_value;
 
 /// What `--ratio` accepts.
 const RATIO: &str = "a finite non-negative number";

@@ -4,8 +4,7 @@
 //! Run with: `cargo run --release --example benchmark_suite`
 
 use magseven::prelude::*;
-use magseven::suite::ablations;
-use magseven::suite::workloads::{m7bench, suite_summary};
+use magseven::suite::{contention_onoff, dvfs_pareto, m7bench, suite_summary, thermal_sustained};
 
 fn main() {
     let suite = m7bench();
@@ -19,9 +18,9 @@ fn main() {
         println!("{}", suite_summary(&Platform::preset(kind), &suite));
     }
 
-    println!("{}", ablations::dvfs_pareto().report());
-    println!("{}", ablations::contention_onoff().report());
-    println!("{}", ablations::thermal_sustained().report());
+    println!("{}", dvfs_pareto().report());
+    println!("{}", contention_onoff().report());
+    println!("{}", thermal_sustained().report());
 
     // The taxonomy ties it together.
     println!("# Challenge coverage\n");

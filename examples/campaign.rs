@@ -38,16 +38,12 @@ use std::num::NonZeroUsize;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use magseven::camp::stats::StratumSketch;
-use magseven::camp::{run_campaign, CampaignOutcome, CampaignPlan};
+use magseven::camp::{run_campaign, CampaignOutcome, CampaignPlan, StratumSketch};
 use magseven::par::ParConfig;
-use magseven::serve::cache::EvalCache;
-use magseven::serve::segment::SEGMENT_FILE;
-use magseven::serve::tier::{TierConfig, TieredCache};
+use magseven::serve::{EvalCache, TierConfig, TieredCache, SEGMENT_FILE};
 use magseven::sim::uav::ComputeTier;
-use magseven::suite::report::{fmt_f64, Report, Table};
-use magseven::trace::cli::flag_value;
-use magseven::trace::ObsFlags;
+use magseven::suite::{fmt_f64, Report, Table};
+use magseven::trace::{flag_value, ObsFlags};
 
 /// Parses a tier name (the `Display` form used across the suite).
 fn parse_tier(name: &str) -> Option<ComputeTier> {

@@ -7,8 +7,7 @@
 //!
 //! Run with: `cargo run --example carbon_report`
 
-use magseven::lca::chiplet::SystemDesign;
-use magseven::lca::training::{TrainingJob, TrainingVenue};
+use magseven::lca::{SystemDesign, TrainingJob, TrainingVenue};
 use magseven::prelude::*;
 use magseven::units::{Joules, Ops, Seconds, Watts};
 

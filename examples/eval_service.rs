@@ -51,12 +51,10 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use magseven::par::ParConfig;
-use magseven::serve::key::EvalRequest;
-use magseven::serve::server::{EvalClient, EvalServer, Evaluator, ServeConfig};
 use magseven::serve::wire::Response;
+use magseven::serve::{EvalClient, EvalRequest, EvalServer, Evaluator, ServeConfig};
 use magseven::suite::experiments::e9_dse;
-use magseven::trace::cli::flag_value;
-use magseven::trace::ObsFlags;
+use magseven::trace::{flag_value, ObsFlags};
 
 /// The served objective: E9's mission-level cost over (tier, battery_wh,
 /// rotor_m2, sensor_m), validated before indexing anything.
@@ -112,7 +110,7 @@ fn client_requests(n: usize, seed: u64) -> Vec<EvalRequest> {
 
 /// Prints what a disk-backed server found on startup — the observable
 /// proof that a restart reuses earlier work.
-fn report_recovery(handle: &magseven::serve::server::ServerHandle, cache_dir: &Option<PathBuf>) {
+fn report_recovery(handle: &magseven::serve::ServerHandle, cache_dir: &Option<PathBuf>) {
     if let (Some(dir), Some(rec)) = (cache_dir, handle.recovery()) {
         println!(
             "disk cache {}: recovered {} entries ({} records, {} torn bytes truncated)",

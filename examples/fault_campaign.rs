@@ -15,8 +15,7 @@
 
 use magseven::par::ParConfig;
 use magseven::suite::experiments::e11_robustness;
-use magseven::trace::cli::flag_value;
-use magseven::trace::ObsFlags;
+use magseven::trace::{flag_value, ObsFlags};
 
 fn main() {
     let mut runs = 32usize;

@@ -4,7 +4,7 @@
 //!
 //! Run with: `cargo run --release --example motion_planning`
 
-use magseven::kernels::planning::{Prm, PrmConfig, RrtStar};
+use magseven::kernels::{Prm, PrmConfig, RrtStar};
 use magseven::prelude::*;
 use std::time::Instant;
 

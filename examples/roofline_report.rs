@@ -17,7 +17,7 @@
 //! For the deepest speedups build with the host ISA enabled:
 //! `RUSTFLAGS="-C target-cpu=native" cargo run --release --example roofline_report`
 
-use magseven::bench::roofline::{run_suite, validate_roofline_json};
+use magseven::bench::{run_suite, validate_roofline_json};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();

@@ -4,10 +4,9 @@
 //!
 //! Run with: `cargo run --release --example rover_patrol`
 
-use magseven::kernels::geometry::Vec2;
-use magseven::kernels::planning::CollisionWorld;
-use magseven::sim::rover::{Rover, RoverConfig};
+use magseven::kernels::{CollisionWorld, Vec2};
 use magseven::sim::uav::ComputeTier;
+use magseven::sim::{Rover, RoverConfig};
 
 fn main() {
     // A farm yard: two long barns and scattered equipment.

@@ -11,7 +11,7 @@
 //! world through `render_scenario`/`parse_scenario`.
 
 use magseven::scen::{generate, parse_scenario, render_scenario, Family};
-use magseven::trace::cli::flag_value;
+use magseven::trace::flag_value;
 
 fn usage() -> ! {
     eprintln!("usage: scenario_gallery [--seed S]");

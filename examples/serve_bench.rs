@@ -27,9 +27,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use magseven::par::ParConfig;
-use magseven::serve::key::EvalRequest;
 use magseven::serve::wire::Response;
-use magseven::serve::{EvalServer, FramedClient, ServeConfig};
+use magseven::serve::{EvalRequest, EvalServer, FramedClient, ServeConfig};
 use magseven::trace::Histogram;
 
 const SEED: u64 = 42;

@@ -22,10 +22,9 @@
 use std::net::{Ipv4Addr, SocketAddr, SocketAddrV4};
 
 use magseven::serve::recover_snapshot;
-use magseven::serve::server::{EvalClient, FramedClient};
 use magseven::serve::wire::Response;
-use magseven::trace::cli::flag_value;
-use magseven::trace::{MetricClass, MetricEntry, MetricValue, Snapshot};
+use magseven::serve::{EvalClient, FramedClient};
+use magseven::trace::{flag_value, MetricClass, MetricEntry, MetricValue, Snapshot};
 
 fn usage() -> ! {
     eprintln!("usage: trace_tail --journal DIR | --port P [--legacy] | --flow");

@@ -63,62 +63,42 @@ pub use m7_units as units;
 /// Commonly used types from every subsystem, for glob import.
 pub mod prelude {
     pub use m7_arch::{
-        contention::SharedBus,
-        cost::CostEstimate,
         dvfs::OperatingPoint,
-        generator::AcceleratorConfig,
+        parse_platform,
         platform::{Platform, PlatformKind, Specialization},
-        roofline::Roofline,
-        spec::parse_platform,
         workload::{KernelFamily, KernelProfile},
+        AcceleratorConfig, CostEstimate, Roofline, SharedBus,
     };
     pub use m7_camp::{run_campaign, CampaignOutcome, CampaignPlan, StratumSketch};
-    pub use m7_dse::{
-        explorer::{Explorer, SearchBudget},
-        moga::nsga2,
-        pareto::pareto_front,
-        space::DesignSpace,
-    };
+    pub use m7_dse::{nsga2, pareto_front, DesignSpace, Explorer, SearchBudget};
     pub use m7_flow::{
         EdgeSpec, FlowError, GraphBuilder, GraphReport, LossModel, MessageType, Placement,
         QueuePolicy, ServerSpec, Service, SinkSpec, SourceSpec,
     };
     pub use m7_kernels::{
-        control::{Lqr, Pid, TrapezoidalProfile},
-        dnn::{Mlp, Precision},
-        geometry::{Pose2, Vec2, Vec3},
-        planning::{astar, AstarConfig, CollisionWorld, Prm, PrmConfig, Rrt, RrtConfig, RrtStar},
-        slam::{EkfSlam, ParticleFilter, PoseGraph},
+        astar, AstarConfig, CollisionWorld, EkfSlam, Lqr, Mlp, ParticleFilter, Pid, Pose2,
+        PoseGraph, Precision, Prm, PrmConfig, Rrt, RrtConfig, RrtStar, TrapezoidalProfile, Vec2,
+        Vec3,
     };
-    pub use m7_lca::{
-        carbon::{CarbonFootprint, GridIntensity},
-        embodied::DieSpec,
-        fleet::FleetModel,
-    };
+    pub use m7_lca::{CarbonFootprint, DieSpec, FleetModel, GridIntensity};
     pub use m7_par::ParConfig;
     pub use m7_scen::{
         evaluate_rover, evaluate_uav, falsify, generate, Falsification, FalsifyConfig, Family,
         ScenOutcome, Scenario,
     };
     pub use m7_serve::{
-        batch::evaluate_batch_memo,
-        cache::{CacheStats, EvalCache},
-        key::{CacheKey, EvalRequest},
-        server::{EvalClient, EvalServer, ServeConfig},
+        evaluate_batch_memo, CacheKey, CacheStats, EvalCache, EvalClient, EvalRequest, EvalServer,
+        ServeConfig,
     };
     pub use m7_sim::{
-        campaign::{CampaignConfig, CampaignRunner, RobustnessReport},
-        degrade::DegradationPolicy,
-        faults::{Fault, FaultProfile, FaultSchedule},
-        mission::{MissionOutcome, MissionSpec},
-        rover::{Rover, RoverConfig},
-        thermal::{ThermalConfig, ThermalState},
         uav::{ComputeTier, Uav, UavConfig},
+        CampaignConfig, CampaignRunner, DegradationPolicy, Fault, FaultProfile, FaultSchedule,
+        MissionOutcome, MissionSpec, RobustnessReport, Rover, RoverConfig, ThermalConfig,
+        ThermalState,
     };
     pub use m7_suite::{
-        challenges::Challenge,
         experiments::{Experiment, ExperimentId},
-        report::Report,
+        Challenge, Report,
     };
     pub use m7_units::{
         Grams, GramsCo2e, Hertz, Joules, Meters, MetersPerSecond, Ops, OpsPerSecond, Seconds,

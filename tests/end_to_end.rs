@@ -1,8 +1,8 @@
 //! Cross-crate integration: kernels → arch → sim → dse → lca, exercised
 //! together the way a designer would chain them.
 
-use magseven::kernels::planning::{Prm, PrmConfig};
-use magseven::lca::carbon::operational_carbon;
+use magseven::kernels::{Prm, PrmConfig};
+use magseven::lca::operational_carbon;
 use magseven::prelude::*;
 use magseven::units::{Joules, Seconds, Watts};
 
@@ -66,7 +66,7 @@ fn dse_result_is_reproducible_in_the_simulator() {
 #[test]
 fn pipeline_keepup_matches_sustainable_rate() {
     use magseven::sim::pipeline::Pipeline;
-    use magseven::sim::sensor::SensorSpec;
+    use magseven::sim::SensorSpec;
 
     let sensor = SensorSpec::camera_vga(30.0);
     let kernel = KernelProfile::feature_extract(640, 480);
@@ -89,7 +89,7 @@ fn pipeline_keepup_matches_sustainable_rate() {
 fn units_compose_across_crates() {
     let kernel = KernelProfile::gemm(128);
     let cost = Platform::preset(PlatformKind::Gpu).estimate(&kernel);
-    let battery = magseven::sim::battery::Battery::new(Joules::from_watt_hours(10.0));
+    let battery = magseven::sim::Battery::new(Joules::from_watt_hours(10.0));
     // Invocations until the battery would be empty at this cost.
     let invocations = battery.capacity() / cost.energy;
     assert!(invocations > 1000.0, "a 10 Wh battery runs many GEMMs: {invocations}");

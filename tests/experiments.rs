@@ -1,9 +1,7 @@
 //! Integration sweep over the whole experiment suite: every experiment
 //! runs, renders, and reproduces its paper-anchored headline shape.
 
-use magseven::suite::experiments::{
-    e2_bridges, e3_metrics, e4_widgetism, e5_brakes, e7_endtoend, e8_global, ExperimentId,
-};
+use magseven::suite::experiments::{e7_endtoend, ExperimentId};
 
 #[test]
 fn every_experiment_runs_and_renders() {
@@ -16,40 +14,15 @@ fn every_experiment_runs_and_renders() {
     }
 }
 
+/// E7's result is public (perfbench builds its pipelines). The other
+/// experiments' headline shapes are checked by m7-suite's unit tests.
 #[test]
 fn headline_shapes_hold_together() {
-    // E2: the widget's deployed-stack speedup collapses versus its
-    // benchmark speedup; the expert design wins where it matters.
-    let e2 = e2_bridges::run();
-    let widget = &e2.rows[0];
-    let expert = &e2.rows[1];
-    assert!(widget.1 > 2.0 && widget.2 < widget.1 / 2.0);
-    assert!(expert.2 > widget.2);
-
-    // E3: metric inversion.
-    let e3 = e3_metrics::run(42);
-    assert_ne!(e3.throughput_winner, e3.time_to_accuracy_winner);
-
-    // E4: widget loses the suite geomean to the cross-cutting design.
-    let e4 = e4_widgetism::run();
-    let widget_idx = e4.designs.iter().position(|d| d == "widget-prm-asic").unwrap();
-    let cross_idx = e4.designs.iter().position(|d| d == "crosscutting-asic").unwrap();
-    assert!(e4.suite_geomean[cross_idx] > e4.suite_geomean[widget_idx]);
-
-    // E5: U-shape with a middle-tier winner.
-    let e5 = e5_brakes::run(42);
-    assert!(e5.best_tier == "embedded" || e5.best_tier == "embedded-gpu");
-
     // E7: the 1000x kernel gain is Amdahl-capped.
     let e7 = e7_endtoend::run();
     let (_, lean_1000, taxed_1000) = *e7.rows.last().unwrap();
     assert!(lean_1000 < 1000.0 / 10.0);
     assert!(taxed_1000 < lean_1000);
-
-    // E8: edge training dirtier; big fleets rival datacenters.
-    let e8 = e8_global::run();
-    assert!(e8.edge_cloud_ratio > 10.0);
-    assert!(e8.fleet_rows.last().unwrap().2 > 100.0);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 
 use magseven::arch::dvfs::{ladder_sweep, OperatingPoint};
 use magseven::prelude::*;
-use magseven::suite::workloads::{m7bench, score};
+use magseven::suite::{m7bench, score};
 
 /// Spec text → platform → M7Bench → DVFS: the agile-design round trip.
 #[test]
@@ -81,8 +81,9 @@ fn rover_and_uav_agree_on_compute_tradeoff() {
 /// trajectory — three SLAM formulations over shared geometry types.
 #[test]
 fn localization_stacks_interoperate() {
-    use magseven::kernels::grid::OccupancyGrid;
-    use magseven::kernels::slam::{synthetic_room_scan, ParticleFilterConfig, PoseConstraint};
+    use magseven::kernels::{
+        synthetic_room_scan, OccupancyGrid, ParticleFilterConfig, PoseConstraint,
+    };
 
     // Build a map with raw ray integration.
     let center = Vec2::new(10.0, 10.0);
@@ -118,7 +119,7 @@ fn localization_stacks_interoperate() {
 /// A* and RRT agree on reachability over equivalent obstacle fields.
 #[test]
 fn astar_and_rrt_agree_on_reachability() {
-    use magseven::kernels::grid::OccupancyGrid;
+    use magseven::kernels::OccupancyGrid;
 
     // Same wall, two representations.
     let mut world = CollisionWorld::new(20.0, 20.0);

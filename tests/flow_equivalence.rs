@@ -11,10 +11,9 @@
 //! 2. **Legacy-vs-Result API** — `try_simulate_with_faults` agrees with
 //!    the panicking wrapper on every valid configuration.
 
-use magseven::flow::vtime::EventQueue;
-use magseven::sim::faults::{Fault, FaultSchedule};
+use magseven::flow::EventQueue;
 use magseven::sim::pipeline::{Pipeline, PipelineStats};
-use magseven::sim::sensor::{SensorKind, SensorSpec};
+use magseven::sim::{Fault, FaultSchedule, SensorKind, SensorSpec};
 use magseven::units::{Bytes, BytesPerSecond, Hertz, Seconds};
 use magseven::{
     arch::platform::{Platform, PlatformKind},

@@ -20,7 +20,7 @@ use std::time::Duration;
 use magseven::par::ParConfig;
 use magseven::serve::{recover_snapshot, FlightJournal};
 use magseven::suite::experiments::{run, ExperimentId, Timing};
-use magseven::suite::report::Report;
+use magseven::suite::Report;
 use magseven::trace::{HubConfig, TelemetryHub};
 
 const ROOT_SEED: u64 = 42;

@@ -2,11 +2,9 @@
 //! must produce bit-identical results whether work runs serially, on the
 //! deterministic pool, or at any thread count.
 
-use magseven::dse::explorer::{Explorer, SearchBudget};
-use magseven::dse::memo::EvalMemo;
-use magseven::dse::space::{DesignSpace, Dimension};
+use magseven::dse::{DesignSpace, Dimension, EvalMemo, Explorer, SearchBudget};
 use magseven::par::ParConfig;
-use magseven::serve::cache::EvalCache;
+use magseven::serve::EvalCache;
 use magseven::suite::experiments::{run, run_selected_serial, ExperimentId, Timing};
 
 fn rugged_space() -> DesignSpace {

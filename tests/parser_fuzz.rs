@@ -1,17 +1,23 @@
-//! Fuzz-style tests for the two text parsers that take input from outside
-//! the program: the scenario DSL (`m7_scen::parse_scenario`) and the
-//! accelerator spec language (`m7_arch::spec::parse_platform`).
+//! Fuzz-style tests for the text parsers that take input from outside the
+//! program: the scenario DSL (`m7_scen::parse_scenario`), the accelerator
+//! spec language (`m7_arch::parse_platform`) and the JSON reader
+//! behind the BENCH baselines (`m7_trace::parse_json`).
 //!
 //! The contract under test: every input, however mangled, returns `Ok` or
-//! a typed error with a line number — never a panic — and a rendered
-//! scenario still parses back to exactly itself. The battery follows
+//! an error — never a panic or a stack overflow — and a rendered scenario
+//! still parses back to exactly itself. The battery follows
 //! `serve_frame_fuzz.rs`: byte soup, every truncation of a valid document,
 //! and adversarial token substitution (non-finite and out-of-range
-//! numbers, 2⁶⁴, empty values, duplicated keys).
+//! numbers, 2⁶⁴, empty values, duplicated keys, deep nesting).
 
-use magseven::arch::spec::{parse_platform, ParseSpecError};
+use magseven::arch::{parse_platform, ParseSpecError};
 use magseven::scen::{generate, parse_scenario, render_scenario, Family, ParseScenarioError};
+use magseven::trace::parse_json;
 use proptest::prelude::*;
+
+/// The committed BENCH baselines `bench_sentinel --check` reads.
+const BENCH_FILES: [&str; 2] =
+    [include_str!("../BENCH_roofline.json"), include_str!("../BENCH_serve_latency.json")];
 
 /// A spec that sets every key the language knows.
 const FULL_SPEC: &str = "\
@@ -122,13 +128,49 @@ fn non_finite_and_negative_spec_numbers_are_typed_errors() {
     }
 }
 
+#[test]
+fn every_truncation_of_the_bench_files_parses_or_errors() {
+    for doc in BENCH_FILES {
+        parse_json(doc).expect("a committed BENCH file parses");
+        // Every cut before the closing brace leaves an incomplete document.
+        for cut in (0..doc.trim_end().len()).filter(|&c| doc.is_char_boundary(c)) {
+            assert!(parse_json(&doc[..cut]).is_err(), "prefix of {cut} bytes");
+        }
+    }
+}
+
+#[test]
+fn deep_nesting_and_overflowing_numbers_are_errors() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(parse_json(&"[".repeat(100_000)).is_err());
+    assert!(parse_json(&"{\"a\":".repeat(100_000)).is_err());
+    assert!(parse_json(&nested(50_000)).is_err());
+    assert!(parse_json(&nested(129)).is_err());
+    assert!(parse_json(&nested(128)).is_ok());
+    for number in ["1e999", "-1e999", "[1e999]", "{\"x\": 1e400}"] {
+        assert!(parse_json(number).is_err(), "{number}");
+    }
+    assert_eq!(parse_json("1e308").ok().and_then(|j| j.as_num()), Some(1e308));
+}
+
+#[test]
+fn long_strings_keep_every_char() {
+    let text = "aé\u{1F680}".repeat(20_000);
+    let doc = format!("[\"{text}\", \"x\\ny\"]");
+    let parsed = parse_json(&doc).expect("a long string parses");
+    let items = parsed.as_arr().expect("an array");
+    assert_eq!(items[0].as_str(), Some(text.as_str()));
+    assert_eq!(items[1].as_str(), Some("x\ny"));
+}
+
 proptest! {
-    /// Arbitrary bytes, read as (lossy) UTF-8, never panic either parser.
+    /// Arbitrary bytes, read as (lossy) UTF-8, never panic any parser.
     #[test]
     fn byte_soup_never_panics(bytes in prop::collection::vec(0u8..=255, 0..400)) {
         let text = String::from_utf8_lossy(&bytes);
         check_scen(&text);
         check_spec(&text);
+        let _ = parse_json(&text);
     }
 
     /// Byte soup spliced into a valid document, where the parsers get past
@@ -151,6 +193,13 @@ proptest! {
             cut -= 1;
         }
         check_spec(&format!("{}{soup}{}", &FULL_SPEC[..cut], &FULL_SPEC[cut..]));
+        for doc in BENCH_FILES {
+            let mut cut = at % (doc.len() + 1);
+            while !doc.is_char_boundary(cut) {
+                cut -= 1;
+            }
+            let _ = parse_json(&format!("{}{soup}{}", &doc[..cut], &doc[cut..]));
+        }
     }
 
     /// `parse(render(s)) == s` for every family, level and seed.

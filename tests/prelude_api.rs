@@ -71,6 +71,6 @@ fn controllers_and_models_via_prelude() {
 }
 
 /// Small helper building a dimension of `n` integer levels.
-fn m7_dse_dim(name: &str, n: usize) -> magseven::dse::space::Dimension {
-    magseven::dse::space::Dimension::new(name, (0..n).map(|i| i as f64).collect())
+fn m7_dse_dim(name: &str, n: usize) -> magseven::dse::Dimension {
+    magseven::dse::Dimension::new(name, (0..n).map(|i| i as f64).collect())
 }

@@ -4,9 +4,7 @@
 //! Tracing and the pool width are process-wide, so this binary holds a
 //! single test.
 
-use magseven::dse::explorer::{Explorer, SearchBudget};
-use magseven::dse::moga::nsga2;
-use magseven::dse::space::{DesignSpace, Dimension};
+use magseven::dse::{nsga2, DesignSpace, Dimension, Explorer, SearchBudget};
 use magseven::flow::{
     EdgeSpec, GraphBuilder, MessageType, ServerSpec, Service, SinkSpec, SourceSpec,
 };

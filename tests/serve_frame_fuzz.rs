@@ -17,8 +17,8 @@ use magseven::serve::frame::{
     encode_request, encode_response, FrameDecoder, FrameError, HEADER_BYTES, MAGIC, MAX_PAYLOAD,
     VERSION,
 };
-use magseven::serve::key::EvalRequest;
 use magseven::serve::wire::{Request, Response};
+use magseven::serve::EvalRequest;
 use proptest::prelude::*;
 
 /// Drains everything the decoder will currently give, counting frames,

@@ -13,8 +13,7 @@
 use std::path::PathBuf;
 
 use magseven::par::ParConfig;
-use magseven::serve::tier::ResultStore;
-use magseven::serve::tier::{TierConfig, TieredCache};
+use magseven::serve::{ResultStore, TierConfig, TieredCache};
 use magseven::suite::experiments::{run, ExperimentId, Timing};
 
 const ROOT_SEED: u64 = 42;

@@ -7,9 +7,8 @@
 #![cfg(target_os = "linux")]
 
 use magseven::par::ParConfig;
-use magseven::serve::key::EvalRequest;
-use magseven::serve::server::{EvalServer, FramedClient, ServeConfig};
 use magseven::serve::wire::Response;
+use magseven::serve::{EvalRequest, EvalServer, FramedClient, ServeConfig};
 use std::sync::Arc;
 use std::time::Duration;
 

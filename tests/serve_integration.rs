@@ -14,10 +14,11 @@ use std::time::Duration;
 
 use magseven::par::ParConfig;
 use magseven::serve::frame::{FrameDecoder, MAGIC, VERSION};
-use magseven::serve::key::EvalRequest;
-use magseven::serve::server::{EvalClient, EvalServer, Evaluator, FramedClient, ServeConfig};
-use magseven::serve::tier::{TierStats, TieredCache};
 use magseven::serve::wire::{parse_response, Response};
+use magseven::serve::{
+    EvalClient, EvalRequest, EvalServer, Evaluator, FramedClient, ServeConfig, TierStats,
+    TieredCache,
+};
 use magseven::suite::experiments::{e9_dse, ExperimentId};
 
 /// The watchdog budget for one whole client session against a local

@@ -5,9 +5,9 @@
 use std::collections::HashMap;
 
 use magseven::par::ParConfig;
-use magseven::serve::batch::evaluate_batch_memo;
-use magseven::serve::cache::EvalCache;
-use magseven::serve::key::{namespace, CacheKey, EvalRequest, KeyHasher};
+use magseven::serve::{
+    evaluate_batch_memo, namespace, CacheKey, EvalCache, EvalRequest, KeyHasher,
+};
 use proptest::prelude::*;
 
 /// Spreads a small integer key over the full 64-bit space, so shard

@@ -11,12 +11,12 @@
 //! process-equivalents (open → drop → reopen), which exercises the same
 //! recovery path a killed process would.
 
-use magseven::serve::key::{CacheKey, KeyHasher};
-use magseven::serve::segment::{
+use magseven::serve::{CacheKey, KeyHasher};
+use magseven::serve::{
     SegmentConfig, SegmentStore, FILE_HEADER, RECORD_HEADER_BYTES, RECORD_TRAILER_BYTES,
     SEGMENT_FILE,
 };
-use magseven::serve::tier::{TierConfig, TieredCache};
+use magseven::serve::{TierConfig, TieredCache};
 use proptest::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;

@@ -21,11 +21,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use magseven::serve::key::EvalRequest;
-use magseven::serve::server::{
-    EvalClient, EvalServer, Evaluator, FramedClient, ServeConfig, ServerHandle,
-};
 use magseven::serve::wire::Response;
+use magseven::serve::{
+    EvalClient, EvalRequest, EvalServer, Evaluator, FramedClient, ServeConfig, ServerHandle,
+};
 
 /// Watchdog budget for one whole stress scenario.
 const WATCHDOG: Duration = Duration::from_secs(60);

@@ -23,10 +23,10 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-use magseven::serve::segment::{
-    FILE_HEADER, RECORD_HEADER_BYTES, RECORD_TRAILER_BYTES, SEGMENT_FILE,
+use magseven::serve::{
+    recover_snapshot, FlightJournal, FILE_HEADER, RECORD_HEADER_BYTES, RECORD_TRAILER_BYTES,
+    SEGMENT_FILE,
 };
-use magseven::serve::{recover_snapshot, FlightJournal};
 use magseven::trace::{
     decode_record, HistogramSnapshot, HubConfig, MetricClass, MetricEntry, MetricValue,
     MetricsSnapshot, Snapshot, SnapshotRecord, SnapshotSink, TelemetryHub, HISTOGRAM_BUCKETS,
