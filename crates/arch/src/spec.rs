@@ -178,6 +178,8 @@ pub fn parse_platform(input: &str) -> Result<Platform, ParseSpecError> {
         }
     };
 
+    let mut fallback = 0.02f64;
+    let mut specializations: Vec<(usize, String)> = Vec::new();
     for (line, key, value) in fields {
         match key.as_str() {
             "name" => builder = builder.name(value),
@@ -198,13 +200,8 @@ pub fn parse_platform(input: &str) -> Result<Platform, ParseSpecError> {
                 builder = builder.die_area(SquareMillimeters::new(parse_f64(line, &key, &value)?));
             }
             "cost_usd" => builder = builder.unit_cost_usd(parse_f64(line, &key, &value)?),
-            "fallback" => {
-                // Applied below if a specialization was requested; stored by
-                // re-parsing in the specialize arm is simpler: tolerate order
-                // by deferring. Handled in the second sweep below.
-                let _ = parse_f64(line, &key, &value)?;
-            }
-            "specialize" => { /* handled below */ }
+            "fallback" => fallback = parse_f64(line, &key, &value)?,
+            "specialize" => specializations.push((line, value)),
             other => {
                 return Err(ParseSpecError {
                     line,
@@ -214,40 +211,31 @@ pub fn parse_platform(input: &str) -> Result<Platform, ParseSpecError> {
         }
     }
 
-    // Second sweep for specialization (so `fallback` may appear anywhere).
-    let mut fallback = 0.02f64;
+    // Specializations are parsed last, so any error above wins over an
+    // unknown family, and `fallback` may appear anywhere.
     let mut families: Option<Vec<KernelFamily>> = None;
-    for (idx, raw) in input.lines().enumerate() {
-        let line_no = idx + 1;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        let Some((key, value)) = line.split_once('=') else { continue };
-        let key = key.trim();
-        let value = value.trim();
-        if key == "fallback" {
-            fallback = parse_f64(line_no, key, value)?;
-        } else if key == "specialize" {
-            let mut words = value.split_whitespace();
-            match words.next() {
-                Some("families") => {
-                    let mut fams = Vec::new();
-                    for w in words {
-                        fams.push(parse_family(w).ok_or(ParseSpecError {
-                            line: line_no,
-                            kind: SpecErrorKind::UnknownFamily(w.to_string()),
-                        })?);
-                    }
-                    families = Some(fams);
+    for (line, value) in specializations {
+        let mut words = value.split_whitespace();
+        match words.next() {
+            Some("families") => {
+                let mut fams = Vec::new();
+                for w in words {
+                    fams.push(parse_family(w).ok_or(ParseSpecError {
+                        line,
+                        kind: SpecErrorKind::UnknownFamily(w.to_string()),
+                    })?);
                 }
-                Some("general") | None => {}
-                Some(other) => {
-                    return Err(ParseSpecError {
-                        line: line_no,
-                        kind: SpecErrorKind::InvalidValue {
-                            key: "specialize".into(),
-                            value: other.into(),
-                        },
-                    })
-                }
+                families = Some(fams);
+            }
+            Some("general") | None => {}
+            Some(other) => {
+                return Err(ParseSpecError {
+                    line,
+                    kind: SpecErrorKind::InvalidValue {
+                        key: "specialize".into(),
+                        value: other.into(),
+                    },
+                })
             }
         }
     }
@@ -336,6 +324,15 @@ fallback       = 0.05
 
         let err = parse_platform("kind = asic\nspecialize = families warp-fields\n").unwrap_err();
         assert!(matches!(err.kind, SpecErrorKind::UnknownFamily(ref k) if k == "warp-fields"));
+    }
+
+    #[test]
+    fn field_errors_win_over_an_unknown_family() {
+        let err =
+            parse_platform("kind = asic\nspecialize = families warp-fields\nmass_g = heavy\n")
+                .unwrap_err();
+        assert_eq!(err.line, 3);
+        assert!(matches!(err.kind, SpecErrorKind::InvalidValue { ref key, .. } if key == "mass_g"));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!    [`KernelProfile`] constructor — the same accounting the roofline
 //!    model consumes,
 //! 3. measures achieved GFLOP/s and GB/s on host wall clock for both the
-//!    lane-vectorized path and its scalar reference (best-of-N timing),
+//!    lane-vectorized path and its scalar reference ([`time_best`]),
 //! 4. checks the lane path still agrees with the scalar reference on the
 //!    measured workload, and
 //! 5. compares achieved throughput against the
@@ -30,7 +30,7 @@
 
 use std::fmt::Write as _;
 use std::hint::black_box;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use m7_arch::platform::{Platform, PlatformKind};
 use m7_arch::workload::KernelProfile;
@@ -46,9 +46,9 @@ use crate::BENCH_SEED;
 /// Schema tag stamped into the JSON document, bumped on shape changes.
 pub(crate) const ROOFLINE_SCHEMA: &str = "m7-bench/roofline/v1";
 
-/// Best-of-N timing repetitions in full mode.
+/// Timed samples per kernel in full mode (see [`time_best`]).
 const FULL_REPS: usize = 5;
-/// Best-of-N timing repetitions in quick (CI smoke) mode.
+/// Timed samples per kernel in quick (CI smoke) mode.
 const QUICK_REPS: usize = 2;
 
 /// Achieved-vs-attainable comparison against one platform preset.
@@ -81,9 +81,9 @@ pub struct KernelMeasurement {
     pub bytes: f64,
     /// Arithmetic intensity (ops/byte).
     pub intensity: f64,
-    /// Best-of-N wall clock of the lane-vectorized path (seconds).
+    /// Best wall clock per call of the lane-vectorized path (seconds).
     pub lane_seconds: f64,
-    /// Best-of-N wall clock of the scalar reference path (seconds).
+    /// Best wall clock per call of the scalar reference path (seconds).
     pub scalar_seconds: f64,
     /// Achieved throughput of the lane path (GFLOP/s, analytic ops).
     pub achieved_gflops: f64,
@@ -118,16 +118,38 @@ pub struct RooflineSuite {
     pub measurements: Vec<KernelMeasurement>,
 }
 
-fn time_best<F: FnMut()>(reps: usize, mut f: F) -> f64 {
-    // One untimed warm-up pass populates caches and the branch predictor.
-    f();
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
+/// Shortest wall time of one sample: the calls per sample double until
+/// a sample lasts this long, so sub-microsecond kernels stay resolvable.
+const MIN_SAMPLE: Duration = Duration::from_millis(2);
+
+/// The crate's one kernel timer: the best wall-clock seconds per call of
+/// `f` over `samples` samples.
+///
+/// One untimed warm-up call populates caches and the branch predictor.
+/// Then the calls per sample double from one until a sample lasts at
+/// least 2 ms; that sample is the first of the `samples` (at least one)
+/// timed at the settled call count. Each result passes through
+/// [`black_box`].
+pub fn time_best<O>(samples: usize, mut f: impl FnMut() -> O) -> f64 {
+    let mut run = |calls: u64| {
         let start = Instant::now();
-        f();
-        best = best.min(start.elapsed().as_secs_f64());
+        for _ in 0..calls {
+            black_box(f());
+        }
+        start.elapsed()
+    };
+    run(1);
+    let mut calls = 1u64;
+    let mut elapsed = run(calls);
+    while elapsed < MIN_SAMPLE {
+        calls *= 2;
+        elapsed = run(calls);
     }
-    best
+    let mut best = elapsed;
+    for _ in 1..samples {
+        best = best.min(run(calls));
+    }
+    best.as_secs_f64() / calls as f64
 }
 
 fn ceilings_for(intensity: f64, achieved_gflops: f64) -> Vec<ModeledCeiling> {
@@ -538,6 +560,20 @@ mod tests {
         let text = suite.text_report();
         assert!(text.contains("measured vs modeled roofline"));
         assert!(text.contains("bit-identical"));
+    }
+
+    #[test]
+    fn timer_runs_warm_up_plus_whole_power_of_two_samples() {
+        for samples in [1, 3] {
+            let mut calls = 0u64;
+            let per_call = time_best(samples, || calls += 1);
+            // One warm-up call, the doubling samples 1 + 2 + ... + n/2,
+            // then `samples` samples of n calls each: n * (samples + 1).
+            let n = calls / (samples as u64 + 1);
+            assert_eq!(calls % (samples as u64 + 1), 0, "{calls} calls for {samples} samples");
+            assert!(n.is_power_of_two(), "{n} calls per sample");
+            assert!(per_call.is_finite() && per_call >= 0.0, "{per_call} s per call");
+        }
     }
 
     #[test]

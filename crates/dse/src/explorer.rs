@@ -12,7 +12,7 @@
 //! `M7_THREADS=64`. Annealing and surrogate guidance evaluate one design
 //! at a time.
 
-use crate::memo::{dedup_indices, EvalMemo};
+use crate::memo::EvalMemo;
 use crate::space::{DesignSpace, PointIndex};
 use crate::surrogate::Forest;
 use m7_par::ParConfig;
@@ -245,9 +245,10 @@ impl Explorer {
     /// Evaluates a batch of points through the deterministic pool,
     /// dispatching each *distinct* design exactly once.
     ///
-    /// Duplicate genotypes within the batch (common in late GA
-    /// generations) are coalesced onto the first occurrence before
-    /// dispatch, and previously seen designs are answered from the memo.
+    /// [`m7_serve::evaluate_batch_memo`] coalesces the duplicates of an
+    /// unseen genotype within the batch (common in late GA generations)
+    /// onto one dispatch, and answers every slot of a previously seen
+    /// design from the memo.
     /// Each design's cost still lands in the slot of its input index, so
     /// the output is identical to the serial `points.iter().map(...)`
     /// loop for any thread count and any store contents.
@@ -258,18 +259,17 @@ impl Explorer {
         par: ParConfig,
         memo: &EvalMemo<'_, S>,
     ) -> Vec<f64> {
-        let (unique, assign) = dedup_indices(points);
         BATCH_ITEMS.record(points.len() as u64);
-        let (unique_costs, outcome) = m7_serve::evaluate_batch_memo(
+        let (costs, outcome) = m7_serve::evaluate_batch_memo(
             memo.cache(),
             par,
-            &unique,
-            |&i| memo.key(&space.values(&points[i])),
-            |&i| objective.evaluate(&space.values(&points[i])),
+            points,
+            |p| memo.key(&space.values(p)),
+            |p| objective.evaluate(&space.values(p)),
         );
         MEMO_HITS.add(outcome.cache_hits as u64);
         MEMO_COALESCED.add(outcome.coalesced as u64);
-        assign.into_iter().map(|u| unique_costs[u]).collect()
+        costs
     }
 
     /// Evaluates one design from its concrete values, through the memo.

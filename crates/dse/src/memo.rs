@@ -88,8 +88,9 @@ impl<S: ResultStore<f64>> core::fmt::Debug for EvalMemo<'_, S> {
 /// first occurrence of each distinct point (in first-seen order, so the
 /// mapping is deterministic and insertion-order stable) and
 /// `assign[i]` is the position in `unique` owning point `i`'s result.
-/// Population scoring uses this so a GA generation never dispatches the
-/// same genotype twice in one batch — independent of any cache.
+/// NSGA-II's population scoring, which has no memo, uses this so a
+/// generation never scores the same genotype twice; the memoized
+/// explorers leave coalescing to [`m7_serve::evaluate_batch_memo`].
 #[must_use]
 pub(crate) fn dedup_indices(points: &[PointIndex]) -> (Vec<usize>, Vec<usize>) {
     let mut first: std::collections::HashMap<&[usize], usize> = std::collections::HashMap::new();

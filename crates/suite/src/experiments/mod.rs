@@ -326,9 +326,6 @@ impl core::fmt::Display for ExperimentId {
     }
 }
 
-/// Convenience alias used by example binaries.
-pub use ExperimentId as Experiment;
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -96,10 +96,7 @@ pub mod prelude {
         MissionOutcome, MissionSpec, RobustnessReport, Rover, RoverConfig, ThermalConfig,
         ThermalState,
     };
-    pub use m7_suite::{
-        experiments::{Experiment, ExperimentId},
-        Challenge, Report,
-    };
+    pub use m7_suite::{experiments::ExperimentId, Challenge, Report};
     pub use m7_units::{
         Grams, GramsCo2e, Hertz, Joules, Meters, MetersPerSecond, Ops, OpsPerSecond, Seconds,
         SquareMillimeters, Watts,

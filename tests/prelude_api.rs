@@ -53,8 +53,6 @@ fn dse_and_suite_workflow_via_prelude() {
 
     let report: Report = ExperimentId::E1Growth.run(1);
     assert_eq!(report.tables().len(), 1);
-    // The alias is usable too.
-    let _e: Experiment = ExperimentId::E1Growth;
 }
 
 #[test]
